@@ -62,21 +62,20 @@ def cmd_simulate(args) -> int:
         roster.append((reference, "reference", len(devices)))
     for tx, role, di in roster:
         for rj, rx in enumerate(receivers):
-            link_seed = harness.derive_seed(cfg.master_seed, 1, 0, di, rj)
+            link_seed = harness.derive_seed(cfg.master_seed, harness._S_CHANNEL, 0, di, rj)
             link_channel = None if per_frame else harness._draw_channel(cfg, snr, link_seed)
             segments = []
             n_frames = cfg.frames_per_device if role == "device" else max(4, cfg.frames_per_device // 10)
             for fi in range(n_frames):
                 chan = (
-                    harness._draw_channel(
-                        cfg, snr, harness.derive_seed(cfg.master_seed, 1, 0, di, rj, fi)
-                    )
+                    harness._draw_channel(cfg, snr, harness.derive_seed(
+                        cfg.master_seed, harness._S_CHANNEL, 0, di, rj, fi))
                     if per_frame else link_channel
                 )
                 capture, _ = harness.simulate_capture(
                     tx, rx, chan,
-                    harness.derive_seed(cfg.master_seed, 2, 0, di, rj, fi),
-                    harness.derive_seed(cfg.master_seed, 3, 0, di, rj, fi),
+                    harness.derive_seed(cfg.master_seed, harness._S_NOISE, 0, di, rj, fi),
+                    harness.derive_seed(cfg.master_seed, harness._S_JITTER, 0, di, rj, fi),
                 )
                 segments.append(capture.samples)
             name = f"{tx.device_id}_{rx.device_id}.iq"

@@ -15,7 +15,7 @@ indexed by their position in the config.
 
 Reference-division protocol: each receiver's model spectra come from a
 fresh capture of the reference device made through that same receiver
-(the run loop asserts the pairing structurally); model captures refresh per
+(the run loop checks the pairing structurally); model captures refresh per
 repeat and are never shared across receivers.
 
 Frames that fail detection, sync, or hit a degenerate denominator are
@@ -28,11 +28,11 @@ stay honest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import classify as cl
 from . import data_io
@@ -387,7 +387,10 @@ def _extract_all(spectra: dict, extractors, model: ModelCapture | None,
             raise PipelineError("reference-division extraction without a model capture")
         # structural isolation: the model must have been captured through
         # the receiver whose frames it divides
-        assert model.receiver_id == rx_id, (model.receiver_id, rx_id)
+        if model.receiver_id != rx_id:
+            raise PipelineError(
+                f"model captured through {model.receiver_id} cannot divide frames from {rx_id}"
+            )
         out["RD_STF"] = extract_rd(spectra[Field.LSTF], model.spectra[Field.LSTF], device_id)
         out["RD_LTF"] = extract_rd(spectra[Field.LLTF], model.spectra[Field.LLTF], device_id)
     if "HL" in extractors:
@@ -672,15 +675,40 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
 
 def pearson_r_p(x, y) -> tuple[float, float]:
     """Two-sided Pearson correlation; degenerate (constant) inputs report
-    r=0, p=1 instead of NaN."""
+    r=0, p=1 instead of NaN.
+
+    p is the Student-t tail of t = r*sqrt(nu/(1-r^2)) with nu = n-2, in the
+    closed form for integer nu (Abramowitz & Stegun 26.7.3/26.7.4): with
+    theta = atan(|t|/sqrt(nu)) and c = cos(theta), P(|T| < |t|) is
+    sin(theta)*(1 + c^2/2 + (1*3)/(2*4)*c^4 + ...) for even nu and
+    (2/pi)*(theta + sin(theta)*(c + (2/3)*c^3 + ...)) for odd nu, each
+    series running to the c^(nu-2) term."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise ConfigError("Pearson p-value needs at least 3 points")
     if np.std(x) == 0.0 or np.std(y) == 0.0:
         return 0.0, 1.0
-    r, p = scipy_stats.pearsonr(x, y)
-    return float(r), float(p)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    # one square root of the product keeps exactly linear data at |r| = 1
+    r = max(-1.0, min(1.0, float(xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))))
+    if abs(r) == 1.0:
+        return r, 0.0
+    nu = x.size - 2
+    t = r * math.sqrt(nu / (1.0 - r * r))
+    theta = math.atan(abs(t) / math.sqrt(nu))
+    c = math.cos(theta)
+    odd = nu % 2
+    term = c if odd else 1.0
+    series = 0.0
+    for k in range(1, nu // 2 + 1):
+        series += term
+        term *= c * c * (2 * k - 1 + odd) / (2 * k + odd)
+    inside = series * math.sin(theta)
+    if odd:
+        inside = 2.0 / math.pi * (theta + inside)
+    return r, min(1.0, max(0.0, 1.0 - inside))
 
 
 def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rffdiv
 from rffdiv import data_io
 from rffdiv.cli import main
 
@@ -71,13 +75,25 @@ def test_bench_writes_report_and_is_deterministic(config_path, tmp_path):
     assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
 
 
-def test_bench_deterministic_across_processes(config_path, tmp_path):
-    import subprocess
-    import sys
+def _child_env(**extra):
+    """A minimal environment for a fresh interpreter that still finds the
+    `rffdiv` under test, installed or not."""
+    src = str(Path(rffdiv.__file__).resolve().parents[1])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, **extra}
 
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rffdiv, rffdiv.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_bench_deterministic_across_processes(config_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, hashseed in ((a, "0"), (b, "7")):
-        env = {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"}
+        env = _child_env(PYTHONHASHSEED=hashseed)
         proc = subprocess.run(
             [sys.executable, "-m", "rffdiv.cli", "bench",
              "--config", str(config_path), "--out-dir", str(out)],

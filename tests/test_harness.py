@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rffdiv import harness as hz
@@ -88,12 +89,12 @@ def test_model_capture_structural_isolation():
     _, _, models = hz._simulate_cells(cfg, devices, receivers, reference, 30.0, 0)
     for rx in receivers:
         assert models[rx.device_id].receiver_id == rx.device_id
-    # cross-wiring the model captures trips the structural assertion
+    # cross-wiring the model captures trips the structural check
     swapped = {
         receivers[0].device_id: models[receivers[1].device_id],
         receivers[1].device_id: models[receivers[0].device_id],
     }
-    with pytest.raises(AssertionError):
+    with pytest.raises(hz.PipelineError):
         hz._extract_all(
             {f: s for f, s in models[receivers[0].device_id].spectra.items()},
             ["RD"], swapped[receivers[0].device_id], receivers[0].device_id, "dev00",
@@ -125,6 +126,28 @@ def test_feature_stability_reports_both_metrics():
     assert -1.0 <= hl["cross_receiver"]["centered"] <= 1.0
 
 
+def _pair_with_r(rng, n, rho):
+    """(x, y) whose sample correlation is `rho`: y mixes centred x with a
+    centred draw orthogonal to it."""
+    xc = rng.standard_normal(n)
+    xc -= xc.mean()
+    z = rng.standard_normal(n)
+    z -= z.mean()
+    z -= (z @ xc) / (xc @ xc) * xc
+    y = rho * xc / np.linalg.norm(xc) + np.sqrt(1.0 - rho * rho) * z / np.linalg.norm(z)
+    return xc + 2.0, 3.0 * y - 1.0
+
+
+def _assert_matches_scipy(x, y):
+    from scipy import stats
+
+    r, p = hz.pearson_r_p(x, y)
+    ref = stats.pearsonr(x, y)
+    r_ref, p_ref = float(ref.statistic), float(ref.pvalue)
+    assert abs(r - r_ref) <= 1e-12, (len(x), r, r_ref)
+    assert abs(p - p_ref) <= 1e-12 or abs(p - p_ref) <= 1e-9 * p_ref, (len(x), r, p, p_ref)
+
+
 def test_pearson_helper_degenerate_and_requirements():
     with pytest.raises(hz.ConfigError):
         hz.pearson_r_p([1, 2], [3, 4])
@@ -132,6 +155,16 @@ def test_pearson_helper_degenerate_and_requirements():
     assert (r, p) == (0.0, 1.0)
     r, p = hz.pearson_r_p([1, 2, 3, 4], [2, 4, 6, 8])
     assert abs(r - 1.0) < 1e-12 and p < 0.01
+    # scipy.stats.pearsonr as the oracle, over odd and even degrees of freedom
+    for n in (3, 4, 5, 8, 15, 40):
+        rng = np.random.default_rng(n)
+        for rho in (1e-3, -2e-4, 0.45, -0.7, 0.9999, -0.9999):
+            _assert_matches_scipy(*_pair_with_r(rng, n, rho))
+        # exactly linear data: r is exactly +-1 and p exactly 0
+        x = np.array([0.0, 1.0, 3.0] + [float(k * k) for k in range(2, n - 1)])
+        for y, sign in ((2.0 * x, 1.0), (-0.5 * x + 4.0, -1.0)):
+            assert hz.pearson_r_p(x, y) == (sign, 0.0)
+            _assert_matches_scipy(x, y)
 
 
 def test_reference_sweep_requires_three_candidates():
