@@ -149,7 +149,7 @@ def _stratified_split(y_idx: np.ndarray, fraction: float, rng: np.random.Generat
 
 def _as_matrix(features):
     # mixed extractors imply mixed dimensions too, since every extractor
-    # pins its own (FeatureVector enforces that)
+    # pins its own (FeatureVector enforces that); a block contributes its rows
     x, labels = [], []
     extractor = None
     for f in features:
@@ -163,11 +163,11 @@ def _as_matrix(features):
             raise TrainError(
                 f"mixed extractors: {extractor.value} and {f.extractor.value}"
             )
-        x.append(f.values)
-        labels.append(f.device_hint)
-    if not x:
+        x.append(np.atleast_2d(f.values))
+        labels.extend([f.device_hint] * len(x[-1]))
+    if not labels:
         raise TrainError("no features given")
-    return np.stack(x), labels, extractor
+    return np.concatenate(x), labels, extractor
 
 
 def train(features, cfg: TrainConfig) -> SoftmaxModel:
@@ -252,23 +252,30 @@ def classify(model: SoftmaxModel, feature) -> str:
     return model.classes[int(np.argmax(predict_scores(model, feature)))]
 
 
+def _rows(f: FeatureVector) -> np.ndarray:
+    return np.atleast_2d(f.values)
+
+
 def evaluate(model: SoftmaxModel, features) -> float:
-    """Fraction of correctly classified labeled features."""
-    feats = list(features)
-    if not feats:
+    """Fraction of correctly classified labeled features (every row of a
+    block FeatureVector counts as one)."""
+    rows = [(v, f.device_hint) for f in features for v in _rows(f)]
+    if not rows:
         raise EvalError("empty test set")
-    hits = sum(1 for f in feats if classify(model, f) == f.device_hint)
-    return hits / len(feats)
+    hits = sum(1 for v, label in rows if classify(model, v) == label)
+    return hits / len(rows)
 
 
 def evaluate_fused(models, feature_pairs) -> float:
     """Accuracy of the two-branch fusion over (branch_a, branch_b) feature
-    pairs; labels come from the first branch's device_hint."""
-    pairs = list(feature_pairs)
-    if not pairs:
+    pairs (blocks pair up row by row); labels come from the first branch's
+    device_hint."""
+    rows = [(va, vb, fa.device_hint) for fa, fb in feature_pairs
+            for va, vb in zip(_rows(fa), _rows(fb))]
+    if not rows:
         raise EvalError("empty test set")
-    hits = sum(1 for fa, fb in pairs if fuse_and_classify(models, (fa, fb)) == fa.device_hint)
-    return hits / len(pairs)
+    hits = sum(1 for va, vb, label in rows if fuse_and_classify(models, (va, vb)) == label)
+    return hits / len(rows)
 
 
 MODEL_FORMAT_VERSION = 1

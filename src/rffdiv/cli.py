@@ -21,11 +21,11 @@ import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from .features import Field
+from .features import Field, FieldSpectrum
 from .waveform import occupied_tones, tone_to_bin
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
-from .signals import ComplexSignal
+from .signals import ComplexSignal, Drops
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,23 +61,13 @@ def cmd_simulate(args) -> int:
     if reference is not None:
         roster.append((reference, "reference", len(devices)))
     for tx, role, di in roster:
+        sent = harness._transmit(tx)
+        n_frames = (cfg.frames_per_device if role == "device"
+                    else max(4, cfg.frames_per_device // 10))
         for rj, rx in enumerate(receivers):
-            link_seed = harness.derive_seed(cfg.master_seed, harness._S_CHANNEL, 0, di, rj)
-            link_channel = None if per_frame else harness._draw_channel(cfg, snr, link_seed)
-            segments = []
-            n_frames = cfg.frames_per_device if role == "device" else max(4, cfg.frames_per_device // 10)
-            for fi in range(n_frames):
-                chan = (
-                    harness._draw_channel(cfg, snr, harness.derive_seed(
-                        cfg.master_seed, harness._S_CHANNEL, 0, di, rj, fi))
-                    if per_frame else link_channel
-                )
-                capture, _ = harness.simulate_capture(
-                    tx, rx, chan,
-                    harness.derive_seed(cfg.master_seed, harness._S_NOISE, 0, di, rj, fi),
-                    harness.derive_seed(cfg.master_seed, harness._S_JITTER, 0, di, rj, fi),
-                )
-                segments.append(capture.samples)
+            blocks = harness.frame_blocks(cfg, sent, rx, snr, 0, di, rj, n_frames, per_frame)
+            segments = [frames.samples[i, :n] for _, frames in blocks
+                        for i, n in enumerate(frames.lengths)]
             name = f"{tx.device_id}_{rx.device_id}.iq"
             data_io.write_iq(out / name, ComplexSignal(np.concatenate(segments)))
             entries.append({
@@ -125,7 +115,7 @@ def _iter_frame_spectra(signal: ComplexSignal, cfg_like, fields):
         except NotDetectedError:
             pos += segment_len - cfg_like.detection_window
             continue
-        except (SyncFailedError, pp.EstimationFailedError, ValueError):
+        except (SyncFailedError, pp.EstimationFailedError):
             yield idx, None
             idx += 1
             pos += 500
@@ -176,24 +166,34 @@ def cmd_extract(args) -> int:
         if cap["role"] != "device":
             continue
         sig = data_io.read_iq(base / cap["path"])
-        for fi, spectra in _iter_frame_spectra(sig, cfg_like, fields):
-            if spectra is None:
-                dropped += 1
-                continue
+        found = list(_iter_frame_spectra(sig, cfg_like, fields))
+        acquired = [(fi, spectra) for fi, spectra in found if spectra is not None]
+        dropped += len(found) - len(acquired)
+        # the dividers run on blocks of acquired frames, as in the frame engine
+        for first in range(0, len(acquired), harness.BLOCK_ROWS):
+            block = acquired[first : first + harness.BLOCK_ROWS]
+            drops = Drops(len(block))
+            spectra = {f: FieldSpectrum(f, np.stack([s[f].bins for _, s in block]), drops)
+                       for f in fields}
             try:
                 feats = harness._extract_all(
                     spectra, extractors, models.get(cap["receiver"]),
                     cap["receiver"], cap["device"],
                 )
-            except (harness.PipelineError, ValueError):
-                dropped += 1
+            except harness.PipelineError:
+                dropped += len(block)
                 continue
+            live = drops.live
+            dropped += len(block) - int(np.count_nonzero(live))
             for tag, fv in feats.items():
-                records.setdefault(tag, []).append(data_io.FeatureRecord(
-                    extractor=tag, device=cap["device"], receiver=cap["receiver"],
-                    channel_scenario=manifest.get("scenario", "unknown"), trial=fi,
-                    snr_db=float(manifest.get("snr_db", 0.0)), values=fv.values,
-                ))
+                keep = live[fv.rows]
+                for row, values in zip(fv.rows[keep], fv.values[keep]):
+                    records.setdefault(tag, []).append(data_io.FeatureRecord(
+                        extractor=tag, device=cap["device"], receiver=cap["receiver"],
+                        channel_scenario=manifest.get("scenario", "unknown"),
+                        trial=block[row][0], snr_db=float(manifest.get("snr_db", 0.0)),
+                        values=values,
+                    ))
     if not records:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE

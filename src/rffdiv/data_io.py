@@ -120,6 +120,7 @@ def write_features(path, rows, dim: int | None = None) -> None:
             raise IoError(f"{path}: empty table needs an explicit dim")
     extractor = rows[0].extractor if rows else None
     lines = [",".join(_feature_header(dim))]
+    values_fmt = ",".join(["%.17g"] * dim)  # same text as format(v, ".17g"), one call per row
     for i, r in enumerate(rows):
         vals = np.asarray(r.values, dtype=np.float64)
         if vals.size != dim:
@@ -127,8 +128,7 @@ def write_features(path, rows, dim: int | None = None) -> None:
         if r.extractor != extractor:
             raise IoError(f"{path}: row {i} extractor {r.extractor!r} != {extractor!r}")
         cells = [r.extractor, r.device, r.receiver, r.channel_scenario,
-                 str(int(r.trial)), _fmt(r.snr_db)]
-        cells.extend(_fmt(v) for v in vals)
+                 str(int(r.trial)), _fmt(r.snr_db), values_fmt % tuple(vals.tolist())]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 

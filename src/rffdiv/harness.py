@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,10 @@ from . import classify as cl
 from . import data_io
 from .channel import ChannelKind, ChannelRealization, apply_channel, sample_channel
 from .features import (
-    Extractor,
+    DegenerateDenominatorError,
+    DegenerateModelError,
     FeatureVector,
+    Extractor,
     Field,
     centered_cosine_similarity,
     cosine_similarity,
@@ -58,7 +60,7 @@ from .preprocess import (
     synchronize_and_compensate,
 )
 from .refselect import eta_lf
-from .signals import ComplexSignal
+from .signals import ComplexSignal, Frames
 from .waveform import PreambleFormat, PreambleSpec, generate_preamble, occupied_tones, tone_to_bin
 
 
@@ -311,6 +313,42 @@ def _channel_per_frame(cfg: ExperimentConfig) -> bool:
 
 _FRAME = generate_preamble(PreambleSpec(PreambleFormat.HTMF))
 
+# Frames per block in the frame engine. A block of 16 captures of at most
+# 816 samples is under 209 KiB of complex128, below the 256 KiB from which
+# numpy elides temporaries (see preprocess.apply_cfo), and keeps the peak
+# memory at what one frame at a time needs.
+BLOCK_ROWS = 16
+
+
+def _transmit(profile: DeviceProfile) -> np.ndarray:
+    """The device's transmitted frame; every capture of it starts here."""
+    return apply_transmitter(profile, _FRAME).samples
+
+
+def _receive(sent: np.ndarray, rx: DeviceProfile, draws) -> tuple[Frames, np.ndarray]:
+    """Captures of the transmitted frame `sent` through receiver `rx`, one
+    row per (channel, noise seed, jitter seed) draw: each row gets its own
+    randomized lead gap, channel and fresh noise, then the receiver runs on
+    the whole block. Returns the block and each row's true frame start."""
+    rows = len(draws)
+    block = np.zeros((rows, LEAD_PAD + MAX_JITTER + sent.size + TAIL_PAD), dtype=np.complex128)
+    lengths = np.empty(rows, dtype=np.int64)
+    leads = np.empty(rows, dtype=np.int64)
+    for i, (chan, noise_seed, jitter_seed) in enumerate(draws):
+        lead = LEAD_PAD + int(np.random.default_rng(jitter_seed).integers(0, MAX_JITTER + 1))
+        padded = np.zeros(lead + sent.size + TAIL_PAD, dtype=np.complex128)
+        padded[lead : lead + sent.size] = sent
+        y = apply_channel(chan, ComplexSignal(padded), noise_rng=np.random.default_rng(noise_seed))
+        block[i, : padded.size] = y.samples
+        lengths[i] = padded.size
+        leads[i] = lead
+    return Frames(apply_receiver(rx, ComplexSignal(block)).samples, lengths), leads
+
+
+def _capture(sent, rx, chan, noise_seed, jitter_seed) -> tuple[ComplexSignal, int]:
+    frames, leads = _receive(sent, rx, [(chan, noise_seed, jitter_seed)])
+    return ComplexSignal(frames.samples[0, : frames.lengths[0]]), int(leads[0])
+
 
 def simulate_capture(
     tx: DeviceProfile,
@@ -322,27 +360,37 @@ def simulate_capture(
     """One frame: pad with a randomized lead gap, run transmitter, channel
     with fresh noise, receiver. Returns the capture and the true frame
     start (for diagnostics; the pipeline re-estimates it)."""
-    jitter = int(np.random.default_rng(jitter_seed).integers(0, MAX_JITTER + 1))
-    lead = LEAD_PAD + jitter
-    x = apply_transmitter(tx, _FRAME)
-    padded = ComplexSignal(
-        np.concatenate([
-            np.zeros(lead, dtype=np.complex128),
-            x.samples,
-            np.zeros(TAIL_PAD, dtype=np.complex128),
-        ]),
-        x.sample_rate,
-    )
-    y = apply_channel(chan, padded, noise_rng=np.random.default_rng(noise_seed))
-    return apply_receiver(rx, y), lead
+    return _capture(_transmit(tx), rx, chan, noise_seed, jitter_seed)
 
 
-_DROP_ERRORS = (NotDetectedError, SyncFailedError, EstimationFailedError, ValueError)
+def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
+                 repeat: int, device_idx: int, receiver_idx: int, n_frames: int,
+                 per_frame_channel: bool):
+    """The frame engine's captures of one (device, receiver) link: yields
+    (first frame index, block) for blocks of at most BLOCK_ROWS frames.
+    Every frame draws its own jitter, noise and (when `per_frame_channel`)
+    channel from its own seeds, so blocking changes no sample; a static
+    link draws one channel for all its frames."""
+    def seed(stream, *frame):
+        return derive_seed(cfg.master_seed, stream, repeat, device_idx, receiver_idx, *frame)
+
+    link_channel = None if per_frame_channel else _draw_channel(cfg, snr_db, seed(_S_CHANNEL))
+    for first in range(0, n_frames, BLOCK_ROWS):
+        draws = [
+            (_draw_channel(cfg, snr_db, seed(_S_CHANNEL, fi)) if per_frame_channel
+             else link_channel, seed(_S_NOISE, fi), seed(_S_JITTER, fi))
+            for fi in range(first, min(first + BLOCK_ROWS, n_frames))
+        ]
+        yield first, _receive(sent, rx, draws)[0]
 
 
-def acquire_spectra(capture: ComplexSignal, cfg: ExperimentConfig, fields) -> dict:
-    """Detection through field spectra; raises the pipeline errors the
-    caller counts as drops."""
+_DROP_ERRORS = (NotDetectedError, SyncFailedError, EstimationFailedError,
+                DegenerateDenominatorError, DegenerateModelError)
+
+
+def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fields) -> dict:
+    """Detection through field spectra, for one capture or a block; a
+    capture raises the pipeline errors the caller counts as drops."""
     thr = noise_floor_threshold(capture, cfg.detection_window, cfg.detection_multiplier,
                                 cfg.detection_metric)
     det = DetectionConfig(cfg.detection_window, thr, cfg.detection_metric)
@@ -360,13 +408,15 @@ class ModelCapture:
     attempts: int
 
 
-def _capture_model(cfg, reference, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
+def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
+    """Capture the transmitted reference frame `sent_ref` through one
+    receiver until a capture survives acquisition."""
     for attempt in range(MODEL_CAPTURE_ATTEMPTS):
         ch_seed = derive_seed(cfg.master_seed, _S_MODEL_CHANNEL, repeat, attempt, rx_idx)
         chan = _draw_channel(cfg, snr_db, ch_seed)
         noise_seed = derive_seed(cfg.master_seed, _S_MODEL_NOISE, repeat, attempt, rx_idx)
         jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, repeat, attempt, rx_idx, 999)
-        capture, _ = simulate_capture(reference, rx_profile, chan, noise_seed, jitter_seed)
+        capture, _ = _capture(sent_ref, rx_profile, chan, noise_seed, jitter_seed)
         try:
             spectra = acquire_spectra(capture, cfg, (Field.LSTF, Field.LLTF))
         except _DROP_ERRORS:
@@ -435,83 +485,112 @@ def _needed_fields(extractors) -> tuple:
     return tuple(sorted(fields, key=lambda f: f.value))
 
 
-def _simulate_cells(cfg, devices, receivers, reference, snr_db, repeat):
-    """All successful frames for one (snr, repeat): returns
-    {(dev_id, rx_id): [(frame_idx, {tag: FeatureVector})]}, drop counts,
-    and the per-receiver model captures."""
-    per_frame_channel = _channel_per_frame(cfg)
+@dataclass
+class LinkFeatures:
+    """One (device, receiver) link's fingerprints: the indices of the frames
+    that yielded them, one block FeatureVector per tag whose rows follow
+    `frames`, and the dropped frames counted by cause."""
+
+    frames: np.ndarray
+    features: dict
+    drops: dict
+
+    @property
+    def dropped(self) -> int:
+        return sum(self.drops.values())
+
+
+def _link_features(cfg, blocks, model: ModelCapture | None, rx_id: str,
+                   device_id: str) -> LinkFeatures:
+    """Run acquisition and extraction over a link's blocks (`frame_blocks`)."""
     fields = _needed_fields(cfg.extractors)
-    models: dict[str, ModelCapture] = {}
-    if reference is not None and any(e.startswith("RD") for e in cfg.extractors):
-        for rj, rx in enumerate(receivers):
-            models[rx.device_id] = _capture_model(cfg, reference, rx, rj, repeat, snr_db)
-    features = {}
-    drops = {}
+    kept, values, last = [], {}, {}
+    drops: dict[str, int] = {}
+    for first, frames in blocks:
+        feats = _extract_all(acquire_spectra(frames, cfg, fields), cfg.extractors, model,
+                             rx_id, device_id)
+        live = frames.drops.live
+        kept.append(first + np.flatnonzero(live))
+        for tag, fv in feats.items():
+            values.setdefault(tag, []).append(fv.values[live[fv.rows]])
+            last[tag] = fv
+        for exc in frames.drops.errors:
+            if exc is not None:
+                drops[type(exc).__name__] = drops.get(type(exc).__name__, 0) + 1
+    features = {tag: replace(last[tag], values=np.concatenate(v), rows=None)
+                for tag, v in values.items()}
+    return LinkFeatures(np.concatenate(kept), features, drops)
+
+
+def _transmit_all(devices, reference) -> tuple[list, np.ndarray | None]:
+    """Transmitted frames of the devices and of the reference (if any)."""
+    return [_transmit(d) for d in devices], None if reference is None else _transmit(reference)
+
+
+def _capture_models(cfg, receivers, sent_ref, repeat, snr_db) -> dict[str, ModelCapture]:
+    if sent_ref is None or not any(e.startswith("RD") for e in cfg.extractors):
+        return {}
+    return {rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr_db)
+            for rj, rx in enumerate(receivers)}
+
+
+def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat):
+    """All links for one (snr, repeat), given the transmitted frames `sent`
+    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures} and the
+    per-receiver model captures."""
+    sent_devices, sent_ref = sent
+    per_frame_channel = _channel_per_frame(cfg)
+    models = _capture_models(cfg, receivers, sent_ref, repeat, snr_db)
+    links = {}
     for di, dev in enumerate(devices):
         for rj, rx in enumerate(receivers):
-            got = []
-            dropped = 0
-            link_seed = derive_seed(cfg.master_seed, _S_CHANNEL, repeat, di, rj)
-            link_channel = None if per_frame_channel else _draw_channel(cfg, snr_db, link_seed)
-            for fi in range(cfg.frames_per_device):
-                chan = (
-                    _draw_channel(
-                        cfg, snr_db, derive_seed(cfg.master_seed, _S_CHANNEL, repeat, di, rj, fi)
-                    )
-                    if per_frame_channel
-                    else link_channel
-                )
-                noise_seed = derive_seed(cfg.master_seed, _S_NOISE, repeat, di, rj, fi)
-                jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, repeat, di, rj, fi)
-                capture, _ = simulate_capture(dev, rx, chan, noise_seed, jitter_seed)
-                try:
-                    spectra = acquire_spectra(capture, cfg, fields)
-                    feats = _extract_all(
-                        spectra, cfg.extractors, models.get(rx.device_id),
-                        rx.device_id, dev.device_id,
-                    )
-                except _DROP_ERRORS:
-                    dropped += 1
-                    continue
-                got.append((fi, feats))
-            features[(dev.device_id, rx.device_id)] = got
-            drops[(dev.device_id, rx.device_id)] = dropped
-    return features, drops, models
+            blocks = frame_blocks(cfg, sent_devices[di], rx, snr_db, repeat, di, rj,
+                                  cfg.frames_per_device, per_frame_channel)
+            links[(dev.device_id, rx.device_id)] = _link_features(
+                cfg, blocks, models.get(rx.device_id), rx.device_id, dev.device_id)
+    return links, models
 
 
 def _branch_tags(extractor: str):
     return ("RD_STF", "RD_LTF") if extractor == "RD" else (extractor,)
 
 
-def _train_eval(cfg, features, extractor, train_ids, test_id):
-    """Train on the train receivers' first-half frames, evaluate on the test
-    receiver's second-half frames."""
+def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
+    """Per tag, the block FeatureVectors of receivers `rx_ids`, limited to
+    each link's first half of frame indices (training) or second half
+    (testing)."""
     half = cfg.frames_per_device // 2
+    pool = {t: [] for t in tags}
+    for (_, rx_id), link in links.items():
+        if rx_id in rx_ids:
+            keep = (link.frames < half) == first_half
+            for t in tags:
+                fv = link.features[t]
+                pool[t].append(replace(fv, values=fv.values[keep]))
+    return pool
+
+
+def _pool_size(pool: dict) -> int:
+    return min(sum(len(fv.values) for fv in fvs) for fvs in pool.values())
+
+
+def _train_eval(cfg, links, extractor, train_ids, test_ids) -> list[float]:
+    """Train once on the train receivers' first-half frames, then score each
+    test receiver's second-half frames."""
     tags = _branch_tags(extractor)
-    train_feats = {t: [] for t in tags}
-    for (dev_id, rx_id), frames in features.items():
-        if rx_id not in train_ids:
-            continue
-        for fi, feats in frames:
-            if fi < half:
-                for t in tags:
-                    train_feats[t].append(feats[t])
-    test_pairs = []
-    for (dev_id, rx_id), frames in features.items():
-        if rx_id != test_id:
-            continue
-        for fi, feats in frames:
-            if fi >= half:
-                test_pairs.append(tuple(feats[t] for t in tags))
-    if any(not v for v in train_feats.values()) or not test_pairs:
-        raise PipelineError(
-            f"empty train or test pool for extractor {extractor} "
-            f"(train={train_ids}, test={test_id})"
-        )
-    models = [cl.train(train_feats[t], cfg.classifier) for t in tags]
+    train_pool = _pool(cfg, links, tags, train_ids, True)
+    test_pools = [_pool(cfg, links, tags, {test_id}, False) for test_id in test_ids]
+    for test_id, test_pool in zip(test_ids, test_pools):
+        if not _pool_size(train_pool) or not _pool_size(test_pool):
+            raise PipelineError(
+                f"empty train or test pool for extractor {extractor} "
+                f"(train={train_ids}, test={test_id})"
+            )
+    models = [cl.train(train_pool[t], cfg.classifier) for t in tags]
     if len(models) == 2:
-        return cl.evaluate_fused(tuple(models), test_pairs)
-    return cl.evaluate(models[0], [p[0] for p in test_pairs])
+        return [cl.evaluate_fused(tuple(models), list(zip(*(pool[t] for t in tags))))
+                for pool in test_pools]
+    return [cl.evaluate(models[0], pool[tags[0]]) for pool in test_pools]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -519,30 +598,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     aggregated as mean and sample std over the repeats."""
     validate_config(cfg)
     devices, receivers, reference = _profiles(cfg)
+    sent = _transmit_all(devices, reference)
     cells_acc = {}
     drop_acc = {}
     feature_records = {}
     model_info = {}
     for snr in cfg.snr_db:
         for rep in range(cfg.repeats):
-            features, drops, models = _simulate_cells(
-                cfg, devices, receivers, reference, snr, rep
-            )
-            for key, n_drop in drops.items():
-                drop_acc.setdefault((snr,) + key, []).append(n_drop / cfg.frames_per_device)
+            links, models = _simulate_cells(cfg, devices, receivers, sent, snr, rep)
+            for key, link in links.items():
+                drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
             for rx_id, mc in models.items():
                 model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
                     {"attempts": mc.attempts, "eta_lf": eta_lf(mc.lltf_csi).eta_lf}
                 )
-            for (dev_id, rx_id), frames in features.items():
-                for fi, feats in frames:
-                    for tag, fv in feats.items():
+            for (dev_id, rx_id), link in links.items():
+                for tag, fv in link.features.items():
+                    for fi, values in zip(link.frames.tolist(), fv.values):
                         feature_records.setdefault(tag, []).append(
                             data_io.FeatureRecord(
                                 extractor=tag, device=dev_id, receiver=rx_id,
                                 channel_scenario=cfg.scenario(),
                                 trial=rep * cfg.frames_per_device + fi,
-                                snr_db=snr, values=fv.values,
+                                snr_db=snr, values=values,
                             )
                         )
             for extractor in cfg.extractors:
@@ -552,8 +630,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         else {train_entry}
                     )
                     train_label = "+".join(sorted(train_ids))
-                    for test_id in cfg.test_receivers:
-                        acc = _train_eval(cfg, features, extractor, train_ids, test_id)
+                    accs = _train_eval(cfg, links, extractor, train_ids, cfg.test_receivers)
+                    for test_id, acc in zip(cfg.test_receivers, accs):
                         cells_acc.setdefault(
                             (snr, extractor, train_label, test_id), []
                         ).append(acc)
@@ -596,43 +674,24 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
     """
     validate_config(cfg)
     devices, receivers, reference = _profiles(cfg)
-    fields = _needed_fields(cfg.extractors)
+    sent_devices, sent_ref = _transmit_all(devices, reference)
     snr = cfg.snr_db[0]
-    models = {}
-    if reference is not None and any(e.startswith("RD") for e in cfg.extractors):
-        for rj, rx in enumerate(receivers):
-            models[rx.device_id] = _capture_model(cfg, reference, rx, rj, 0, snr)
+    models = _capture_models(cfg, receivers, sent_ref, 0, snr)
     out = {"snr_db": snr, "scenario": cfg.scenario(), "devices": {}}
     for di, dev in enumerate(devices):
         per_rx = {}
         drops = 0
         for rj, rx in enumerate(receivers):
-            feats = []
-            for fi in range(cfg.frames_per_device):
-                chan = _draw_channel(
-                    cfg, snr, derive_seed(cfg.master_seed, _S_CHANNEL, 0, di, rj, fi)
-                )
-                noise_seed = derive_seed(cfg.master_seed, _S_NOISE, 0, di, rj, fi)
-                jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, 0, di, rj, fi)
-                capture, _ = simulate_capture(dev, rx, chan, noise_seed, jitter_seed)
-                try:
-                    spectra = acquire_spectra(capture, cfg, fields)
-                    feats.append(_extract_all(
-                        spectra, cfg.extractors, models.get(rx.device_id),
-                        rx.device_id, dev.device_id,
-                    ))
-                except _DROP_ERRORS:
-                    drops += 1
-            per_rx[rx.device_id] = feats
-        tags = set()
-        for feats in per_rx.values():
-            for f in feats:
-                tags.update(f.keys())
+            blocks = frame_blocks(cfg, sent_devices[di], rx, snr, 0, di, rj,
+                                  cfg.frames_per_device, per_frame_channel=True)
+            link = _link_features(cfg, blocks, models.get(rx.device_id),
+                                  rx.device_id, dev.device_id)
+            per_rx[rx.device_id] = link.features
+            drops += link.dropped
+        tags = {t for feats in per_rx.values() for t, fv in feats.items() if len(fv.values)}
         dev_stats = {}
         for tag in sorted(tags):
-            flat = [
-                (rx_id, f[tag]) for rx_id, feats in per_rx.items() for f in feats if tag in f
-            ]
+            flat = [(rx_id, v) for rx_id, feats in per_rx.items() for v in feats[tag].values]
             cross_p, cross_c, same_p, same_c = [], [], [], []
             for i in range(len(flat)):
                 for j in range(i + 1, len(flat)):

@@ -66,9 +66,13 @@ class DeviceProfile:
 
 
 def _fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Causal FIR along the last axis (each row of a block on its own)."""
     if taps.size == 1:
         return taps[0] * x
-    return np.convolve(x, taps)[: x.size]
+    out = np.empty_like(x)
+    for row, dst in zip(np.reshape(x, (-1, x.shape[-1])), np.reshape(out, (-1, x.shape[-1]))):
+        dst[:] = np.convolve(row, taps)[: row.size]
+    return out
 
 
 def _iq_imbalance(x: np.ndarray, gain: float, phase: float) -> np.ndarray:
@@ -94,8 +98,10 @@ def _pa(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _rotate(x: np.ndarray, f_hz: float, sample_rate: float) -> np.ndarray:
     if f_hz == 0.0:
         return x
-    n = np.arange(x.size)
-    return x * np.exp(2j * np.pi * f_hz * n / sample_rate)
+    n = np.arange(x.shape[-1])
+    # bound to a name so the product never runs in place (see preprocess.apply_cfo)
+    phasor = np.exp(2j * np.pi * f_hz * n / sample_rate)
+    return x * phasor
 
 
 def _tilt_gain(tilt: np.ndarray) -> np.ndarray:
@@ -142,7 +148,8 @@ def apply_transmitter(profile: DeviceProfile, x: ComplexSignal) -> ComplexSignal
 
 def apply_receiver(profile: DeviceProfile, y: ComplexSignal) -> ComplexSignal:
     """Run the receiver chain (mirror order; oscillator derotates, so the
-    downstream rotation is TX minus RX frequency)."""
+    downstream rotation is TX minus RX frequency). `y` may hold a block of
+    equally long records, one per row; the FIR runs on each row."""
     if len(y) == 0:
         raise ValueError("input signal is empty")
     z = _rotate(y.samples, -profile.cfo_hz, y.sample_rate)

@@ -14,8 +14,14 @@ eight repeated short training symbols; its unambiguous range at 20 Msps is
 +/-625 kHz. A fine stage repeats the trick at lag 64 across the duplicated
 long training symbols (+/-156.25 kHz unambiguous) after coarse compensation.
 Compensation derotates per sample; indices count from the start of the
-array, and any constant phase left by a different origin is removed later
-by feature normalization.
+capture, and any constant phase left by a different origin is removed later
+by feature normalization. Acquisition derotates only the samples the fine
+estimate and the field windows read.
+
+Every stage takes one capture (a `ComplexSignal`) or a block of captures
+(`Frames`, one per row). A block stage records each row's failure in the
+block's `drops` and returns one value per row; a one-capture call runs the
+same code on a one-row block, raises the failure and returns plain values.
 
 All indices in this module are 0-based.
 """
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import ComplexSignal, Frames
 from .waveform import lltf_sync_template
 
 
@@ -45,16 +51,17 @@ class EstimationFailedError(RuntimeError):
 @dataclass(frozen=True)
 class DetectionConfig:
     """Energy-detector settings. `metric` selects the summed statistic:
-    "magnitude" (as written, sum |y|) or "energy" (sum |y|^2)."""
+    "magnitude" (as written, sum |y|) or "energy" (sum |y|^2).
+    `threshold_t` may hold one threshold per row of a block."""
 
     window_w: int = 80
-    threshold_t: float = 1.0
+    threshold_t: float | np.ndarray = 1.0
     metric: str = "magnitude"
 
     def __post_init__(self):
         if self.window_w < 16:
             raise ValueError("window_w must be at least 16")
-        if self.threshold_t <= 0:
+        if np.asarray(self.threshold_t).min() <= 0:
             raise ValueError("threshold_t must be positive")
         if self.metric not in ("magnitude", "energy"):
             raise ValueError(f"unknown detection metric {self.metric!r}")
@@ -62,63 +69,71 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class SyncResult:
-    coarse_start_n0: int
-    lltf_start_k0: int
-    frame_start_n1: int
-    search_len_k: int
+    """Long-training and frame starts (one per row for a block)."""
+
+    lltf_start_k0: int | np.ndarray
+    frame_start_n1: int | np.ndarray
 
 
 @dataclass(frozen=True)
 class CfoEstimate:
-    coarse_hz: float
-    fine_hz: float
-    total_hz: float
-    symbol_len_d: int = 16
-    start_offset_ns: int = 8
-    sample_period: float = 5e-8
+    """Offsets in Hz (one per row for a block)."""
+
+    coarse_hz: float | np.ndarray
+    fine_hz: float | np.ndarray
+    total_hz: float | np.ndarray
 
 
 # Offset of the correlation template (the bare double symbol) from the frame
 # start: 160 samples of short training plus the 32-sample cyclic prefix.
 _TEMPLATE_OFFSET = 192
 _LLTF_FIELD_OFFSET = 160
+# The frame samples [16, 400) hold every field window and both fine-estimate
+# symbols; acquisition derotates only these.
+_SPAN_START = 16
+_SPAN_LEN = 384
 DEFAULT_SEARCH_LEN = 400
 DEFAULT_THRESHOLD_MULTIPLIER = 6.0
 # Skip the first half short symbol so detection-edge transients stay out of
 # the autocorrelation sums.
 CFO_START_OFFSET = 8
+_SYNC_TEMPLATE = lltf_sync_template()
+_TINY = np.finfo(float).tiny
 
 
 def noise_floor_threshold(
-    y: ComplexSignal, cfg_w: int = 80, multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER,
-    metric: str = "magnitude",
-) -> float:
-    """Threshold from the first window of the capture, assumed signal-free."""
-    head = np.abs(y.samples[:cfg_w])
-    stat = float(np.sum(head if metric == "magnitude" else head**2))
-    return multiplier * max(stat, np.finfo(float).tiny)
+    y: ComplexSignal | Frames, cfg_w: int = 80,
+    multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER, metric: str = "magnitude",
+) -> float | np.ndarray:
+    """Threshold from the first window of each capture, assumed signal-free."""
+    frames = Frames.of(y)
+    head = np.abs(frames.samples[:, :cfg_w])
+    stat = np.sum(head if metric == "magnitude" else head**2, axis=1)
+    return frames.drops.result(multiplier * np.maximum(stat, _TINY))
 
 
-def detect_signal(y: ComplexSignal, cfg: DetectionConfig) -> int:
+def detect_signal(y: ComplexSignal | Frames, cfg: DetectionConfig) -> int | np.ndarray:
     """First window whose statistic exceeds the threshold; returns its start
-    index (k-1)*W. Raises `NotDetectedError` when nothing crosses."""
-    if len(y) < cfg.window_w:
-        raise NotDetectedError("signal shorter than one detection window")
+    index (k-1)*W. Only windows inside a capture count. Raises (or, in a
+    block, records) `NotDetectedError` when nothing crosses."""
+    frames = Frames.of(y)
     w = cfg.window_w
-    n_windows = len(y) // w
-    mags = np.abs(y.samples[: n_windows * w]).reshape(n_windows, w)
-    stats = mags.sum(axis=1) if cfg.metric == "magnitude" else (mags**2).sum(axis=1)
-    hits = np.nonzero(stats > cfg.threshold_t)[0]
-    if hits.size == 0:
-        raise NotDetectedError(
-            f"no window of {w} samples crossed threshold {cfg.threshold_t:.4g}"
-        )
-    return int(hits[0]) * w
+    drops = frames.drops
+    drops.drop(frames.lengths < w, NotDetectedError, "signal shorter than one detection window")
+    rows, width = frames.samples.shape
+    n_windows = width // w
+    mags = np.abs(frames.samples[:, : n_windows * w]).reshape(rows, n_windows, w)
+    stats = mags.sum(axis=2) if cfg.metric == "magnitude" else (mags**2).sum(axis=2)
+    threshold = frames.per_row(cfg.threshold_t)
+    hits = (stats > threshold[:, None]) & (np.arange(n_windows) < frames.lengths[:, None] // w)
+    drops.drop(~hits.any(axis=1), NotDetectedError, lambda i: (
+        f"no window of {w} samples crossed threshold {threshold[i]:.4g}"))
+    return drops.result(np.argmax(hits, axis=1) * w)
 
 
 def synchronize(
-    y: ComplexSignal,
-    n0: int,
+    y: ComplexSignal | Frames,
+    n0,
     search_len: int = DEFAULT_SEARCH_LEN,
     peak_floor_ratio: float = 3.0,
 ) -> SyncResult:
@@ -126,86 +141,105 @@ def synchronize(
     training symbol over offsets n0..n0+search_len-1.
 
     The complex correlation magnitude is the decision statistic. Raises
-    `SyncFailedError` when peak/median falls below `peak_floor_ratio`.
+    (or records) `SyncFailedError` when peak/median falls below
+    `peak_floor_ratio`.
     """
-    template = lltf_sync_template()
-    lt = template.size
-    seg = y.samples[n0 : n0 + search_len + lt - 1]
-    if seg.size < lt:
-        raise SyncFailedError("search segment shorter than the sync template")
-    corr = np.abs(np.correlate(seg, template, mode="valid"))
-    floor = float(np.median(corr))
-    peak_k = int(np.argmax(corr))
-    peak = float(corr[peak_k])
-    if floor > 0 and peak / floor < peak_floor_ratio:
-        raise SyncFailedError(
-            f"correlation peak {peak:.3g} below {peak_floor_ratio}x the "
-            f"search floor {floor:.3g}"
-        )
-    k0 = n0 + peak_k - 32  # back up over the long training cyclic prefix
-    return SyncResult(
-        coarse_start_n0=n0,
-        lltf_start_k0=k0,
-        frame_start_n1=k0 - _LLTF_FIELD_OFFSET,
-        search_len_k=search_len,
-    )
+    frames = Frames.of(y)
+    lt = _SYNC_TEMPLATE.size
+    n0 = frames.per_row(n0)
+    k0 = np.zeros(n0.shape, dtype=np.int64)
+    failed = {}
+    for i in np.flatnonzero(frames.drops.live):
+        seg = frames.samples[i, n0[i] : min(n0[i] + search_len + lt - 1, frames.lengths[i])]
+        if seg.size < lt:
+            failed[i] = "search segment shorter than the sync template"
+            continue
+        corr = np.abs(np.correlate(seg, _SYNC_TEMPLATE, mode="valid"))
+        floor = float(np.median(corr))
+        peak_k = int(np.argmax(corr))
+        peak = float(corr[peak_k])
+        if floor > 0 and peak / floor < peak_floor_ratio:
+            failed[i] = (f"correlation peak {peak:.3g} below {peak_floor_ratio}x the "
+                         f"search floor {floor:.3g}")
+            continue
+        k0[i] = n0[i] + peak_k - 32  # back up over the long training cyclic prefix
+    bad = np.zeros(k0.size, dtype=bool)
+    bad[list(failed)] = True
+    frames.drops.drop(bad, SyncFailedError, failed.get)
+    k0 = frames.drops.result(k0)
+    return SyncResult(lltf_start_k0=k0, frame_start_n1=k0 - _LLTF_FIELD_OFFSET)
 
 
-def _lag_autocorr(y: np.ndarray, start: int, lag: int, count: int) -> complex:
-    if start < 0 or start + count + lag > y.size:
-        raise EstimationFailedError("autocorrelation window outside the signal")
-    a = y[start : start + count]
-    b = y[start + lag : start + lag + count]
-    acc = complex(np.sum(np.conj(a) * b))
-    if acc == 0:
-        raise EstimationFailedError("zero-energy autocorrelation window")
+def _lag_autocorr(frames: Frames, start, lag: int, count: int) -> np.ndarray:
+    """sum(conj(y[n]) * y[n + lag]) over n in [start, start + count), per
+    row of the block."""
+    start = frames.per_row(start)
+    outside = (start < 0) | (start + count + lag > frames.lengths)
+    frames.drops.drop(outside, EstimationFailedError, "autocorrelation window outside the signal")
+    span = frames.gather(start, count + lag)
+    acc = np.sum(np.conj(span[:, :count]) * span[:, lag:], axis=1)
+    frames.drops.drop(acc == 0, EstimationFailedError, "zero-energy autocorrelation window")
     return acc
 
 
-def estimate_cfo_coarse(y: ComplexSignal, n1: int, n_s: int = CFO_START_OFFSET) -> float:
+def estimate_cfo_coarse(y: ComplexSignal | Frames, n1, n_s: int = CFO_START_OFFSET):
     """Lag-16 phase estimate over the eight repeated short training symbols
     starting `n_s` samples into the frame (0 <= n_s <= 16)."""
     d = 16
     if not 0 <= n_s <= d:
         raise ValueError("n_s must lie in [0, 16]")
-    acc = _lag_autocorr(y.samples, n1 + n_s, d, 8 * d)
-    return float(np.angle(acc) / (2.0 * np.pi * y.sample_period * d))
+    frames = Frames.of(y)
+    acc = _lag_autocorr(frames, frames.per_row(n1) + n_s, d, 8 * d)
+    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * frames.sample_period * d))
 
 
-def estimate_cfo_fine(y: ComplexSignal, n1: int) -> float:
+def estimate_cfo_fine(y: ComplexSignal | Frames, n1):
     """Residual estimate from the lag-64 autocorrelation across the two long
     training symbols. Call after coarse compensation; the residual must lie
     within the +/-156.25 kHz unambiguous range."""
     d = 64
-    acc = _lag_autocorr(y.samples, n1 + _TEMPLATE_OFFSET, d, d)
-    return float(np.angle(acc) / (2.0 * np.pi * y.sample_period * d))
+    frames = Frames.of(y)
+    acc = _lag_autocorr(frames, frames.per_row(n1) + _TEMPLATE_OFFSET, d, d)
+    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * frames.sample_period * d))
 
 
-def apply_cfo(y: ComplexSignal, f_hz: float) -> ComplexSignal:
-    """Rotate by exp(+j*2*pi*f*n*Ts); test helper and inverse of
+def apply_cfo(y: ComplexSignal | Frames, f_hz) -> ComplexSignal | Frames:
+    """Rotate by exp(+j*2*pi*f*n*Ts), n the capture sample index (a block
+    takes one offset per row); test helper and inverse of
     `compensate_cfo`."""
-    if f_hz == 0.0:
+    if isinstance(y, Frames):
+        n = y.origin[:, None] + np.arange(len(y))
+        f_hz = np.reshape(f_hz, (-1, 1))
+    elif f_hz == 0.0:
         return y
-    n = np.arange(len(y))
-    return y.replace_samples(y.samples * np.exp(2j * np.pi * f_hz * n * y.sample_period))
+    else:
+        n = np.arange(len(y))
+    # Bound to a name so the product below never multiplies in place: numpy
+    # reuses a temporary of 256 KiB or more as the output with the operands
+    # swapped, and that complex multiply rounds differently.
+    phasor = np.exp(2j * np.pi * f_hz * n * y.sample_period)
+    return y.replace_samples(y.samples * phasor)
 
 
-def compensate_cfo(y: ComplexSignal, f_hat: float) -> ComplexSignal:
+def compensate_cfo(y: ComplexSignal | Frames, f_hat) -> ComplexSignal | Frames:
     """Derotate by the estimate: y(n) * exp(-j*2*pi*f_hat*n*Ts)."""
     return apply_cfo(y, -f_hat)
 
 
 def synchronize_and_compensate(
-    y: ComplexSignal,
+    y: ComplexSignal | Frames,
     cfg: DetectionConfig,
     search_len: int = DEFAULT_SEARCH_LEN,
-) -> tuple[ComplexSignal, SyncResult, CfoEstimate]:
-    """Full acquisition: detect, synchronize, coarse-then-fine CFO, return
-    the compensated capture with the sync and CFO results."""
-    n0 = detect_signal(y, cfg)
-    sync = synchronize(y, n0, search_len)
-    coarse = estimate_cfo_coarse(y, sync.frame_start_n1)
-    y1 = compensate_cfo(y, coarse)
+) -> tuple[Frames, SyncResult, CfoEstimate]:
+    """Full acquisition: detect, synchronize, coarse-then-fine CFO. Returns
+    the compensated frame samples [n1 + 16, n1 + 400) (every field window
+    lies there) as a block with the sync and CFO results."""
+    frames = Frames.of(y)
+    n0 = detect_signal(frames, cfg)
+    sync = synchronize(frames, n0, search_len)
+    coarse = estimate_cfo_coarse(frames, sync.frame_start_n1)
+    span = frames.window(frames.per_row(sync.frame_start_n1) + _SPAN_START, _SPAN_LEN)
+    y1 = compensate_cfo(span, coarse)
     fine = estimate_cfo_fine(y1, sync.frame_start_n1)
     y2 = compensate_cfo(y1, fine)
     est = CfoEstimate(coarse_hz=coarse, fine_hz=fine, total_hz=coarse + fine)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import SAMPLE_RATE, ComplexSignal
+from .signals import SAMPLE_RATE, ComplexSignal, Frames
 
 FFT_SIZE = 64
 
@@ -195,17 +195,22 @@ class WindowBoundsError(IndexError):
     """A symbol window does not fit inside the signal."""
 
 
-def extract_window(signal: ComplexSignal, frame_start: int, window: SymbolWindow) -> np.ndarray:
-    """The 64 samples a window addresses, given the frame's 0-based start.
+def extract_window(signal: ComplexSignal | Frames, frame_start, window: SymbolWindow) -> np.ndarray:
+    """The 64 samples a window addresses, given the frame's 0-based start
+    (for a block of frames, one start per row and one window per row).
 
     Sample order is preserved; raises `WindowBoundsError` naming the window
-    when the addressed range falls outside the signal.
+    when the addressed range falls outside the signal (in a block, the first
+    live row's).
     """
-    start = frame_start + window.start_index - 1
+    frames = Frames.of(signal)
+    start = frames.per_row(frame_start) + (window.start_index - 1)
     stop = start + window.length
-    if start < 0 or stop > len(signal):
+    outside = ((start < 0) | (stop > frames.lengths)) & frames.drops.live
+    if np.count_nonzero(outside):
+        i = int(np.argmax(outside))
         raise WindowBoundsError(
-            f"window {window.name} spans samples [{start}, {stop}) outside "
-            f"signal of length {len(signal)}"
+            f"window {window.name} spans samples [{start[i]}, {stop[i]}) outside "
+            f"signal of length {frames.lengths[i]}"
         )
-    return signal.samples[start:stop]
+    return frames.drops.result(frames.gather(start, window.length))

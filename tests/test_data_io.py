@@ -83,6 +83,17 @@ def test_features_roundtrip_lossless(tmp_path):
         assert (a.device, a.receiver, a.trial, a.snr_db) == (b.device, b.receiver, b.trial, b.snr_db)
 
 
+def test_features_values_written_as_17_digits(tmp_path):
+    vals = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1 / 3, 0.1, 1e16, 123456789.0,
+                     np.nextafter(1.0, 2.0), 1e-300, 7.0, 0.5])
+    path = tmp_path / "f.csv"
+    data_io.write_features(path, [FeatureRecord("DV", "d", "r", "flat", 0, 30.0, vals)])
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells[6:] == [format(float(v), ".17g") for v in vals]
+    back = data_io.read_features(path)[0].values
+    assert np.array_equal(back, vals) and np.array_equal(np.signbit(back), np.signbit(vals))
+
+
 def test_features_mixed_extractors_rejected(tmp_path):
     rows = _records(3) + [FeatureRecord("HL", "d", "r", "flat", 0, 30.0, np.ones(12))]
     with pytest.raises(IoError, match="extractor"):
