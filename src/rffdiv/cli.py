@@ -14,29 +14,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from .features import Field, FieldSpectrum
-from .waveform import occupied_tones, tone_to_bin
+from . import preprocess as pp
+from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
-from .signals import ComplexSignal, Drops
+from .signals import ComplexSignal, Frames
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise harness.ConfigError(f"cannot read config {path}: {exc}") from exc
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise harness.ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise harness.ConfigError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -91,51 +95,126 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _iter_frame_spectra(signal: ComplexSignal, cfg_like, fields):
-    """Walk a multi-frame capture: detect, acquire, yield spectra, advance
-    just past each frame. Yields (frame_index, spectra | None); None marks
-    a detected-but-unusable frame. A segment whose leading window is not
-    signal-free simply scans forward until one is."""
-    from . import preprocess as pp
-    from .features import field_spectrum
+# How `extract` walks a capture file that holds frames back to back. Each
+# step examines one segment of the file, acquires at most one frame there,
+# and moves on by the step's outcome:
+#  - no frame detected: by SEGMENT_LEN less one detection window, so that
+#    consecutive segments overlap by a window and the samples after a
+#    segment's last whole window are scanned by the next one;
+#  - a frame detected but not acquired (sync or CFO estimation failed):
+#    by FAILED_SKIP;
+#  - a frame acquired at start n1: by n1 + FRAME_ADVANCE.
+# Samples per segment: more than one simulated frame capture (a lead gap of
+# at most 296 samples, the 400-sample preamble and a 120-sample tail make
+# 816), so a segment that starts in the quiet gap before a frame holds the
+# frame's whole preamble and sync search.
+SEGMENT_LEN = 1100
+# The walk ends when fewer samples remain: they cannot hold a default
+# 80-sample noise window followed by a frame's FRAME_ADVANCE samples.
+MIN_SEGMENT = 500
+# A frame that failed acquisition has no trusted start, so the walk moves
+# past it by a noise window and a frame span (80 + FRAME_ADVANCE) and
+# looks again.
+FAILED_SKIP = 500
+# The 400-sample HT-MF preamble plus 20 samples: the next segment starts in
+# the quiet tail after the frame, where its noise-floor window belongs.
+FRAME_ADVANCE = 420
 
-    pos = 0
-    idx = 0
-    segment_len = 1100
-    n = len(signal)
-    while pos + 500 <= n:
-        seg = ComplexSignal(signal.samples[pos : pos + segment_len], signal.sample_rate)
-        thr = pp.noise_floor_threshold(seg, cfg_like.detection_window,
+
+@dataclass(frozen=True)
+class _Step:
+    """One lock-step block: row i is a segment of capture `captures[i]`.
+    `frame_index[i]` is the index the row's frame gets in its capture, or
+    -1 when the segment held no detected frame; `acquired` marks the rows
+    whose frame was acquired, and `spectra` are the block's field spectra
+    (their `drops` leave only those rows live)."""
+
+    captures: list
+    frame_index: np.ndarray
+    acquired: np.ndarray
+    spectra: dict
+
+
+def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
+    """Walk capture files in lock-step, one block row per file still being
+    walked (`readers`: `data_io.IqReader`s of one sample rate, at most
+    `harness.BLOCK_ROWS`). Each step acquires the current segment of every
+    row as one block, then advances each row by its own outcome, so a row
+    sees exactly the segments it would see walked alone. Yields a `_Step`
+    per block; with `until_acquired` a file is walked only up to its first
+    acquired frame."""
+    quiet_skip = SEGMENT_LEN - cfg_like.detection_window
+    pos = [0] * len(readers)
+    count = [0] * len(readers)
+    active = [i for i, r in enumerate(readers) if MIN_SEGMENT <= len(r)]
+    # 16 rows of 1100 samples are 275 KiB, over the 256 KiB from which numpy
+    # elides temporaries and reorders a complex product (see
+    # preprocess.apply_cfo); the stages take only magnitudes of the full
+    # width and multiply complex values on the 384-sample span or narrower.
+    while active:
+        lengths = np.array([min(SEGMENT_LEN, len(readers[i]) - pos[i]) for i in active])
+        block = np.zeros((len(active), int(lengths.max())), dtype=np.complex128)
+        for row, i in enumerate(active):
+            block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
+        frames = Frames(block, lengths, sample_rate=readers[active[0]].sample_rate)
+        thr = pp.noise_floor_threshold(frames, cfg_like.detection_window,
                                        cfg_like.detection_multiplier,
                                        cfg_like.detection_metric)
         det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
-        try:
-            compensated, sync, _ = pp.synchronize_and_compensate(seg, det)
-            spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
-        except NotDetectedError:
-            pos += segment_len - cfg_like.detection_window
-            continue
-        except (SyncFailedError, pp.EstimationFailedError):
-            yield idx, None
-            idx += 1
-            pos += 500
-            continue
-        yield idx, spectra
-        idx += 1
-        pos += sync.frame_start_n1 + 420
+        compensated, sync, _ = pp.synchronize_and_compensate(frames, det)
+        spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+        acquired = frames.drops.live
+        frame_index = np.full(len(active), -1)
+        for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
+            if isinstance(exc, pp.NotDetectedError):
+                pos[i] += quiet_skip
+                continue
+            frame_index[row] = count[i]
+            count[i] += 1
+            pos[i] += FAILED_SKIP if exc else int(sync.frame_start_n1[row]) + FRAME_ADVANCE
+        yield _Step(active, frame_index, acquired, spectra)
+        active = [i for row, i in enumerate(active)
+                  if pos[i] + MIN_SEGMENT <= len(readers[i])
+                  and not (until_acquired and acquired[row])]
 
 
-def cmd_extract(args) -> int:
-    man_path = Path(args.manifest)
+def _load_manifest(path_arg) -> tuple[dict, Path]:
+    man_path = Path(path_arg)
     if man_path.is_dir():
         man_path = man_path / "manifest.json"
     if not man_path.exists():
         raise harness.ConfigError(f"manifest not found: {man_path}")
-    manifest = json.loads(man_path.read_text())
-    base = man_path.parent
+    manifest = _load_json(man_path)
+    captures = manifest.get("captures")
+    if not isinstance(captures, list):
+        raise harness.ConfigError(f"{man_path}: manifest has no 'captures' list")
+    for k, cap in enumerate(captures):
+        if not (isinstance(cap, dict)
+                and all(isinstance(cap.get(key), str)
+                        for key in ("path", "device", "receiver", "role"))):
+            raise harness.ConfigError(
+                f"{man_path}: capture {k} needs string path, device, receiver and role")
+    return manifest, man_path.parent
+
+
+def _lockstep_groups(captures, readers: dict, role: str) -> list:
+    """Manifest indices of the `role` captures in lock-step groups: one
+    receiver (so the group shares one reference model) and one sample rate
+    per group, at most `harness.BLOCK_ROWS` captures each."""
+    by_key = {}
+    for i, reader in readers.items():
+        if captures[i]["role"] == role:
+            by_key.setdefault((captures[i]["receiver"], reader.sample_rate), []).append(i)
+    return [idx[k : k + harness.BLOCK_ROWS] for idx in by_key.values()
+            for k in range(0, len(idx), harness.BLOCK_ROWS)]
+
+
+def cmd_extract(args) -> int:
+    manifest, base = _load_manifest(args.manifest)
+    captures = manifest["captures"]
     extractors = [args.extractor.upper()] if args.extractor else ["RD", "HL", "DV"]
-    refs_present = any(c["role"] == "reference" for c in manifest["captures"])
-    if any(e.startswith("RD") for e in extractors) and not refs_present:
+    use_rd = any(e.startswith("RD") for e in extractors)
+    if use_rd and not any(c["role"] == "reference" for c in captures):
         raise harness.ConfigError("reference-division extraction needs reference captures")
     det = manifest.get("detection", {})
     cfg_like = harness.ExperimentConfig(
@@ -146,62 +225,64 @@ def cmd_extract(args) -> int:
         detection_metric=str(det.get("metric", "magnitude")),
     )
     fields = harness._needed_fields(extractors)
+    roles = ("device", "reference") if use_rd else ("device",)
+    readers = {i: data_io.IqReader(base / cap["path"])
+               for i, cap in enumerate(captures) if cap["role"] in roles}
+
+    def walk(group, until_acquired=False):
+        with ExitStack() as stack:
+            for i in group:
+                stack.enter_context(readers[i])
+            for step in _walk_captures([readers[i] for i in group], cfg_like, fields,
+                                       until_acquired):
+                yield [group[c] for c in step.captures], step
+
     models = {}
-    if any(e.startswith("RD") for e in extractors):
-        for cap in manifest["captures"]:
-            if cap["role"] != "reference":
-                continue
-            sig = data_io.read_iq(base / cap["path"])
-            for _, spectra in _iter_frame_spectra(sig, cfg_like, fields):
-                if spectra is not None:
-                    bins = tone_to_bin(occupied_tones(Field.LLTF))
-                    models[cap["receiver"]] = harness.ModelCapture(
-                        cap["receiver"], spectra,
-                        np.abs(spectra[Field.LLTF].bins[bins]), 1,
-                    )
-                    break
-    records = {}
+    if use_rd:
+        model_spectra = {}
+        for group in _lockstep_groups(captures, readers, "reference"):
+            for rows, step in walk(group, until_acquired=True):
+                for row in np.flatnonzero(step.acquired):
+                    model_spectra[rows[row]] = {f: FieldSpectrum(f, s.bins[row])
+                                                for f, s in step.spectra.items()}
+        for i in sorted(model_spectra):  # manifest order: a later capture of a receiver wins
+            models[captures[i]["receiver"]] = harness.ModelCapture(
+                captures[i]["receiver"], model_spectra[i], 1)
+    records = {}  # tag -> manifest index -> records in frame order
     dropped = 0
-    for cap in manifest["captures"]:
-        if cap["role"] != "device":
-            continue
-        sig = data_io.read_iq(base / cap["path"])
-        found = list(_iter_frame_spectra(sig, cfg_like, fields))
-        acquired = [(fi, spectra) for fi, spectra in found if spectra is not None]
-        dropped += len(found) - len(acquired)
-        # the dividers run on blocks of acquired frames, as in the frame engine
-        for first in range(0, len(acquired), harness.BLOCK_ROWS):
-            block = acquired[first : first + harness.BLOCK_ROWS]
-            drops = Drops(len(block))
-            spectra = {f: FieldSpectrum(f, np.stack([s[f].bins for _, s in block]), drops)
-                       for f in fields}
+    for group in _lockstep_groups(captures, readers, "device"):
+        rx_id = captures[group[0]]["receiver"]
+        for rows, step in walk(group):
+            n_acquired = int(np.count_nonzero(step.acquired))
+            dropped += int(np.count_nonzero(step.frame_index >= 0)) - n_acquired
             try:
-                feats = harness._extract_all(
-                    spectra, extractors, models.get(cap["receiver"]),
-                    cap["receiver"], cap["device"],
-                )
+                feats = harness._extract_all(step.spectra, extractors, models.get(rx_id),
+                                             rx_id, None)
             except harness.PipelineError:
-                dropped += len(block)
+                dropped += n_acquired
                 continue
-            live = drops.live
-            dropped += len(block) - int(np.count_nonzero(live))
+            live = step.spectra[fields[0]].drops.live
+            dropped += n_acquired - int(np.count_nonzero(live))
             for tag, fv in feats.items():
                 keep = live[fv.rows]
                 for row, values in zip(fv.rows[keep], fv.values[keep]):
-                    records.setdefault(tag, []).append(data_io.FeatureRecord(
-                        extractor=tag, device=cap["device"], receiver=cap["receiver"],
-                        channel_scenario=manifest.get("scenario", "unknown"),
-                        trial=block[row][0], snr_db=float(manifest.get("snr_db", 0.0)),
-                        values=values,
-                    ))
+                    cap = captures[rows[row]]
+                    records.setdefault(tag, {}).setdefault(rows[row], []).append(
+                        data_io.FeatureRecord(
+                            extractor=tag, device=cap["device"], receiver=rx_id,
+                            channel_scenario=manifest.get("scenario", "unknown"),
+                            trial=int(step.frame_index[row]),
+                            snr_db=float(manifest.get("snr_db", 0.0)), values=values,
+                        ))
     if not records:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for tag, rows in sorted(records.items()):
-        data_io.write_features(out / f"features_{tag.lower()}.csv", rows)
-    print(f"wrote {sum(len(r) for r in records.values())} feature rows "
+    for tag, by_capture in sorted(records.items()):
+        data_io.write_features(out / f"features_{tag.lower()}.csv",
+                               [r for i in sorted(by_capture) for r in by_capture[i]])
+    print(f"wrote {sum(len(r) for c in records.values() for r in c.values())} feature rows "
           f"({dropped} frames dropped) to {out}")
     return EXIT_OK
 

@@ -63,38 +63,111 @@ def write_iq(path, signal: ComplexSignal, center_freq_hz: float = 0.0) -> None:
     _sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def read_iq(path) -> ComplexSignal:
-    """Load a capture; the sidecar's `format` selects cf32le or ci16le
-    (about which see the module docstring)."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"{path}: no such file")
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise IoError(f"{path}: missing sidecar {sidecar.name}")
-    meta_doc = json.loads(sidecar.read_text())
-    fmt = meta_doc.get("format", "cf32le")
-    raw = path.read_bytes()
-    if fmt == "cf32le":
-        item = np.dtype("<f4").itemsize
-        pair = 2 * item
-        if len(raw) % pair:
-            raise IoError(f"{path}: truncated IQ pair at byte offset {len(raw) - len(raw) % pair}")
-        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+# Sample formats a sidecar may name: the dtype of one I or Q value.
+_FORMATS = {"cf32le": "<f4", "ci16le": "<i2"}
+# Samples converted at a time while a reader checks its whole file.
+_CHECK_SAMPLES = 1 << 15
+
+
+def _read_sidecar(sidecar: Path) -> dict:
+    try:
+        meta = json.loads(sidecar.read_text())
+    except (OSError, ValueError) as exc:
+        raise IoError(f"{sidecar}: unreadable sidecar: {exc}") from exc
+    if not isinstance(meta, dict) or "sample_rate" not in meta:
+        raise IoError(f"{sidecar}: sidecar has no sample_rate")
+    try:
+        meta["sample_rate"] = float(meta["sample_rate"])
+        if meta.get("format") == "ci16le":
+            meta["scale"] = float(meta.get("scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"{sidecar}: {exc}") from exc
+    if not 0 < meta["sample_rate"] < np.inf:
+        raise IoError(f"{sidecar}: sample_rate must be positive and finite, "
+                      f"got {meta['sample_rate']}")
+    return meta
+
+
+class IqReader:
+    """Sample ranges of one capture file, converted on demand exactly as
+    `read_iq` converts the whole file; the sidecar's `format` selects
+    cf32le or ci16le (see the module docstring).
+
+    Opening checks the sidecar and the whole file once (a truncated pair
+    or a non-finite sample raises `IoError` with its byte offset), so a
+    later `read` holds only the range it returns. The file stays open from
+    the first `read` until `close` (or the end of a `with` block).
+    """
+
+    def __init__(self, path):
+        path = Path(path)
+        if not path.exists():
+            raise IoError(f"{path}: no such file")
+        sidecar = _sidecar_path(path)
+        if not sidecar.exists():
+            raise IoError(f"{path}: missing sidecar {sidecar.name}")
+        meta = _read_sidecar(sidecar)
+        fmt = meta.get("format", "cf32le")
+        if fmt not in _FORMATS:
+            raise IoError(f"{path}: unknown format {fmt!r} in sidecar")
+        self.path = path
+        self.sample_rate = meta["sample_rate"]
+        self._dtype = np.dtype(_FORMATS[fmt])
+        self._scale = meta["scale"] if fmt == "ci16le" else None
+        self._pair = 2 * self._dtype.itemsize
+        size = path.stat().st_size
+        if size % self._pair:
+            raise IoError(f"{path}: truncated IQ pair at byte offset {size - size % self._pair}")
+        self._len = size // self._pair
+        self._fh = None
+        with self:
+            for start in range(0, self._len, _CHECK_SAMPLES):
+                values = self._stored(start, start + _CHECK_SAMPLES)
+                if self._scale is not None:  # int16 is finite; scaled it may not be
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values = values * self._scale
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    offset = (start + int(bad[0]) // 2) * self._pair
+                    raise IoError(f"{path}: non-finite sample at byte offset {offset}")
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _stored(self, start: int, stop: int) -> np.ndarray:
+        """The I,Q values of samples [start, stop) as the file stores them
+        (`stop` past the end reads to the end)."""
+        stop = min(stop, self._len)
+        if not 0 <= start <= stop:
+            raise ValueError(f"{self.path}: no samples [{start}, {stop})")
+        if self._fh is None:
+            self._fh = self.path.open("rb")
+        self._fh.seek(start * self._pair)
+        return np.frombuffer(self._fh.read((stop - start) * self._pair), dtype=self._dtype)
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) as complex128 (`stop` past the end reads
+        to the end)."""
+        flat = self._stored(start, stop).astype(np.float64)
         samples = flat[0::2] + 1j * flat[1::2]
-    elif fmt == "ci16le":
-        item = np.dtype("<i2").itemsize
-        pair = 2 * item
-        if len(raw) % pair:
-            raise IoError(f"{path}: truncated IQ pair at byte offset {len(raw) - len(raw) % pair}")
-        flat = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-        samples = (flat[0::2] + 1j * flat[1::2]) * float(meta_doc.get("scale", 1.0))
-    else:
-        raise IoError(f"{path}: unknown format {fmt!r} in sidecar")
-    bad = np.nonzero(~np.isfinite(samples))[0]
-    if bad.size:
-        raise IoError(f"{path}: non-finite sample at byte offset {int(bad[0]) * pair}")
-    return ComplexSignal(samples, float(meta_doc["sample_rate"]))
+        return samples if self._scale is None else samples * self._scale
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self) -> "IqReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_iq(path) -> ComplexSignal:
+    """Load a whole capture (see `IqReader`)."""
+    with IqReader(path) as reader:
+        return ComplexSignal(reader.read(0, len(reader)), reader.sample_rate)
 
 
 FEATURE_HEADER_FIXED = ["extractor", "device", "receiver", "channel_scenario", "trial", "snr_db"]

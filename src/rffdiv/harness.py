@@ -61,7 +61,7 @@ from .preprocess import (
 )
 from .refselect import eta_lf
 from .signals import ComplexSignal, Frames
-from .waveform import PreambleFormat, PreambleSpec, generate_preamble, occupied_tones, tone_to_bin
+from .waveform import PreambleFormat, PreambleSpec, generate_preamble
 
 
 class ConfigError(ValueError):
@@ -404,7 +404,6 @@ class ModelCapture:
 
     receiver_id: str
     spectra: dict
-    lltf_csi: np.ndarray
     attempts: int
 
 
@@ -421,9 +420,7 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
             spectra = acquire_spectra(capture, cfg, (Field.LSTF, Field.LLTF))
         except _DROP_ERRORS:
             continue
-        bins = tone_to_bin(occupied_tones(Field.LLTF))
-        csi = np.abs(spectra[Field.LLTF].bins[bins])
-        return ModelCapture(rx_profile.device_id, spectra, csi, attempt + 1)
+        return ModelCapture(rx_profile.device_id, spectra, attempt + 1)
     raise PipelineError(
         f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}"
     )
@@ -609,8 +606,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for key, link in links.items():
                 drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
             for rx_id, mc in models.items():
+                csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
                 model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
-                    {"attempts": mc.attempts, "eta_lf": eta_lf(mc.lltf_csi).eta_lf}
+                    {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
                 )
             for (dev_id, rx_id), link in links.items():
                 for tag, fv in link.features.items():

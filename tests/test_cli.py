@@ -46,6 +46,10 @@ def test_simulate_extract_train_eval_flow(config_path, tmp_path):
     rows = data_io.read_features(feat / "features_hl.csv")
     assert len(rows) > 0
     assert {r.receiver for r in rows} == {"rx00", "rx01"}
+    # rows follow the manifest's capture order, then the frame index
+    order = {(c["device"], c["receiver"]): k for k, c in enumerate(manifest["captures"])}
+    keys = [(order[(r.device, r.receiver)], r.trial) for r in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     model = tmp_path / "hl.json"
     assert main(["train", "--features", str(feat / "features_hl.csv"),
@@ -150,3 +154,21 @@ def test_exit_codes(config_path, tmp_path):
     code = main(["extract", "--manifest", str(sim), "--out-dir", str(tmp_path / "f"),
                  "--extractor", "RD"])
     assert code == 2  # config error: manifest lacks reference captures
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"format_version": 1}',
+                                  '{"captures": [{"path": "a.iq"}]}'])
+def test_extract_malformed_manifest_is_config_error(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["extract", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "f")]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", ["{not json", json.dumps({"format": "cf32le"})])
+def test_extract_bad_sidecar_is_io_error(config_path, tmp_path, capsys, sidecar):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+    path = sim / json.loads((sim / "manifest.json").read_text())["captures"][-1]["path"]
+    path.with_suffix(".json").write_text(sidecar)
+    assert main(["extract", "--manifest", str(sim), "--out-dir", str(tmp_path / "f")]) == 3
+    assert path.with_suffix(".json").name in capsys.readouterr().err

@@ -72,6 +72,41 @@ def test_iq_int16_variant_applies_scale(tmp_path):
     assert np.allclose(sig.samples, [1.0 - 2.0j, 3.0 + 4.0j])
 
 
+@pytest.mark.parametrize("fmt,dtype", [("cf32le", "<f4"), ("ci16le", "<i2")])
+def test_iq_reader_ranges_match_read_iq(tmp_path, fmt, dtype):
+    # 40000 samples: above the reader's check chunk and 256 KiB of complex128
+    rng = np.random.default_rng(5)
+    path = tmp_path / "x.iq"
+    (rng.standard_normal(80000) * 1000).astype(dtype).tofile(path)
+    (tmp_path / "x.json").write_text(json.dumps(
+        {"sample_rate": 20e6, "format": fmt, "scale": 0.37}))
+    whole = data_io.read_iq(path).samples
+    assert whole.size == 40000
+    with data_io.IqReader(path) as reader:
+        assert len(reader) == 40000
+        for start, stop in [(0, 1100), (39500, 40600), (12345, 12345), (0, 40000)]:
+            assert np.array_equal(reader.read(start, stop), whole[start:stop])
+    # one non-finite sample past the first check chunk: an inf, or an int16
+    # that the scale overflows
+    arr = np.ones(80000, dtype=dtype)
+    arr[2 * 39000 + 1] = np.inf if fmt == "cf32le" else 30000
+    arr.tofile(path)
+    (tmp_path / "x.json").write_text(json.dumps(
+        {"sample_rate": 20e6, "format": fmt, "scale": 1e305}))
+    with pytest.raises(IoError, match=f"byte offset {39000 * 2 * arr.itemsize}"):
+        data_io.IqReader(path)
+
+
+@pytest.mark.parametrize("sidecar", ["{not json", json.dumps({"format": "cf32le"}),
+                                     json.dumps({"sample_rate": -1.0})])
+def test_iq_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
+    path = tmp_path / "x.iq"
+    np.arange(8, dtype="<f4").tofile(path)
+    (tmp_path / "x.json").write_text(sidecar)
+    with pytest.raises(IoError, match="x.json"):
+        data_io.read_iq(path)
+
+
 def test_features_roundtrip_lossless(tmp_path):
     rows = _records(100)
     path = tmp_path / "f.csv"

@@ -90,7 +90,7 @@ def test_block_records_each_rows_first_failure():
     noisy = ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=0.8 + 0.3j, snr_db=25.0)
     ref, _ = hz._capture(hz._transmit(imp.sample_profile(55, imp.Role.TRANSMITTER)), rx, flat, 1, 2)
     spectra = hz.acquire_spectra(ref, cfg, (Field.LSTF, Field.LLTF))
-    model = hz.ModelCapture("rx00", spectra, None, 1)
+    model = hz.ModelCapture("rx00", spectra, 1)
 
     rng = np.random.default_rng(3)
     sent = hz._transmit(dev)

@@ -1,0 +1,177 @@
+"""`extract` walks its capture files in lock-step, one block row per file;
+file by file, that gives what walking each file alone, one frame at a
+time, gives."""
+
+import numpy as np
+import pytest
+
+from rffdiv import data_io
+from rffdiv import harness as hz
+from rffdiv import preprocess as pp
+from rffdiv.cli import _walk_captures
+from rffdiv.features import Field, field_spectrum
+from rffdiv.signals import ComplexSignal
+from rffdiv.waveform import WindowBoundsError
+
+FIELDS = (Field.HTLTF, Field.LLTF, Field.LSTF)
+CFG = hz.ExperimentConfig(
+    master_seed=0, devices=[{}, {}], receivers=[{}], extractors=["RD", "HL", "DV"],
+    train_receivers=[], test_receivers=[], snr_db=[30.0],
+)
+
+
+def _walk_one(signal, cfg_like, fields):
+    """Reference: one capture file walked alone through one-capture stage
+    calls. Yields (frame_index, spectra | None); None marks a detected but
+    unusable frame."""
+    pos = 0
+    idx = 0
+    segment_len = 1100
+    n = len(signal)
+    while pos + 500 <= n:
+        seg = ComplexSignal(signal.samples[pos : pos + segment_len], signal.sample_rate)
+        thr = pp.noise_floor_threshold(seg, cfg_like.detection_window,
+                                       cfg_like.detection_multiplier,
+                                       cfg_like.detection_metric)
+        det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
+        try:
+            compensated, sync, _ = pp.synchronize_and_compensate(seg, det)
+            spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+        except pp.NotDetectedError:
+            pos += segment_len - cfg_like.detection_window
+            continue
+        except (pp.SyncFailedError, pp.EstimationFailedError):
+            yield idx, None
+            idx += 1
+            pos += 500
+            continue
+        yield idx, spectra
+        idx += 1
+        pos += sync.frame_start_n1 + 420
+
+
+@pytest.fixture(scope="module")
+def frames():
+    """24 captures of one frame each (776 to 816 samples) and the frame
+    start in each."""
+    cfg = hz.load_config({
+        "master_seed": 3, "devices": {"count": 2, "base_seed": 100},
+        "receivers": {"count": 1, "base_seed": 900}, "extractors": ["HL"],
+        "channel": {"scenario": "flat"}, "snr_db": 30.0, "frames_per_device": 24,
+        "train_receivers": ["rx00"], "test_receivers": ["rx00"],
+    })
+    devices, receivers, _ = hz._profiles(cfg)
+    chan = hz._draw_channel(cfg, 30.0, 1)
+    block, leads = hz._receive(hz._transmit(devices[0]), receivers[0],
+                               [(chan, 100 + i, 200 + i) for i in range(24)])
+    return [block.samples[i, :n] for i, n in enumerate(block.lengths)], leads
+
+
+def _quiet(frames, n):
+    """`n` samples of receiver noise: the signal-free lead gaps of the frames."""
+    return np.concatenate([f[:250] for f in frames])[:n]
+
+
+def _tone(frames, n):
+    """`n` samples of a strong tone over receiver noise: detected, but its
+    correlation with the long training symbols has no peak (sync fails)."""
+    return 0.5 * np.exp(2j * np.pi * 0.055 * np.arange(n)) + _quiet(frames[5:], n)
+
+
+def _write(tmp_path, name, pieces):
+    path = tmp_path / f"{name}.iq"
+    data_io.write_iq(path, ComplexSignal(np.concatenate(pieces)))
+    return path
+
+
+def _lockstep(paths, until_acquired=False):
+    """Each file's (frame_index, spectra | None) in the order the lock-step
+    walk yields them, and the number of rows that detected nothing."""
+    out = {p: [] for p in paths}
+    skipped = 0
+    readers = [data_io.IqReader(p) for p in paths]
+    for step in _walk_captures(readers, CFG, FIELDS, until_acquired):
+        for row, reader_idx in enumerate(step.captures):
+            if step.frame_index[row] < 0:
+                skipped += 1
+                continue
+            spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
+                       if step.acquired[row] else None)
+            out[paths[reader_idx]].append((int(step.frame_index[row]), spectra))
+    for r in readers:
+        r.close()
+    return out, skipped
+
+
+def _reference(path, until_acquired=False):
+    out = []
+    for idx, spectra in _walk_one(data_io.read_iq(path), CFG, FIELDS):
+        out.append((idx, None if spectra is None else {f: s.bins for f, s in spectra.items()}))
+        if until_acquired and spectra is not None:
+            break
+    return out
+
+
+def _assert_same(got, want):
+    assert [idx for idx, _ in got] == [idx for idx, _ in want]
+    for (idx, a), (_, b) in zip(got, want):
+        assert (a is None) == (b is None), idx
+        if a is not None:
+            for f in FIELDS:
+                assert np.array_equal(a[f], b[f]), (idx, f)
+
+
+def test_lockstep_walk_matches_walking_each_file_alone(frames, tmp_path):
+    f, leads = frames
+    # A frame acquired at n1 moves the walk to n1 + 420, 100 samples before
+    # the end of its capture; the quiet gaps below put the next frame early
+    # in a segment after the skips, where its preamble fits.
+    files = {
+        "skip": [f[0], _quiet(f, 1960), f[1], f[2]],  # two segments with no frame
+        "fail": [f[3], _quiet(f, 300), _tone(f, 700), _quiet(f, 440), f[4], f[5]],
+        "quiet_tail": [f[6], f[7], _quiet(f, 600)],  # a short last segment, empty
+        "long": f[8:16],
+        "one": [f[16]],
+        # a frame's preamble after 100 and 99 quiet samples: walked, not walked
+        "edge_500": [f[17][leads[17] - 100 : leads[17] + 400]],
+        "edge_499": [f[18][leads[18] - 99 : leads[18] + 400]],
+    }
+    for k in range(10):  # 17 files, so 16 rows of 1100 samples walk at once
+        files[f"mix{k}"] = [_quiet(f, 37 * k + 1)] + f[k : k + 1 + k % 4]
+    paths = [_write(tmp_path, name, pieces) for name, pieces in files.items()]
+    got, skipped = _lockstep(paths)
+    assert skipped > 0
+    for path in paths:
+        _assert_same(got[path], _reference(path))
+    outcomes = {name: [s is None for _, s in got[path]] for name, path in zip(files, paths)}
+    assert outcomes["skip"] == [False] * 3
+    assert outcomes["fail"] == [False, True, False, False]
+    assert outcomes["long"] == [False] * 8
+    assert outcomes["edge_500"] == [False]
+    assert outcomes["edge_499"] == []
+
+
+def test_reference_walk_stops_at_the_first_acquired_frame(frames, tmp_path):
+    f, _ = frames
+    cut = f[1][: f[1].size - 120 - 60]  # ends inside the HT long training field
+    paths = [
+        _write(tmp_path, "ref_a", [f[0], cut]),
+        _write(tmp_path, "ref_b", [_quiet(f, 300), _tone(f, 700), _quiet(f, 540), f[2], cut]),
+    ]
+    got, _ = _lockstep(paths, until_acquired=True)
+    assert [[s is None for _, s in got[p]] for p in paths] == [[False], [True, False]]
+    for path in paths:
+        _assert_same(got[path], _reference(path, until_acquired=True))
+    with pytest.raises(WindowBoundsError, match="HTLTF1"):
+        _lockstep(paths)
+
+
+def test_capture_ending_inside_the_ht_ltf_raises_in_both_walks(frames, tmp_path):
+    f, _ = frames
+    cut = f[3][: f[3].size - 120 - 60]
+    bad = _write(tmp_path, "bad", [f[0], f[1], cut])
+    good = _write(tmp_path, "good", f[4:10])
+    with pytest.raises(WindowBoundsError, match="HTLTF1"):
+        _lockstep([good, bad])
+    with pytest.raises(WindowBoundsError, match="HTLTF1"):
+        _reference(bad)
