@@ -13,7 +13,12 @@ Fields, per tree:
 - `import_s`: `import rffdiv` in a fresh interpreter;
 - `wall_s`: `rffdiv bench --config configs/bench_default.json`, run
   in-process with the stage timers below installed (`frames`: the frames
-  it simulates);
+  it simulates). The timers see only calls made in their own process, so
+  this run is pinned to one CPU (`os.sched_setaffinity`), where the frame
+  engine runs every link in-process;
+- `wall_unpinned_s`: the same command in-process without timers or
+  pinning, so the links run on every CPU of the affinity mask
+  (`machine.affinity_cpus`);
 - `us_per_frame`: time inside each stage over that run, per frame
   simulated: simulate (the frame engine's `harness.frame_blocks`), detect
   (`noise_floor_threshold`, `detect_signal`), sync (`synchronize`), cfo
@@ -92,12 +97,24 @@ def _timed(fn, stage, totals):
     return timed
 
 
+def _bench_wall() -> float:
+    from rffdiv import cli
+
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        code = cli.main(["bench", "--config", str(CONFIG), "--out-dir", out])
+        wall = time.perf_counter() - t0
+    if code:
+        raise SystemExit(f"bench exited {code}")
+    return wall
+
+
 def worker_bench() -> dict:
-    """Run the fixed bench command in-process with every stage timed; the
-    functions are replaced in their module and wherever a module bound
-    them by name."""
-    import rffdiv  # noqa: F401
-    from rffdiv import cli, harness
+    """Run the fixed bench command in-process, pinned to one CPU, with every
+    stage timed; the functions are replaced in their module and wherever a
+    module bound them by name."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    from rffdiv import cli, harness  # noqa: F401  (cli's bindings are wrapped too)
 
     totals = {stage: 0.0 for _, _, stage in STAGES}
     modules = [m for name, m in sys.modules.items() if name.startswith("rffdiv")]
@@ -112,24 +129,26 @@ def worker_bench() -> dict:
     cfg = harness.load_config(doc)
     frames = (len(cfg.devices) * len(cfg.receivers) * cfg.frames_per_device
               * cfg.repeats * len(cfg.snr_db))
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        t0 = time.perf_counter()
-        code = cli.main(["bench", "--config", str(CONFIG), "--out-dir", out])
-        wall = time.perf_counter() - t0
-    if code:
-        raise SystemExit(f"bench exited {code}")
     return {
-        "wall_s": wall,
+        "wall_s": _bench_wall(),
         "frames": frames,
         "us_per_frame": {s: totals[s] / frames * 1e6 for s in PER_FRAME},
         "s": {s: totals[s] for s in ("train", "eval", "write")},
     }
 
 
+def worker_wall() -> dict:
+    return {"wall_unpinned_s": _bench_wall()}
+
+
 def worker_import() -> dict:
     t0 = time.perf_counter()
     import rffdiv  # noqa: F401
     return {"import_s": time.perf_counter() - t0}
+
+
+# Measurements that run in a fresh interpreter of their own.
+WORKERS = {"import": worker_import, "bench": worker_bench, "wall": worker_wall}
 
 
 def _python(src: Path, args: list) -> subprocess.CompletedProcess:
@@ -164,7 +183,7 @@ def measure(src: Path) -> dict:
     """One run of every measurement against the tree at `src`."""
     script = str(Path(__file__).resolve())
     run = {}
-    for kind in ("import", "bench"):
+    for kind in WORKERS:
         run.update(json.loads(_python(src, [script, "--worker", kind]).stdout))
     run["capture_files_s"] = _capture_files(src)
     return run
@@ -189,8 +208,9 @@ def _machine() -> dict:
         pass
     import numpy
 
-    return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "system": platform.system()}
+    return {"cpu": cpu, "cpus": os.cpu_count(), "affinity_cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "system": platform.system()}
 
 
 def main(argv=None) -> int:
@@ -200,10 +220,10 @@ def main(argv=None) -> int:
     p.add_argument("--baseline", type=Path, help="another tree's src/ directory to measure")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", type=Path, help="output path (default BENCH_<pr>.json)")
-    p.add_argument("--worker", choices=["bench", "import"], help=argparse.SUPPRESS)
+    p.add_argument("--worker", choices=list(WORKERS), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker_bench() if args.worker == "bench" else worker_import()))
+        print(json.dumps(WORKERS[args.worker]()))
         return 0
     if args.pr is None and args.out is None:
         p.error("give --pr or --out")

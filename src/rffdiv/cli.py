@@ -16,6 +16,7 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
 from .signals import ComplexSignal, Frames
+from .waveform import FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,14 +55,24 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
+def _write_capture(cfg, out: Path, snr_db: float, per_frame_channel: bool, capture) -> None:
+    """Simulate one capture file's frames and write its `.iq` and sidecar;
+    `capture` is (sent, rx profile, transmitter index, receiver index,
+    frames, file name)."""
+    sent, rx, di, rj, n_frames, name = capture
+    blocks = harness.frame_blocks(cfg, sent, rx, snr_db, 0, di, rj, n_frames, per_frame_channel)
+    segments = [frames.samples[i, :n] for _, frames in blocks
+                for i, n in enumerate(frames.lengths)]
+    data_io.write_iq(out / name, ComplexSignal(np.concatenate(segments)))
+
+
 def cmd_simulate(args) -> int:
     cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     devices, receivers, reference = harness._profiles(cfg)
     snr = cfg.snr_db[0]
-    per_frame = harness._channel_per_frame(cfg)
-    entries = []
+    entries, captures = [], []
     roster = [(d, "device", di) for di, d in enumerate(devices)]
     if reference is not None:
         roster.append((reference, "reference", len(devices)))
@@ -69,15 +81,16 @@ def cmd_simulate(args) -> int:
         n_frames = (cfg.frames_per_device if role == "device"
                     else max(4, cfg.frames_per_device // 10))
         for rj, rx in enumerate(receivers):
-            blocks = harness.frame_blocks(cfg, sent, rx, snr, 0, di, rj, n_frames, per_frame)
-            segments = [frames.samples[i, :n] for _, frames in blocks
-                        for i, n in enumerate(frames.lengths)]
             name = f"{tx.device_id}_{rx.device_id}.iq"
-            data_io.write_iq(out / name, ComplexSignal(np.concatenate(segments)))
+            captures.append((sent, rx, di, rj, n_frames, name))
             entries.append({
                 "path": name, "device": tx.device_id, "receiver": rx.device_id,
                 "frames": n_frames, "role": role,
             })
+    # each file is its own task; the files do not depend on one another
+    task = partial(_write_capture, cfg, out, snr, harness._channel_per_frame(cfg))
+    for _ in harness.map_ordered(task, captures):
+        pass
     manifest = {
         "format_version": 1,
         "scenario": cfg.scenario(),
@@ -103,7 +116,13 @@ def cmd_simulate(args) -> int:
 #    segment's last whole window are scanned by the next one;
 #  - a frame detected but not acquired (sync or CFO estimation failed):
 #    by FAILED_SKIP;
-#  - a frame acquired at start n1: by n1 + FRAME_ADVANCE.
+#  - a frame acquired at start n1: by n1 + FRAME_ADVANCE;
+#  - a frame acquired so late that a field window the walk reads runs past
+#    the segment, in a file that holds more samples: by n1 less two
+#    detection windows (at least 1 sample). The frame takes no index there;
+#    the next segment's noise-floor window is quiet and the segment holds
+#    the whole frame, which is walked again. A capture that ends inside
+#    the frame raises `WindowBoundsError`.
 # Samples per segment: more than one simulated frame capture (a lead gap of
 # at most 296 samples, the 400-sample preamble and a 120-sample tail make
 # 816), so a segment that starts in the quiet gap before a frame holds the
@@ -125,9 +144,10 @@ FRAME_ADVANCE = 420
 class _Step:
     """One lock-step block: row i is a segment of capture `captures[i]`.
     `frame_index[i]` is the index the row's frame gets in its capture, or
-    -1 when the segment held no detected frame; `acquired` marks the rows
-    whose frame was acquired, and `spectra` are the block's field spectra
-    (their `drops` leave only those rows live)."""
+    -1 when the segment held no detected frame or one walked again from
+    the next segment; `acquired` marks the rows whose frame was acquired,
+    and `spectra` are the block's field spectra (their `drops` leave only
+    those rows live)."""
 
     captures: list
     frame_index: np.ndarray
@@ -144,6 +164,9 @@ def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
     per block; with `until_acquired` a file is walked only up to its first
     acquired frame."""
     quiet_skip = SEGMENT_LEN - cfg_like.detection_window
+    rewalk_lead = 2 * cfg_like.detection_window
+    frame_end = max(WINDOWS[name].start_index - 1 + WINDOWS[name].length
+                    for f in fields for name in FIELD_WINDOWS[f])
     pos = [0] * len(readers)
     count = [0] * len(readers)
     active = [i for i, r in enumerate(readers) if MIN_SEGMENT <= len(r)]
@@ -162,16 +185,23 @@ def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
                                        cfg_like.detection_metric)
         det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
         compensated, sync, _ = pp.synchronize_and_compensate(frames, det)
-        spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+        n1 = sync.frame_start_n1
+        more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
+        frames.drops.drop((n1 + frame_end > lengths) & more, WindowBoundsError,
+                          "frame runs past its segment; walked again")
+        spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
         acquired = frames.drops.live
         frame_index = np.full(len(active), -1)
         for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
             if isinstance(exc, pp.NotDetectedError):
                 pos[i] += quiet_skip
                 continue
+            if isinstance(exc, WindowBoundsError):
+                pos[i] += max(int(n1[row]) - rewalk_lead, 1)
+                continue
             frame_index[row] = count[i]
             count[i] += 1
-            pos[i] += FAILED_SKIP if exc else int(sync.frame_start_n1[row]) + FRAME_ADVANCE
+            pos[i] += FAILED_SKIP if exc else int(n1[row]) + FRAME_ADVANCE
         yield _Step(active, frame_index, acquired, spectra)
         active = [i for row, i in enumerate(active)
                   if pos[i] + MIN_SEGMENT <= len(readers[i])
@@ -209,6 +239,46 @@ def _lockstep_groups(captures, readers: dict, role: str) -> list:
             for k in range(0, len(idx), harness.BLOCK_ROWS)]
 
 
+def _walk_group(group, readers, cfg_like, fields, until_acquired=False):
+    """`_walk_captures` over the captures `group` (manifest indices) with
+    their `readers`: yields each step with the manifest index of each row."""
+    with ExitStack() as stack:
+        for reader in readers:
+            stack.enter_context(reader)
+        for step in _walk_captures(readers, cfg_like, fields, until_acquired):
+            yield [group[c] for c in step.captures], step
+
+
+def _extract_group(manifest, cfg_like, fields, models, job) -> tuple[dict, int]:
+    """Features of one lock-step group of device captures; `job` is
+    (group, readers) as `_walk_group` takes them. Returns {tag: {manifest
+    index: (frame indices, one row of values per frame)}} and the number of
+    frames dropped."""
+    group, readers = job
+    rx_id = manifest["captures"][group[0]]["receiver"]
+    rows_of = {}  # tag -> manifest index -> [(frame index, values)]
+    dropped = 0
+    for rows, step in _walk_group(group, readers, cfg_like, fields):
+        n_acquired = int(np.count_nonzero(step.acquired))
+        dropped += int(np.count_nonzero(step.frame_index >= 0)) - n_acquired
+        try:
+            feats = harness._extract_all(step.spectra, cfg_like.extractors, models.get(rx_id),
+                                         rx_id, None)
+        except harness.PipelineError:
+            dropped += n_acquired
+            continue
+        live = step.spectra[fields[0]].drops.live
+        dropped += n_acquired - int(np.count_nonzero(live))
+        for tag, fv in feats.items():
+            keep = live[fv.rows]
+            for row, values in zip(fv.rows[keep], fv.values[keep]):
+                rows_of.setdefault(tag, {}).setdefault(rows[row], []).append(
+                    (int(step.frame_index[row]), values))
+    return {tag: {i: ([fi for fi, _ in r], np.array([v for _, v in r]))
+                  for i, r in by_capture.items()}
+            for tag, by_capture in rows_of.items()}, dropped
+
+
 def cmd_extract(args) -> int:
     manifest, base = _load_manifest(args.manifest)
     captures = manifest["captures"]
@@ -228,52 +298,35 @@ def cmd_extract(args) -> int:
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
                for i, cap in enumerate(captures) if cap["role"] in roles}
-
-    def walk(group, until_acquired=False):
-        with ExitStack() as stack:
-            for i in group:
-                stack.enter_context(readers[i])
-            for step in _walk_captures([readers[i] for i in group], cfg_like, fields,
-                                       until_acquired):
-                yield [group[c] for c in step.captures], step
-
     models = {}
     if use_rd:
         model_spectra = {}
         for group in _lockstep_groups(captures, readers, "reference"):
-            for rows, step in walk(group, until_acquired=True):
+            for rows, step in _walk_group(group, [readers[i] for i in group], cfg_like, fields,
+                                          until_acquired=True):
                 for row in np.flatnonzero(step.acquired):
                     model_spectra[rows[row]] = {f: FieldSpectrum(f, s.bins[row])
                                                 for f, s in step.spectra.items()}
         for i in sorted(model_spectra):  # manifest order: a later capture of a receiver wins
             models[captures[i]["receiver"]] = harness.ModelCapture(
                 captures[i]["receiver"], model_spectra[i], 1)
+    # the device groups are independent, so they run on every usable CPU
+    task = partial(_extract_group, manifest, cfg_like, fields, models)
     records = {}  # tag -> manifest index -> records in frame order
     dropped = 0
-    for group in _lockstep_groups(captures, readers, "device"):
-        rx_id = captures[group[0]]["receiver"]
-        for rows, step in walk(group):
-            n_acquired = int(np.count_nonzero(step.acquired))
-            dropped += int(np.count_nonzero(step.frame_index >= 0)) - n_acquired
-            try:
-                feats = harness._extract_all(step.spectra, extractors, models.get(rx_id),
-                                             rx_id, None)
-            except harness.PipelineError:
-                dropped += n_acquired
-                continue
-            live = step.spectra[fields[0]].drops.live
-            dropped += n_acquired - int(np.count_nonzero(live))
-            for tag, fv in feats.items():
-                keep = live[fv.rows]
-                for row, values in zip(fv.rows[keep], fv.values[keep]):
-                    cap = captures[rows[row]]
-                    records.setdefault(tag, {}).setdefault(rows[row], []).append(
-                        data_io.FeatureRecord(
-                            extractor=tag, device=cap["device"], receiver=rx_id,
-                            channel_scenario=manifest.get("scenario", "unknown"),
-                            trial=int(step.frame_index[row]),
-                            snr_db=float(manifest.get("snr_db", 0.0)), values=values,
-                        ))
+    for group_features, group_dropped in harness.map_ordered(task, [
+            (group, [readers[i] for i in group])
+            for group in _lockstep_groups(captures, readers, "device")]):
+        for tag, by_capture in group_features.items():
+            for i, (trials, values) in by_capture.items():
+                records.setdefault(tag, {})[i] = [
+                    data_io.FeatureRecord(
+                        extractor=tag, device=captures[i]["device"],
+                        receiver=captures[i]["receiver"],
+                        channel_scenario=manifest.get("scenario", "unknown"),
+                        trial=trial, snr_db=float(manifest.get("snr_db", 0.0)), values=v,
+                    ) for trial, v in zip(trials, values)]
+        dropped += group_dropped
     if not records:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE

@@ -203,7 +203,9 @@ def write_features(path, rows, dim: int | None = None) -> None:
         cells = [r.extractor, r.device, r.receiver, r.channel_scenario,
                  str(int(r.trial)), _fmt(r.snr_db), values_fmt % tuple(vals.tolist())]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # line by line: one joined copy of the table would double the peak memory
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _fmt(x: float) -> str:
@@ -245,28 +247,3 @@ def read_features(path) -> list[FeatureRecord]:
             raise IoError(f"{path}: row {row_no}: {exc}") from exc
         out.append(rec)
     return out
-
-
-def write_features_json(path, rows) -> None:
-    """Same records as JSON, one document with a `records` list."""
-    docs = [
-        {
-            "extractor": r.extractor, "device": r.device, "receiver": r.receiver,
-            "channel_scenario": r.channel_scenario, "trial": int(r.trial),
-            "snr_db": float(r.snr_db), "values": [float(v) for v in np.asarray(r.values)],
-        }
-        for r in rows
-    ]
-    Path(path).write_text(json.dumps({"records": docs}, sort_keys=True, indent=2) + "\n")
-
-
-def read_features_json(path) -> list[FeatureRecord]:
-    doc = json.loads(Path(path).read_text())
-    return [
-        FeatureRecord(
-            extractor=d["extractor"], device=d["device"], receiver=d["receiver"],
-            channel_scenario=d["channel_scenario"], trial=int(d["trial"]),
-            snr_db=float(d["snr_db"]), values=np.array(d["values"], dtype=np.float64),
-        )
-        for d in doc["records"]
-    ]

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -531,20 +533,73 @@ def _capture_models(cfg, receivers, sent_ref, repeat, snr_db) -> dict[str, Model
             for rj, rx in enumerate(receivers)}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask); 1 where the
+    platform cannot tell or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def map_ordered(fn, items):
+    """`map(fn, items)` over a pool of forked worker processes, one per
+    usable CPU and at most one per item; yields the results in input order.
+    `fn` and the items must pickle. With one worker this is the built-in
+    `map`, in this process. A failing item raises its own exception (the
+    earliest failing item's, as the built-in `map` would) and cancels the
+    items not yet started."""
+    items = list(items)
+    workers = min(usable_cpus(), len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and rffdiv again
+    # (about 0.2 s, a quarter of a bench's link work). From Python 3.11 the
+    # executor forks every worker at the first submit, before it starts a
+    # thread of its own.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _link_task(cfg, snr_db, repeat, per_frame_channel, link) -> LinkFeatures:
+    """One (device, receiver) link through the frame engine; `link` is
+    (sent, rx profile, device index, receiver index, device id, model)."""
+    sent, rx, di, rj, device_id, model = link
+    blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device,
+                          per_frame_channel)
+    return _link_features(cfg, blocks, model, rx.device_id, device_id)
+
+
+def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
+               per_frame_channel) -> dict:
+    """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
+    links are independent, so they run on every usable CPU."""
+    grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
+            for rj, rx in enumerate(receivers)]
+    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel)
+    results = map_ordered(task, [
+        (sent_devices[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
+        for di, dev, rj, rx in grid])
+    return {(dev.device_id, rx.device_id): link
+            for (_, dev, _, rx), link in zip(grid, results)}
+
+
 def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat):
     """All links for one (snr, repeat), given the transmitted frames `sent`
     (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures} and the
     per-receiver model captures."""
     sent_devices, sent_ref = sent
-    per_frame_channel = _channel_per_frame(cfg)
     models = _capture_models(cfg, receivers, sent_ref, repeat, snr_db)
-    links = {}
-    for di, dev in enumerate(devices):
-        for rj, rx in enumerate(receivers):
-            blocks = frame_blocks(cfg, sent_devices[di], rx, snr_db, repeat, di, rj,
-                                  cfg.frames_per_device, per_frame_channel)
-            links[(dev.device_id, rx.device_id)] = _link_features(
-                cfg, blocks, models.get(rx.device_id), rx.device_id, dev.device_id)
+    links = _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
+                       _channel_per_frame(cfg))
     return links, models
 
 
@@ -675,17 +730,13 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
     sent_devices, sent_ref = _transmit_all(devices, reference)
     snr = cfg.snr_db[0]
     models = _capture_models(cfg, receivers, sent_ref, 0, snr)
+    links = _run_links(cfg, devices, receivers, sent_devices, models, snr, 0,
+                       per_frame_channel=True)
     out = {"snr_db": snr, "scenario": cfg.scenario(), "devices": {}}
-    for di, dev in enumerate(devices):
-        per_rx = {}
-        drops = 0
-        for rj, rx in enumerate(receivers):
-            blocks = frame_blocks(cfg, sent_devices[di], rx, snr, 0, di, rj,
-                                  cfg.frames_per_device, per_frame_channel=True)
-            link = _link_features(cfg, blocks, models.get(rx.device_id),
-                                  rx.device_id, dev.device_id)
-            per_rx[rx.device_id] = link.features
-            drops += link.dropped
+    for dev in devices:
+        per_rx = {rx.device_id: links[(dev.device_id, rx.device_id)].features
+                  for rx in receivers}
+        drops = sum(links[(dev.device_id, rx.device_id)].dropped for rx in receivers)
         tags = {t for feats in per_rx.values() for t, fv in feats.items() if len(fv.values)}
         dev_stats = {}
         for tag in sorted(tags):

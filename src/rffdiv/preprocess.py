@@ -149,20 +149,29 @@ def synchronize(
     n0 = frames.per_row(n0)
     k0 = np.zeros(n0.shape, dtype=np.int64)
     failed = {}
+    corrs = {}  # correlation length -> {row: |correlation|}
     for i in np.flatnonzero(frames.drops.live):
         seg = frames.samples[i, n0[i] : min(n0[i] + search_len + lt - 1, frames.lengths[i])]
         if seg.size < lt:
             failed[i] = "search segment shorter than the sync template"
             continue
         corr = np.abs(np.correlate(seg, _SYNC_TEMPLATE, mode="valid"))
-        floor = float(np.median(corr))
-        peak_k = int(np.argmax(corr))
-        peak = float(corr[peak_k])
-        if floor > 0 and peak / floor < peak_floor_ratio:
-            failed[i] = (f"correlation peak {peak:.3g} below {peak_floor_ratio}x the "
-                         f"search floor {floor:.3g}")
-            continue
-        k0[i] = n0[i] + peak_k - 32  # back up over the long training cyclic prefix
+        corrs.setdefault(corr.size, {})[i] = corr
+    # Floor and peak over all rows of one correlation length at once (rows
+    # cut short by the capture end have their own lengths); a row's median
+    # and first maximum are the same numbers either way.
+    for by_row in corrs.values():
+        rows = list(by_row)
+        block = np.array(list(by_row.values()))
+        floors = np.median(block, axis=1)
+        peaks_k = np.argmax(block, axis=1)
+        for i, floor, peak_k, row in zip(rows, floors.tolist(), peaks_k.tolist(), block):
+            peak = float(row[peak_k])
+            if floor > 0 and peak / floor < peak_floor_ratio:
+                failed[i] = (f"correlation peak {peak:.3g} below {peak_floor_ratio}x the "
+                             f"search floor {floor:.3g}")
+                continue
+            k0[i] = n0[i] + peak_k - 32  # back up over the long training cyclic prefix
     bad = np.zeros(k0.size, dtype=bool)
     bad[list(failed)] = True
     frames.drops.drop(bad, SyncFailedError, failed.get)

@@ -165,12 +165,3 @@ def test_features_bad_header(tmp_path):
     with pytest.raises(IoError, match="header"):
         data_io.read_features(path)
 
-
-def test_features_json_roundtrip(tmp_path):
-    rows = _records(10)
-    path = tmp_path / "f.json"
-    data_io.write_features_json(path, rows)
-    back = data_io.read_features_json(path)
-    assert len(back) == 10
-    for a, b in zip(rows, back):
-        assert np.abs(a.values - b.values).max() < 1e-15

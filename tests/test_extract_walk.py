@@ -11,7 +11,7 @@ from rffdiv import preprocess as pp
 from rffdiv.cli import _walk_captures
 from rffdiv.features import Field, field_spectrum
 from rffdiv.signals import ComplexSignal
-from rffdiv.waveform import WindowBoundsError
+from rffdiv.waveform import FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
 FIELDS = (Field.HTLTF, Field.LLTF, Field.LSTF)
 CFG = hz.ExperimentConfig(
@@ -23,11 +23,15 @@ CFG = hz.ExperimentConfig(
 def _walk_one(signal, cfg_like, fields):
     """Reference: one capture file walked alone through one-capture stage
     calls. Yields (frame_index, spectra | None); None marks a detected but
-    unusable frame."""
+    unusable frame. A frame whose last field window runs past its segment,
+    in a file with more samples, is walked again from a segment starting
+    two detection windows before it."""
     pos = 0
     idx = 0
     segment_len = 1100
     n = len(signal)
+    frame_end = max(WINDOWS[name].start_index - 1 + WINDOWS[name].length
+                    for f in fields for name in FIELD_WINDOWS[f])
     while pos + 500 <= n:
         seg = ComplexSignal(signal.samples[pos : pos + segment_len], signal.sample_rate)
         thr = pp.noise_floor_threshold(seg, cfg_like.detection_window,
@@ -36,6 +40,9 @@ def _walk_one(signal, cfg_like, fields):
         det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
         try:
             compensated, sync, _ = pp.synchronize_and_compensate(seg, det)
+            if sync.frame_start_n1 + frame_end > len(seg) and pos + len(seg) < n:
+                pos += max(sync.frame_start_n1 - 2 * cfg_like.detection_window, 1)
+                continue
             spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
         except pp.NotDetectedError:
             pos += segment_len - cfg_like.detection_window
@@ -90,16 +97,18 @@ def _lockstep(paths, until_acquired=False):
     out = {p: [] for p in paths}
     skipped = 0
     readers = [data_io.IqReader(p) for p in paths]
-    for step in _walk_captures(readers, CFG, FIELDS, until_acquired):
-        for row, reader_idx in enumerate(step.captures):
-            if step.frame_index[row] < 0:
-                skipped += 1
-                continue
-            spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
-                       if step.acquired[row] else None)
-            out[paths[reader_idx]].append((int(step.frame_index[row]), spectra))
-    for r in readers:
-        r.close()
+    try:
+        for step in _walk_captures(readers, CFG, FIELDS, until_acquired):
+            for row, reader_idx in enumerate(step.captures):
+                if step.frame_index[row] < 0:
+                    skipped += 1
+                    continue
+                spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
+                           if step.acquired[row] else None)
+                out[paths[reader_idx]].append((int(step.frame_index[row]), spectra))
+    finally:
+        for r in readers:
+            r.close()
     return out, skipped
 
 
@@ -175,3 +184,23 @@ def test_capture_ending_inside_the_ht_ltf_raises_in_both_walks(frames, tmp_path)
         _lockstep([good, bad])
     with pytest.raises(WindowBoundsError, match="HTLTF1"):
         _reference(bad)
+
+
+def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
+    f, leads = frames
+    # Quiet lead-ins put a frame's start at sample 740 of the first segment
+    # (its HT-LTF window ends at 1140, past the 1100-sample segment) and at
+    # 720 of the segment after a skip of 1020; both files hold the whole frame.
+    late = _write(tmp_path, "late", [_quiet(f, 740 - leads[0]), f[0], f[1]])
+    after_skip = _write(tmp_path, "after_skip", [_quiet(f, 1740 - leads[2]), f[2], f[3]])
+    good = _write(tmp_path, "good", f[4:7])
+    got, _ = _lockstep([late, after_skip, good])
+    for path in (late, after_skip, good):
+        _assert_same(got[path], _reference(path))
+    assert [[s is None for _, s in got[p]] for p in (late, after_skip)] == [[False, False]] * 2
+    # cut inside the late frame's HT-LTF: the capture really ends there
+    cut = _write(tmp_path, "cut", [_quiet(f, 740 - leads[0]), f[0][: leads[0] + 380]])
+    with pytest.raises(WindowBoundsError, match="HTLTF1"):
+        _lockstep([good, cut])
+    with pytest.raises(WindowBoundsError, match="HTLTF1"):
+        _reference(cut)
