@@ -41,8 +41,8 @@ class EvalError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters. The defaults (smoothing 0.1, 50 epochs,
-    batch 64, learning rate 1e-3, L2 0.1) assume the adaptive optimizer;
-    `optimizer="sgd"` selects plain descent steps instead."""
+    batch 64, learning rate 1e-3, L2 0.1) suit the Adam steps `train`
+    takes."""
 
     epochs: int = 50
     batch: int = 64
@@ -51,7 +51,6 @@ class TrainConfig:
     label_smoothing: float = 0.1
     seed: int = 0
     validation_fraction: float = 0.1
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:
@@ -62,8 +61,6 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -194,30 +191,24 @@ def train(features, cfg: TrainConfig) -> SoftmaxModel:
 
     w = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))
-    adam_state = None
-    if cfg.optimizer == "adam":
-        adam_state = [np.zeros_like(w), np.zeros_like(w), np.zeros_like(b), np.zeros_like(b), 0]
+    # Adam moments of the weights and the bias, and the step count
+    mw, vw, mb, vb = np.zeros_like(w), np.zeros_like(w), np.zeros_like(b), np.zeros_like(b)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    t = 0
     best = (np.inf, w.copy(), b.copy())
     for _ in range(cfg.epochs):
         order = rng.permutation(x_tr.shape[0])
         for start in range(0, order.size, cfg.batch):
             batch = order[start : start + cfg.batch]
             _, gw, gb = loss_and_gradient(w, b, x_tr[batch], y_tr[batch], cfg.l2, cfg.label_smoothing)
-            if adam_state is None:
-                w -= cfg.learning_rate * gw
-                b -= cfg.learning_rate * gb
-            else:
-                mw, vw, mb, vb, t = adam_state
-                t += 1
-                beta1, beta2, eps = 0.9, 0.999, 1e-8
-                mw[:] = beta1 * mw + (1 - beta1) * gw
-                vw[:] = beta2 * vw + (1 - beta2) * gw**2
-                mb[:] = beta1 * mb + (1 - beta1) * gb
-                vb[:] = beta2 * vb + (1 - beta2) * gb**2
-                corr1, corr2 = 1 - beta1**t, 1 - beta2**t
-                w -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
-                b -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
-                adam_state[4] = t
+            t += 1
+            mw = beta1 * mw + (1 - beta1) * gw
+            vw = beta2 * vw + (1 - beta2) * gw**2
+            mb = beta1 * mb + (1 - beta1) * gb
+            vb = beta2 * vb + (1 - beta2) * gb**2
+            corr1, corr2 = 1 - beta1**t, 1 - beta2**t
+            w -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
+            b -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
         if x_val.shape[0] > 0:
             score, _, _ = loss_and_gradient(w, b, x_val, y_val, cfg.l2, cfg.label_smoothing)
         else:
@@ -282,6 +273,9 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: SoftmaxModel, path, train_config: TrainConfig | None = None) -> None:
+    # `optimizer` is echoed as a constant (training always takes Adam steps)
+    # until the output formats' next version (ROADMAP item 3).
+    echo = None if train_config is None else {**asdict(train_config), "optimizer": "adam"}
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "softmax_linear",
@@ -292,7 +286,7 @@ def save_model(model: SoftmaxModel, path, train_config: TrainConfig | None = Non
         "bias": model.bias.tolist(),
         "input_mean": model.input_mean.tolist(),
         "input_scale": model.input_scale.tolist(),
-        "train_config": asdict(train_config) if train_config else None,
+        "train_config": echo,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from . import preprocess as pp
 from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
@@ -99,7 +98,7 @@ def cmd_simulate(args) -> int:
         "detection": {
             "window_w": cfg.detection_window,
             "threshold_multiplier": cfg.detection_multiplier,
-            "metric": cfg.detection_metric,
+            "metric": "magnitude",  # kept until manifest format 2 (ROADMAP item 3)
         },
         "captures": entries,
     }
@@ -155,16 +154,18 @@ class _Step:
     spectra: dict
 
 
-def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
+def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     """Walk capture files in lock-step, one block row per file still being
     walked (`readers`: `data_io.IqReader`s of one sample rate, at most
-    `harness.BLOCK_ROWS`). Each step acquires the current segment of every
-    row as one block, then advances each row by its own outcome, so a row
-    sees exactly the segments it would see walked alone. Yields a `_Step`
-    per block; with `until_acquired` a file is walked only up to its first
-    acquired frame."""
-    quiet_skip = SEGMENT_LEN - cfg_like.detection_window
-    rewalk_lead = 2 * cfg_like.detection_window
+    `harness.BLOCK_ROWS`), detecting with `detection`, the (window_w,
+    threshold_multiplier) of `harness.detection_settings`. Each step
+    acquires the current segment of every row as one block, then advances
+    each row by its own outcome, so a row sees exactly the segments it
+    would see walked alone. Yields a `_Step` per block; with
+    `until_acquired` a file is walked only up to its first acquired frame."""
+    window_w, multiplier = detection
+    quiet_skip = SEGMENT_LEN - window_w
+    rewalk_lead = 2 * window_w
     frame_end = max(WINDOWS[name].start_index - 1 + WINDOWS[name].length
                     for f in fields for name in FIELD_WINDOWS[f])
     pos = [0] * len(readers)
@@ -180,11 +181,7 @@ def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
         for row, i in enumerate(active):
             block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
         frames = Frames(block, lengths, sample_rate=readers[active[0]].sample_rate)
-        thr = pp.noise_floor_threshold(frames, cfg_like.detection_window,
-                                       cfg_like.detection_multiplier,
-                                       cfg_like.detection_metric)
-        det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
-        compensated, sync, _ = pp.synchronize_and_compensate(frames, det)
+        compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
         n1 = sync.frame_start_n1
         more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
         frames.drops.drop((n1 + frame_end > lengths) & more, WindowBoundsError,
@@ -193,7 +190,7 @@ def _walk_captures(readers, cfg_like, fields, until_acquired: bool = False):
         acquired = frames.drops.live
         frame_index = np.full(len(active), -1)
         for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
-            if isinstance(exc, pp.NotDetectedError):
+            if isinstance(exc, NotDetectedError):
                 pos[i] += quiet_skip
                 continue
             if isinstance(exc, WindowBoundsError):
@@ -239,31 +236,30 @@ def _lockstep_groups(captures, readers: dict, role: str) -> list:
             for k in range(0, len(idx), harness.BLOCK_ROWS)]
 
 
-def _walk_group(group, readers, cfg_like, fields, until_acquired=False):
+def _walk_group(group, readers, detection, fields, until_acquired=False):
     """`_walk_captures` over the captures `group` (manifest indices) with
     their `readers`: yields each step with the manifest index of each row."""
     with ExitStack() as stack:
         for reader in readers:
             stack.enter_context(reader)
-        for step in _walk_captures(readers, cfg_like, fields, until_acquired):
+        for step in _walk_captures(readers, detection, fields, until_acquired):
             yield [group[c] for c in step.captures], step
 
 
-def _extract_group(manifest, cfg_like, fields, models, job) -> tuple[dict, int]:
-    """Features of one lock-step group of device captures; `job` is
-    (group, readers) as `_walk_group` takes them. Returns {tag: {manifest
-    index: (frame indices, one row of values per frame)}} and the number of
-    frames dropped."""
+def _extract_group(manifest, detection, extractors, fields, models, job) -> tuple[dict, int]:
+    """Features by `extractors` of one lock-step group of device captures;
+    `job` is (group, readers) as `_walk_group` takes them. Returns {tag:
+    {manifest index: (frame indices, one row of values per frame)}} and the
+    number of frames dropped."""
     group, readers = job
     rx_id = manifest["captures"][group[0]]["receiver"]
     rows_of = {}  # tag -> manifest index -> [(frame index, values)]
     dropped = 0
-    for rows, step in _walk_group(group, readers, cfg_like, fields):
+    for rows, step in _walk_group(group, readers, detection, fields):
         n_acquired = int(np.count_nonzero(step.acquired))
         dropped += int(np.count_nonzero(step.frame_index >= 0)) - n_acquired
         try:
-            feats = harness._extract_all(step.spectra, cfg_like.extractors, models.get(rx_id),
-                                         rx_id, None)
+            feats = harness._extract_all(step.spectra, extractors, models.get(rx_id), rx_id, None)
         except harness.PipelineError:
             dropped += n_acquired
             continue
@@ -286,14 +282,7 @@ def cmd_extract(args) -> int:
     use_rd = any(e.startswith("RD") for e in extractors)
     if use_rd and not any(c["role"] == "reference" for c in captures):
         raise harness.ConfigError("reference-division extraction needs reference captures")
-    det = manifest.get("detection", {})
-    cfg_like = harness.ExperimentConfig(
-        master_seed=0, devices=[{}, {}], receivers=[{}], extractors=extractors,
-        train_receivers=[], test_receivers=[], snr_db=[manifest.get("snr_db", 30.0)],
-        detection_window=int(det.get("window_w", 80)),
-        detection_multiplier=float(det.get("threshold_multiplier", 6.0)),
-        detection_metric=str(det.get("metric", "magnitude")),
-    )
+    detection = harness.detection_settings(manifest.get("detection", {}))
     fields = harness._needed_fields(extractors)
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
@@ -302,7 +291,7 @@ def cmd_extract(args) -> int:
     if use_rd:
         model_spectra = {}
         for group in _lockstep_groups(captures, readers, "reference"):
-            for rows, step in _walk_group(group, [readers[i] for i in group], cfg_like, fields,
+            for rows, step in _walk_group(group, [readers[i] for i in group], detection, fields,
                                           until_acquired=True):
                 for row in np.flatnonzero(step.acquired):
                     model_spectra[rows[row]] = {f: FieldSpectrum(f, s.bins[row])
@@ -311,7 +300,7 @@ def cmd_extract(args) -> int:
             models[captures[i]["receiver"]] = harness.ModelCapture(
                 captures[i]["receiver"], model_spectra[i], 1)
     # the device groups are independent, so they run on every usable CPU
-    task = partial(_extract_group, manifest, cfg_like, fields, models)
+    task = partial(_extract_group, manifest, detection, extractors, fields, models)
     records = {}  # tag -> manifest index -> records in frame order
     dropped = 0
     for group_features, group_dropped in harness.map_ordered(task, [
@@ -389,9 +378,13 @@ def cmd_train(args) -> int:
     records = data_io.read_features(args.features)
     if not records:
         raise harness.ConfigError(f"{args.features}: empty feature table")
-    cfg = cl.TrainConfig(**(_load_json(args.config) if args.config else {}))
+    doc = _load_json(args.config) if args.config else {}
+    try:
+        cfg = cl.TrainConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        raise harness.ConfigError(f"bad training config: {exc}") from exc
     if args.seed is not None:
-        cfg = cl.TrainConfig(**{**asdict(cfg), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     try:
         model = cl.train(_records_to_features(records), cfg)
     except cl.TrainError as exc:

@@ -27,14 +27,6 @@ class IoError(ValueError):
 
 
 @dataclass(frozen=True)
-class IqMeta:
-    sample_rate: float
-    center_freq_hz: float = 0.0
-    format: str = "cf32le"
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
 class FeatureRecord:
     extractor: str
     device: str

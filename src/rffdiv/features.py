@@ -212,13 +212,9 @@ def extract_hl(lltf: FieldSpectrum, htltf: FieldSpectrum,
 
 
 def extract_dv(lstf: FieldSpectrum, lltf: FieldSpectrum,
-               device_hint: str | None = None,
-               compensate_sequences: bool = True) -> FeatureVector:
-    """Short-over-long baseline division on the 12 shared tones.
-
-    `compensate_sequences` divides out the transmitted sequence ratio
-    (default); disable it to ratio the raw spectra instead.
-    """
+               device_hint: str | None = None) -> FeatureVector:
+    """Short-over-long baseline division on the 12 shared tones, with the
+    transmitted sequence ratio divided out."""
     if lstf.field is not Field.LSTF or lltf.field is not Field.LLTF:
         raise ValueError("extract_dv takes (LSTF, LLTF) spectra in that order")
     drops = _drops(lstf)
@@ -228,10 +224,8 @@ def extract_dv(lstf: FieldSpectrum, lltf: FieldSpectrum,
     _guard_denominator(den, drops, DegenerateDenominatorError, "long-training spectrum")
     with np.errstate(divide="ignore", invalid="ignore"):  # dropped rows
         ratio = _block(lstf, bins) / den
-    if compensate_sequences:
-        x_ratio = ideal_symbol_spectrum(Field.LSTF)[bins] / ideal_symbol_spectrum(Field.LLTF)[bins]
-        ratio = ratio / x_ratio
-    return _normalize(np.abs(ratio), drops, Extractor.DV, tones, device_hint)
+    x_ratio = ideal_symbol_spectrum(Field.LSTF)[bins] / ideal_symbol_spectrum(Field.LLTF)[bins]
+    return _normalize(np.abs(ratio / x_ratio), drops, Extractor.DV, tones, device_hint)
 
 
 def _values(f: FeatureVector | np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ from .features import (
 )
 from .impairments import DeviceProfile, Role, apply_receiver, apply_transmitter, sample_profile
 from .preprocess import (
+    DEFAULT_THRESHOLD_MULTIPLIER,
     DetectionConfig,
     EstimationFailedError,
     NotDetectedError,
@@ -120,8 +121,7 @@ class ExperimentConfig:
     repeats: int = 5
     classifier: cl.TrainConfig = field(default_factory=cl.TrainConfig)
     detection_window: int = 80
-    detection_multiplier: float = 6.0
-    detection_metric: str = "magnitude"
+    detection_multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER
 
     def scenario(self) -> str:
         return self.channel.get("scenario", "flat")
@@ -154,6 +154,27 @@ def _expand_entities(spec, prefix: str) -> list[dict]:
     return out
 
 
+def detection_settings(det) -> tuple[int, float]:
+    """(window_w, threshold_multiplier) from the `detection` object of an
+    experiment config or a capture manifest. The detector always sums
+    magnitudes; `metric` is accepted only as "magnitude", for files that
+    still carry it (report format 2 drops the key: ROADMAP item 3)."""
+    if not isinstance(det, dict):
+        raise ConfigError("detection settings must be a JSON object")
+    try:
+        window_w = int(det.get("window_w", 80))
+        multiplier = float(det.get("threshold_multiplier", DEFAULT_THRESHOLD_MULTIPLIER))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad detection settings: {exc}") from exc
+    if window_w < 16:
+        raise ConfigError(f"detection window_w must be at least 16, got {window_w}")
+    if not multiplier > 0:
+        raise ConfigError(f"detection threshold_multiplier must be positive, got {multiplier}")
+    if det.get("metric", "magnitude") != "magnitude":
+        raise ConfigError(f"unknown detection metric {det['metric']!r}; only 'magnitude' is kept")
+    return window_w, multiplier
+
+
 def load_config(doc: dict) -> ExperimentConfig:
     """Validate a config document and normalize its shorthands."""
     try:
@@ -164,6 +185,7 @@ def load_config(doc: dict) -> ExperimentConfig:
         snr_list = [float(s) for s in (snr if isinstance(snr, (list, tuple)) else [snr])]
         train = doc.get("train_receivers") or [receivers[0]["id"]]
         test = doc.get("test_receivers") or [r["id"] for r in receivers]
+        window_w, multiplier = detection_settings(doc.get("detection", {}))
         cfg = ExperimentConfig(
             master_seed=int(doc["master_seed"]),
             devices=devices,
@@ -177,9 +199,8 @@ def load_config(doc: dict) -> ExperimentConfig:
             frames_per_device=int(doc.get("frames_per_device", 200)),
             repeats=int(doc.get("repeats", 5)),
             classifier=cl.TrainConfig(**doc.get("classifier", {})),
-            detection_window=int(doc.get("detection", {}).get("window_w", 80)),
-            detection_multiplier=float(doc.get("detection", {}).get("threshold_multiplier", 6.0)),
-            detection_metric=str(doc.get("detection", {}).get("metric", "magnitude")),
+            detection_window=window_w,
+            detection_multiplier=multiplier,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -390,13 +411,17 @@ _DROP_ERRORS = (NotDetectedError, SyncFailedError, EstimationFailedError,
                 DegenerateDenominatorError, DegenerateModelError)
 
 
+def _acquire(capture: ComplexSignal | Frames, window_w: int, multiplier: float):
+    """`synchronize_and_compensate` with each capture's detection threshold
+    set at `multiplier` times its leading window's statistic."""
+    thr = noise_floor_threshold(capture, window_w, multiplier)
+    return synchronize_and_compensate(capture, DetectionConfig(window_w, thr))
+
+
 def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fields) -> dict:
     """Detection through field spectra, for one capture or a block; a
     capture raises the pipeline errors the caller counts as drops."""
-    thr = noise_floor_threshold(capture, cfg.detection_window, cfg.detection_multiplier,
-                                cfg.detection_metric)
-    det = DetectionConfig(cfg.detection_window, thr, cfg.detection_metric)
-    compensated, sync, _ = synchronize_and_compensate(capture, det)
+    compensated, sync, _ = _acquire(capture, cfg.detection_window, cfg.detection_multiplier)
     return {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
 
 
@@ -469,7 +494,11 @@ class ExperimentReport:
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
     doc = asdict(cfg)
-    doc["classifier"] = asdict(cfg.classifier)
+    # Echoed as constants: detection always sums magnitudes and training
+    # always takes Adam steps. Report format 2 drops both keys (ROADMAP
+    # item 3, seed scheme v2).
+    doc["detection_metric"] = "magnitude"
+    doc["classifier"]["optimizer"] = "adam"
     return doc
 
 

@@ -199,19 +199,18 @@ def sample_profile(
     role: str,
     field_distinct: bool = False,
     device_id: str | None = None,
-    ranges: dict | None = None,
 ) -> DeviceProfile:
-    """Draw a random profile within the documented ranges, reproducibly.
+    """Draw a random profile within the documented ranges (`TX_RANGES` or
+    `RX_RANGES` by role), reproducibly.
 
     Only transmitters with `field_distinct` set carry the HT-LTF tilt;
     receiver profiles never do, which keeps the receiver response common
     across fields.
     """
-    if ranges is None:
-        ranges = TX_RANGES if role == Role.TRANSMITTER else RX_RANGES
+    ranges = TX_RANGES if role == Role.TRANSMITTER else RX_RANGES
     rng = np.random.default_rng(rng_seed)
     lo_db, hi_db = ranges["secondary_tap_db"]
-    n_sec = int(ranges.get("n_secondary_taps", 2))
+    n_sec = ranges["n_secondary_taps"]
     mags = 10.0 ** (rng.uniform(lo_db, hi_db, size=n_sec) / 20.0)
     phases = rng.uniform(-np.pi, np.pi, size=n_sec)
     taps = np.concatenate(([1.0 + 0j], mags * np.exp(1j * phases)))

@@ -50,21 +50,17 @@ class EstimationFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Energy-detector settings. `metric` selects the summed statistic:
-    "magnitude" (as written, sum |y|) or "energy" (sum |y|^2).
-    `threshold_t` may hold one threshold per row of a block."""
+    """Detector settings: a window's statistic is its summed magnitude,
+    sum |y|. `threshold_t` may hold one threshold per row of a block."""
 
     window_w: int = 80
     threshold_t: float | np.ndarray = 1.0
-    metric: str = "magnitude"
 
     def __post_init__(self):
         if self.window_w < 16:
             raise ValueError("window_w must be at least 16")
         if np.asarray(self.threshold_t).min() <= 0:
             raise ValueError("threshold_t must be positive")
-        if self.metric not in ("magnitude", "energy"):
-            raise ValueError(f"unknown detection metric {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,10 @@ _LLTF_FIELD_OFFSET = 160
 # symbols; acquisition derotates only these.
 _SPAN_START = 16
 _SPAN_LEN = 384
-DEFAULT_SEARCH_LEN = 400
+# Sync searches this many offsets from the detection point, and fails when
+# the correlation peak is below this multiple of the search median.
+_SEARCH_LEN = 400
+_PEAK_FLOOR_RATIO = 3.0
 DEFAULT_THRESHOLD_MULTIPLIER = 6.0
 # Skip the first half short symbol so detection-edge transients stay out of
 # the autocorrelation sums.
@@ -101,14 +100,11 @@ _SYNC_TEMPLATE = lltf_sync_template()
 _TINY = np.finfo(float).tiny
 
 
-def noise_floor_threshold(
-    y: ComplexSignal | Frames, cfg_w: int = 80,
-    multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER, metric: str = "magnitude",
-) -> float | np.ndarray:
+def noise_floor_threshold(y: ComplexSignal | Frames, cfg_w: int = 80,
+                          multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER) -> float | np.ndarray:
     """Threshold from the first window of each capture, assumed signal-free."""
     frames = Frames.of(y)
-    head = np.abs(frames.samples[:, :cfg_w])
-    stat = np.sum(head if metric == "magnitude" else head**2, axis=1)
+    stat = np.sum(np.abs(frames.samples[:, :cfg_w]), axis=1)
     return frames.drops.result(multiplier * np.maximum(stat, _TINY))
 
 
@@ -123,7 +119,7 @@ def detect_signal(y: ComplexSignal | Frames, cfg: DetectionConfig) -> int | np.n
     rows, width = frames.samples.shape
     n_windows = width // w
     mags = np.abs(frames.samples[:, : n_windows * w]).reshape(rows, n_windows, w)
-    stats = mags.sum(axis=2) if cfg.metric == "magnitude" else (mags**2).sum(axis=2)
+    stats = mags.sum(axis=2)
     threshold = frames.per_row(cfg.threshold_t)
     hits = (stats > threshold[:, None]) & (np.arange(n_windows) < frames.lengths[:, None] // w)
     drops.drop(~hits.any(axis=1), NotDetectedError, lambda i: (
@@ -131,18 +127,12 @@ def detect_signal(y: ComplexSignal | Frames, cfg: DetectionConfig) -> int | np.n
     return drops.result(np.argmax(hits, axis=1) * w)
 
 
-def synchronize(
-    y: ComplexSignal | Frames,
-    n0,
-    search_len: int = DEFAULT_SEARCH_LEN,
-    peak_floor_ratio: float = 3.0,
-) -> SyncResult:
+def synchronize(y: ComplexSignal | Frames, n0) -> SyncResult:
     """Locate the frame by correlating against the ideal double long
-    training symbol over offsets n0..n0+search_len-1.
+    training symbol over offsets n0..n0+399.
 
     The complex correlation magnitude is the decision statistic. Raises
-    (or records) `SyncFailedError` when peak/median falls below
-    `peak_floor_ratio`.
+    (or records) `SyncFailedError` when peak/median falls below 3.
     """
     frames = Frames.of(y)
     lt = _SYNC_TEMPLATE.size
@@ -151,7 +141,7 @@ def synchronize(
     failed = {}
     corrs = {}  # correlation length -> {row: |correlation|}
     for i in np.flatnonzero(frames.drops.live):
-        seg = frames.samples[i, n0[i] : min(n0[i] + search_len + lt - 1, frames.lengths[i])]
+        seg = frames.samples[i, n0[i] : min(n0[i] + _SEARCH_LEN + lt - 1, frames.lengths[i])]
         if seg.size < lt:
             failed[i] = "search segment shorter than the sync template"
             continue
@@ -167,8 +157,8 @@ def synchronize(
         peaks_k = np.argmax(block, axis=1)
         for i, floor, peak_k, row in zip(rows, floors.tolist(), peaks_k.tolist(), block):
             peak = float(row[peak_k])
-            if floor > 0 and peak / floor < peak_floor_ratio:
-                failed[i] = (f"correlation peak {peak:.3g} below {peak_floor_ratio}x the "
+            if floor > 0 and peak / floor < _PEAK_FLOOR_RATIO:
+                failed[i] = (f"correlation peak {peak:.3g} below {_PEAK_FLOOR_RATIO}x the "
                              f"search floor {floor:.3g}")
                 continue
             k0[i] = n0[i] + peak_k - 32  # back up over the long training cyclic prefix
@@ -191,14 +181,12 @@ def _lag_autocorr(frames: Frames, start, lag: int, count: int) -> np.ndarray:
     return acc
 
 
-def estimate_cfo_coarse(y: ComplexSignal | Frames, n1, n_s: int = CFO_START_OFFSET):
+def estimate_cfo_coarse(y: ComplexSignal | Frames, n1):
     """Lag-16 phase estimate over the eight repeated short training symbols
-    starting `n_s` samples into the frame (0 <= n_s <= 16)."""
+    starting `CFO_START_OFFSET` samples into the frame."""
     d = 16
-    if not 0 <= n_s <= d:
-        raise ValueError("n_s must lie in [0, 16]")
     frames = Frames.of(y)
-    acc = _lag_autocorr(frames, frames.per_row(n1) + n_s, d, 8 * d)
+    acc = _lag_autocorr(frames, frames.per_row(n1) + CFO_START_OFFSET, d, 8 * d)
     return frames.drops.result(np.angle(acc) / (2.0 * np.pi * frames.sample_period * d))
 
 
@@ -235,17 +223,14 @@ def compensate_cfo(y: ComplexSignal | Frames, f_hat) -> ComplexSignal | Frames:
     return apply_cfo(y, -f_hat)
 
 
-def synchronize_and_compensate(
-    y: ComplexSignal | Frames,
-    cfg: DetectionConfig,
-    search_len: int = DEFAULT_SEARCH_LEN,
-) -> tuple[Frames, SyncResult, CfoEstimate]:
+def synchronize_and_compensate(y: ComplexSignal | Frames,
+                               cfg: DetectionConfig) -> tuple[Frames, SyncResult, CfoEstimate]:
     """Full acquisition: detect, synchronize, coarse-then-fine CFO. Returns
     the compensated frame samples [n1 + 16, n1 + 400) (every field window
     lies there) as a block with the sync and CFO results."""
     frames = Frames.of(y)
     n0 = detect_signal(frames, cfg)
-    sync = synchronize(frames, n0, search_len)
+    sync = synchronize(frames, n0)
     coarse = estimate_cfo_coarse(frames, sync.frame_start_n1)
     span = frames.window(frames.per_row(sync.frame_start_n1) + _SPAN_START, _SPAN_LEN)
     y1 = compensate_cfo(span, coarse)

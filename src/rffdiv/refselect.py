@@ -43,7 +43,6 @@ DB4_SCALING = np.array([
 ])
 
 LEVELS = 4
-EXTENSION = "symmetric"
 
 
 class LengthError(ValueError):
@@ -59,35 +58,11 @@ class EmptyCandidatesError(ValueError):
 
 
 @dataclass(frozen=True)
-class WaveletConfig:
-    family: str = "db4"
-    levels: int = LEVELS
-    extension: str = EXTENSION
-
-    def __post_init__(self):
-        if self.family != "db4" or self.levels != LEVELS:
-            raise ValueError("the decomposition is fixed at four db4 layers")
-        if self.extension != EXTENSION:
-            raise ValueError(f"unsupported extension mode {self.extension!r}")
-
-
-@dataclass(frozen=True)
 class RefScore:
     device_id: str
     eta_lf: float
     energy_before: float
     energy_after: float
-
-
-def filter_bank(scaling: np.ndarray = DB4_SCALING):
-    """(dec_lo, dec_hi, rec_lo, rec_hi) for an orthogonal scaling filter."""
-    g = np.asarray(scaling, dtype=np.float64)
-    k = np.arange(g.size)
-    dec_lo = g[::-1]
-    dec_hi = ((-1.0) ** (k + 1)) * g
-    rec_lo = g
-    rec_hi = dec_hi[::-1]
-    return dec_lo, dec_hi, rec_lo, rec_hi
 
 
 def _validate_filters() -> None:
@@ -103,6 +78,12 @@ def _validate_filters() -> None:
 
 _validate_filters()
 
+# The db4 analysis (decomposition) and synthesis (reconstruction) filters.
+_REC_LO = DB4_SCALING
+_DEC_LO = _REC_LO[::-1]
+_DEC_HI = ((-1.0) ** (np.arange(_REC_LO.size) + 1)) * _REC_LO
+_REC_HI = _DEC_HI[::-1]
+
 
 def _extend_symmetric(x: np.ndarray, pad: int) -> np.ndarray:
     left = x[:pad][::-1]
@@ -113,31 +94,29 @@ def _extend_symmetric(x: np.ndarray, pad: int) -> np.ndarray:
 def dwt_level(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level: symmetric extension by L-1, valid convolution,
     downsample on the odd phase. Output length floor((n + L - 1)/2)."""
-    dec_lo, dec_hi, _, _ = filter_bank()
-    ext = _extend_symmetric(np.asarray(x, dtype=np.float64), dec_lo.size - 1)
-    ca = np.convolve(ext, dec_lo, mode="valid")[1::2]
-    cd = np.convolve(ext, dec_hi, mode="valid")[1::2]
+    ext = _extend_symmetric(np.asarray(x, dtype=np.float64), _DEC_LO.size - 1)
+    ca = np.convolve(ext, _DEC_LO, mode="valid")[1::2]
+    cd = np.convolve(ext, _DEC_HI, mode="valid")[1::2]
     return ca, cd
 
 
 def idwt_level(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
     """One synthesis level: upsample, filter, sum, trim L-2 from the left.
     Exactly inverts `dwt_level` for matching lengths."""
-    _, _, rec_lo, rec_hi = filter_bank()
     up_a = np.zeros(2 * ca.size)
     up_a[::2] = ca
     up_d = np.zeros(2 * cd.size)
     up_d[::2] = cd
-    rec = np.convolve(up_a, rec_lo) + np.convolve(up_d, rec_hi)
-    return rec[rec_lo.size - 2 : rec_lo.size - 2 + out_len]
+    rec = np.convolve(up_a, _REC_LO) + np.convolve(up_d, _REC_HI)
+    return rec[_REC_LO.size - 2 : _REC_LO.size - 2 + out_len]
 
 
-def wavedec(x: np.ndarray, levels: int = LEVELS):
-    """Multilevel analysis: (approximation, [detail_deepest..detail_first],
+def wavedec(x: np.ndarray):
+    """Four-level analysis: (approximation, [detail_deepest..detail_first],
     [input length per level])."""
     a = np.asarray(x, dtype=np.float64)
     details, lengths = [], []
-    for _ in range(levels):
+    for _ in range(LEVELS):
         lengths.append(a.size)
         a, d = dwt_level(a)
         details.append(d)
@@ -153,12 +132,12 @@ def waverec(approx: np.ndarray, details, lengths) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _lowpass_projector(n: int, levels: int) -> np.ndarray:
+def _lowpass_projector(n: int) -> np.ndarray:
     """Orthonormal basis Q of the approximation subspace: the span of
     approximation-only synthesis outputs on length-n signals."""
     lengths = []
     m = n
-    for _ in range(levels):
+    for _ in range(LEVELS):
         lengths.append(m)
         m = (m + DB4_SCALING.size - 1) // 2
     cols = []
@@ -174,29 +153,26 @@ def _lowpass_projector(n: int, levels: int) -> np.ndarray:
     return q
 
 
-def lowpass_reconstruct(csi_amplitude: np.ndarray, cfg: WaveletConfig = WaveletConfig()) -> np.ndarray:
+def lowpass_reconstruct(csi_amplitude: np.ndarray) -> np.ndarray:
     """Low-frequency component of the input: its orthogonal projection onto
     the fourth-layer approximation subspace. Same length as the input."""
     x = np.asarray(csi_amplitude, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a 1-D amplitude vector")
-    if x.size < 2**cfg.levels:
-        raise LengthError(
-            f"need at least {2**cfg.levels} samples for {cfg.levels} levels, got {x.size}"
-        )
-    q = _lowpass_projector(x.size, cfg.levels)
+    if x.size < 2**LEVELS:
+        raise LengthError(f"need at least {2**LEVELS} samples for {LEVELS} levels, got {x.size}")
+    q = _lowpass_projector(x.size)
     return q @ (q.T @ x)
 
 
-def eta_lf(csi_amplitude: np.ndarray, device_id: str = "",
-           cfg: WaveletConfig = WaveletConfig()) -> RefScore:
+def eta_lf(csi_amplitude: np.ndarray, device_id: str = "") -> RefScore:
     """Low-frequency energy ratio of the unit-energy-normalized amplitude."""
     x = np.asarray(csi_amplitude, dtype=np.float64)
     energy = float(np.sum(x**2))
     if energy == 0.0 or not np.all(np.isfinite(x)):
         raise DegenerateInputError("zero-energy or non-finite input")
     xn = x / np.sqrt(energy)
-    low = lowpass_reconstruct(xn, cfg)
+    low = lowpass_reconstruct(xn)
     e_after = float(np.sum(low**2))
     return RefScore(device_id=device_id, eta_lf=e_after, energy_before=1.0, energy_after=e_after)
 

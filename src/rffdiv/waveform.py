@@ -19,7 +19,7 @@ downstream because the feature extractors normalize.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +41,10 @@ class Field(enum.Enum):
 
 @dataclass(frozen=True)
 class PreambleSpec:
-    """Frame layout selector; the library operates only at 20 Msps / 64 FFT."""
+    """Frame layout selector; the library operates only at 20 Msps
+    (`SAMPLE_RATE`) on a 64-point FFT grid (`FFT_SIZE`)."""
 
     format: PreambleFormat
-    sample_rate: float = SAMPLE_RATE
-    fft_size: int = FFT_SIZE
-
-    def __post_init__(self):
-        if self.fft_size != FFT_SIZE:
-            raise ValueError(f"fft_size is fixed at {FFT_SIZE}, got {self.fft_size}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate is fixed at {SAMPLE_RATE}, got {self.sample_rate}")
 
     @property
     def length(self) -> int:
@@ -182,7 +175,7 @@ def generate_preamble(spec: PreambleSpec) -> ComplexSignal:
     parts = [_lstf_field(), _lltf_field()]
     if spec.format is PreambleFormat.HTMF:
         parts.append(_htltf_field())
-    return ComplexSignal(np.concatenate(parts), spec.sample_rate)
+    return ComplexSignal(np.concatenate(parts), SAMPLE_RATE)
 
 
 def lltf_sync_template() -> np.ndarray:

@@ -208,5 +208,3 @@ def test_train_config_validation():
         cl.TrainConfig(label_smoothing=0.5)
     with pytest.raises(ValueError):
         cl.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        cl.TrainConfig(optimizer="lbfgs")

@@ -37,6 +37,8 @@ def test_simulate_extract_train_eval_flow(config_path, tmp_path):
     assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
     manifest = json.loads((sim / "manifest.json").read_text())
     assert any(c["role"] == "reference" for c in manifest["captures"])
+    assert manifest["detection"] == {"window_w": 80, "threshold_multiplier": 6.0,
+                                     "metric": "magnitude"}
     for cap in manifest["captures"]:
         assert (sim / cap["path"]).exists()
         assert (sim / cap["path"]).with_suffix(".json").exists()
@@ -77,6 +79,10 @@ def test_bench_writes_report_and_is_deterministic(config_path, tmp_path):
     assert main(["bench", "--config", str(config_path), "--out-dir", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
+    # the report still echoes the two retired settings, as constants
+    config = json.loads((a / "report.json").read_text())["config"]
+    assert config["detection_metric"] == "magnitude"
+    assert config["classifier"]["optimizer"] == "adam"
 
 
 def _child_env(**extra):
@@ -172,3 +178,57 @@ def test_extract_bad_sidecar_is_io_error(config_path, tmp_path, capsys, sidecar)
     path.with_suffix(".json").write_text(sidecar)
     assert main(["extract", "--manifest", str(sim), "--out-dir", str(tmp_path / "f")]) == 3
     assert path.with_suffix(".json").name in capsys.readouterr().err
+
+
+def _assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("detection", {"window_w": 8}),
+    ("detection", {"threshold_multiplier": 0}),
+    ("detection", {"metric": "energy"}),
+    ("detection", "magnitude"),
+    ("classifier", {"optimizer": "adam"}),
+    ("classifier", {"epochs": 0}),
+])
+def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, value):
+    doc = {**json.loads(config_path.read_text()), key: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_config_error(["bench", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
+                         capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def sim_dir(config_path, tmp_path_factory):
+    sim = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+    return sim
+
+
+@pytest.mark.parametrize("detection", [{"window_w": 8}, {"threshold_multiplier": -1.0},
+                                       {"metric": "energy"}, {"window_w": "wide"}])
+def test_extract_bad_detection_is_config_error(sim_dir, tmp_path, capsys, detection):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    doc["detection"] = detection
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    _assert_config_error(["extract", "--manifest", str(tmp_path),
+                          "--out-dir", str(tmp_path / "f")], capsys)
+
+
+@pytest.mark.parametrize("train_doc", [{"epochs": 0}, {"epoch": 5}, {"optimizer": "adam"}])
+def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
+    rng = np.random.default_rng(0)
+    features = tmp_path / "hl.csv"
+    data_io.write_features(features, [
+        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, rng.random(52))
+        for i in range(8)])
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(train_doc))
+    _assert_config_error(["train", "--features", str(features), "--out", str(tmp_path / "m.json"),
+                          "--config", str(cfg)], capsys)

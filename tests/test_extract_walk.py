@@ -14,18 +14,16 @@ from rffdiv.signals import ComplexSignal
 from rffdiv.waveform import FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
 FIELDS = (Field.HTLTF, Field.LLTF, Field.LSTF)
-CFG = hz.ExperimentConfig(
-    master_seed=0, devices=[{}, {}], receivers=[{}], extractors=["RD", "HL", "DV"],
-    train_receivers=[], test_receivers=[], snr_db=[30.0],
-)
+DETECTION = (80, 6.0)  # (window_w, threshold_multiplier), the defaults
 
 
-def _walk_one(signal, cfg_like, fields):
+def _walk_one(signal, detection, fields):
     """Reference: one capture file walked alone through one-capture stage
     calls. Yields (frame_index, spectra | None); None marks a detected but
     unusable frame. A frame whose last field window runs past its segment,
     in a file with more samples, is walked again from a segment starting
     two detection windows before it."""
+    window_w, multiplier = detection
     pos = 0
     idx = 0
     segment_len = 1100
@@ -34,18 +32,16 @@ def _walk_one(signal, cfg_like, fields):
                     for f in fields for name in FIELD_WINDOWS[f])
     while pos + 500 <= n:
         seg = ComplexSignal(signal.samples[pos : pos + segment_len], signal.sample_rate)
-        thr = pp.noise_floor_threshold(seg, cfg_like.detection_window,
-                                       cfg_like.detection_multiplier,
-                                       cfg_like.detection_metric)
-        det = pp.DetectionConfig(cfg_like.detection_window, thr, cfg_like.detection_metric)
+        thr = pp.noise_floor_threshold(seg, window_w, multiplier)
+        det = pp.DetectionConfig(window_w, thr)
         try:
             compensated, sync, _ = pp.synchronize_and_compensate(seg, det)
             if sync.frame_start_n1 + frame_end > len(seg) and pos + len(seg) < n:
-                pos += max(sync.frame_start_n1 - 2 * cfg_like.detection_window, 1)
+                pos += max(sync.frame_start_n1 - 2 * window_w, 1)
                 continue
             spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
         except pp.NotDetectedError:
-            pos += segment_len - cfg_like.detection_window
+            pos += segment_len - window_w
             continue
         except (pp.SyncFailedError, pp.EstimationFailedError):
             yield idx, None
@@ -98,7 +94,7 @@ def _lockstep(paths, until_acquired=False):
     skipped = 0
     readers = [data_io.IqReader(p) for p in paths]
     try:
-        for step in _walk_captures(readers, CFG, FIELDS, until_acquired):
+        for step in _walk_captures(readers, DETECTION, FIELDS, until_acquired):
             for row, reader_idx in enumerate(step.captures):
                 if step.frame_index[row] < 0:
                     skipped += 1
@@ -114,7 +110,7 @@ def _lockstep(paths, until_acquired=False):
 
 def _reference(path, until_acquired=False):
     out = []
-    for idx, spectra in _walk_one(data_io.read_iq(path), CFG, FIELDS):
+    for idx, spectra in _walk_one(data_io.read_iq(path), DETECTION, FIELDS):
         out.append((idx, None if spectra is None else {f: s.bins for f, s in spectra.items()}))
         if until_acquired and spectra is not None:
             break

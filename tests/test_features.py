@@ -127,14 +127,6 @@ def test_dv_identical_field_response_is_flat(flat_identity):
     assert np.abs(feat.values - 1 / np.sqrt(12)).max() < 1e-9
 
 
-def test_dv_raw_spectra_flag(flat_identity):
-    spectra = chain_spectra(DEV, RXS[1], flat_identity)
-    raw = ft.extract_dv(spectra[Field.LSTF], spectra[Field.LLTF], compensate_sequences=False)
-    comp = ft.extract_dv(spectra[Field.LSTF], spectra[Field.LLTF])
-    # the sequence ratio has uniform magnitude, so magnitudes agree either way
-    assert np.abs(raw.values - comp.values).max() < 1e-9
-
-
 def test_dimension_contract():
     spectra = chain_spectra(DEV, RXS[0], ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=1.0 + 0j))
     model = chain_spectra(REF, RXS[0], ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=1.0 + 0j))

@@ -61,12 +61,6 @@ def test_detect_monotone_in_threshold(rng):
     assert detected_low == sorted(detected_low, reverse=True)
 
 
-def test_detect_energy_metric_option():
-    sig = _padded_frame(400)
-    n0 = pp.detect_signal(sig, pp.DetectionConfig(80, 10.0, metric="energy"))
-    assert n0 <= 400 < n0 + 80 or n0 == 400
-
-
 def test_sync_exact_noiseless():
     for lead in (200, 301, 467):
         sig = _padded_frame(lead)
@@ -193,5 +187,3 @@ def test_detection_config_validation():
         pp.DetectionConfig(window_w=8, threshold_t=1.0)
     with pytest.raises(ValueError):
         pp.DetectionConfig(window_w=80, threshold_t=0.0)
-    with pytest.raises(ValueError):
-        pp.DetectionConfig(window_w=80, threshold_t=1.0, metric="power")

@@ -138,10 +138,3 @@ def test_select_reference_permutation_invariant():
     cands = [(f"c{i}", np.abs(rng.normal(size=52)) + 0.2) for i in range(5)]
     winner = rs.select_reference(cands)
     assert rs.select_reference(cands[::-1]) == winner
-
-
-def test_wavelet_config_pins_family_and_levels():
-    with pytest.raises(ValueError):
-        rs.WaveletConfig(levels=3)
-    with pytest.raises(ValueError):
-        rs.WaveletConfig(family="db2")

@@ -45,13 +45,6 @@ def test_short_training_16_sample_periodicity():
     assert np.array_equal(x[: 160 - 16], x[16:160])
 
 
-def test_spec_is_pinned_to_20msps_64fft():
-    with pytest.raises(ValueError):
-        PreambleSpec(PreambleFormat.NONHT, sample_rate=40e6)
-    with pytest.raises(ValueError):
-        PreambleSpec(PreambleFormat.NONHT, fft_size=128)
-
-
 def test_occupied_tone_counts():
     assert occupied_tones(Field.LSTF).size == 12
     assert occupied_tones(Field.LLTF).size == 52
