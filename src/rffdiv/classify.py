@@ -38,6 +38,10 @@ class EvalError(ValueError):
     pass
 
 
+class ModelFileError(ValueError):
+    """A model file that cannot be read or does not hold a valid model."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters. The defaults (smoothing 0.1, 50 epochs,
@@ -247,26 +251,51 @@ def _rows(f: FeatureVector) -> np.ndarray:
     return np.atleast_2d(f.values)
 
 
+def _pool_scores(model: SoftmaxModel, blocks) -> np.ndarray:
+    """Softmax probabilities of every row of the 2-D `blocks`, stacked, from
+    one product."""
+    for x in blocks:
+        if x.shape[1] != model.feature_dim:
+            raise PredictError(f"feature dim ({x.shape[1]},) != model dim {model.feature_dim}")
+    x = np.concatenate(blocks)
+    return _softmax((x - model.input_mean) / model.input_scale @ model.weights.T + model.bias)
+
+
+def _accuracy(classes: list, scores: np.ndarray, labels: list) -> float:
+    """Fraction of rows whose argmax class (the earliest on ties) is their
+    label."""
+    hits = sum(classes[i] == label for i, label in zip(np.argmax(scores, axis=1).tolist(), labels))
+    return hits / len(labels)
+
+
 def evaluate(model: SoftmaxModel, features) -> float:
     """Fraction of correctly classified labeled features (every row of a
-    block FeatureVector counts as one)."""
-    rows = [(v, f.device_hint) for f in features for v in _rows(f)]
-    if not rows:
+    block FeatureVector counts as one); one product scores them all."""
+    blocks = [(_rows(f), f.device_hint) for f in features]
+    labels = [label for x, label in blocks for _ in range(len(x))]
+    if not labels:
         raise EvalError("empty test set")
-    hits = sum(1 for v, label in rows if classify(model, v) == label)
-    return hits / len(rows)
+    return _accuracy(model.classes, _pool_scores(model, [x for x, _ in blocks]), labels)
 
 
 def evaluate_fused(models, feature_pairs) -> float:
     """Accuracy of the two-branch fusion over (branch_a, branch_b) feature
     pairs (blocks pair up row by row); labels come from the first branch's
-    device_hint."""
-    rows = [(va, vb, fa.device_hint) for fa, fb in feature_pairs
-            for va, vb in zip(_rows(fa), _rows(fb))]
-    if not rows:
+    device_hint. One product per branch scores them all."""
+    pairs = []
+    for fa, fb in feature_pairs:
+        xa, xb = _rows(fa), _rows(fb)
+        n = min(len(xa), len(xb))
+        pairs.append((xa[:n], xb[:n], fa.device_hint))
+    labels = [label for xa, _, label in pairs for _ in range(len(xa))]
+    if not labels:
         raise EvalError("empty test set")
-    hits = sum(1 for va, vb, label in rows if fuse_and_classify(models, (va, vb)) == label)
-    return hits / len(rows)
+    m_a, m_b = models
+    if m_a.classes != m_b.classes:
+        raise FuseError("branch models disagree on the class list")
+    combined = (_pool_scores(m_a, [xa for xa, _, _ in pairs])
+                + _pool_scores(m_b, [xb for _, xb, _ in pairs]))
+    return _accuracy(m_a.classes, combined, labels)
 
 
 MODEL_FORMAT_VERSION = 1
@@ -292,14 +321,24 @@ def save_model(model: SoftmaxModel, path, train_config: TrainConfig | None = Non
 
 
 def load_model(path) -> SoftmaxModel:
-    doc = json.loads(Path(path).read_text())
+    """The model `save_model` wrote to `path`; an unreadable file or one
+    that holds no valid model raises `ModelFileError`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelFileError(f"cannot read model {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFileError(f"{path}: expected a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')}")
-    return SoftmaxModel(
-        weights=np.array(doc["weights"]),
-        bias=np.array(doc["bias"]),
-        classes=list(doc["classes"]),
-        trained_on=doc["extractor"],
-        input_mean=np.array(doc.get("input_mean")) if doc.get("input_mean") else None,
-        input_scale=np.array(doc.get("input_scale")) if doc.get("input_scale") else None,
-    )
+        raise ModelFileError(f"{path}: unsupported model format {doc.get('format_version')}")
+    try:
+        return SoftmaxModel(
+            weights=np.array(doc["weights"]),
+            bias=np.array(doc["bias"]),
+            classes=list(doc["classes"]),
+            trained_on=doc["extractor"],
+            input_mean=np.array(doc.get("input_mean")) if doc.get("input_mean") else None,
+            input_scale=np.array(doc.get("input_scale")) if doc.get("input_scale") else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: bad model: {exc!r}") from exc

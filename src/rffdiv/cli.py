@@ -23,11 +23,11 @@ import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from .features import FieldSpectrum, field_spectrum
+from .features import EXTRACTOR_DIM, Extractor, FeatureVector, FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
 from .signals import ComplexSignal, Frames
-from .waveform import FIELD_WINDOWS, WINDOWS, WindowBoundsError
+from .waveform import FIELD_WINDOWS, WINDOWS, Field, WindowBoundsError, occupied_tones
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -249,8 +249,9 @@ def _walk_group(group, readers, detection, fields, until_acquired=False):
 def _extract_group(manifest, detection, extractors, fields, models, job) -> tuple[dict, int]:
     """Features by `extractors` of one lock-step group of device captures;
     `job` is (group, readers) as `_walk_group` takes them. Returns {tag:
-    {manifest index: (frame indices, one row of values per frame)}} and the
-    number of frames dropped."""
+    {manifest index: (row count, the capture's feature CSV rows in frame
+    order)}}, formatted here in the worker, and the number of frames
+    dropped."""
     group, readers = job
     rx_id = manifest["captures"][group[0]]["receiver"]
     rows_of = {}  # tag -> manifest index -> [(frame index, values)]
@@ -270,7 +271,12 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> tupl
             for row, values in zip(fv.rows[keep], fv.values[keep]):
                 rows_of.setdefault(tag, {}).setdefault(rows[row], []).append(
                     (int(step.frame_index[row]), values))
-    return {tag: {i: ([fi for fi, _ in r], np.array([v for _, v in r]))
+    captures = manifest["captures"]
+    scenario = manifest.get("scenario", "unknown")
+    snr_db = float(manifest.get("snr_db", 0.0))
+    return {tag: {i: (len(r), data_io.format_feature_rows(
+                      tag, captures[i]["device"], captures[i]["receiver"], scenario,
+                      [fi for fi, _ in r], snr_db, [v for _, v in r]))
                   for i, r in by_capture.items()}
             for tag, by_capture in rows_of.items()}, dropped
 
@@ -301,36 +307,34 @@ def cmd_extract(args) -> int:
                 captures[i]["receiver"], model_spectra[i], 1)
     # the device groups are independent, so they run on every usable CPU
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
-    records = {}  # tag -> manifest index -> records in frame order
+    rows = {}  # tag -> manifest index -> (row count, CSV rows in frame order)
     dropped = 0
-    for group_features, group_dropped in harness.map_ordered(task, [
+    for group_rows, group_dropped in harness.map_ordered(task, [
             (group, [readers[i] for i in group])
             for group in _lockstep_groups(captures, readers, "device")]):
-        for tag, by_capture in group_features.items():
-            for i, (trials, values) in by_capture.items():
-                records.setdefault(tag, {})[i] = [
-                    data_io.FeatureRecord(
-                        extractor=tag, device=captures[i]["device"],
-                        receiver=captures[i]["receiver"],
-                        channel_scenario=manifest.get("scenario", "unknown"),
-                        trial=trial, snr_db=float(manifest.get("snr_db", 0.0)), values=v,
-                    ) for trial, v in zip(trials, values)]
+        for tag, by_capture in group_rows.items():
+            rows.setdefault(tag, {}).update(by_capture)
         dropped += group_dropped
-    if not records:
+    if not rows:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for tag, by_capture in sorted(records.items()):
-        data_io.write_features(out / f"features_{tag.lower()}.csv",
-                               [r for i in sorted(by_capture) for r in by_capture[i]])
-    print(f"wrote {sum(len(r) for c in records.values() for r in c.values())} feature rows "
+    for tag, by_capture in sorted(rows.items()):
+        data_io.write_feature_text(
+            out / f"features_{tag.lower()}.csv",
+            [data_io.feature_header(EXTRACTOR_DIM[Extractor(tag)])]
+            + [by_capture[i][1] for i in sorted(by_capture)])
+    print(f"wrote {sum(n for c in rows.values() for n, _ in c.values())} feature rows "
           f"({dropped} frames dropped) to {out}")
     return EXIT_OK
 
 
 def cmd_select_ref(args) -> int:
-    lines = Path(args.csi).read_text().splitlines()
+    try:
+        lines = Path(args.csi).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise harness.ConfigError(f"cannot read {args.csi}: {exc}") from exc
     if not lines or not lines[0].startswith("device"):
         raise harness.ConfigError(f"{args.csi}: expected header 'device,v0,...'")
     scores = []
@@ -358,14 +362,10 @@ def cmd_select_ref(args) -> int:
 
 
 def _records_to_features(records):
-    from .features import EXTRACTOR_DIM, Extractor, FeatureVector
-    from .waveform import Field as _F
-    from .waveform import occupied_tones
-
     out = []
     for r in records:
         ext = Extractor(r.extractor)
-        tones = occupied_tones(_F.LSTF if EXTRACTOR_DIM[ext] == 12 else _F.LLTF)
+        tones = occupied_tones(Field.LSTF if EXTRACTOR_DIM[ext] == 12 else Field.LLTF)
         v = np.asarray(r.values, dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm > 0:
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (harness.ConfigError, cl.TrainError) as exc:
+    except (harness.ConfigError, cl.TrainError, cl.ModelFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (harness.PipelineError, data_io.IoError, NotDetectedError, SyncFailedError) as exc:

@@ -165,8 +165,29 @@ def read_iq(path) -> ComplexSignal:
 FEATURE_HEADER_FIXED = ["extractor", "device", "receiver", "channel_scenario", "trial", "snr_db"]
 
 
-def _feature_header(dim: int) -> list[str]:
-    return FEATURE_HEADER_FIXED + [f"v{i}" for i in range(dim)]
+def feature_header(dim: int) -> str:
+    """The header line (with its newline) of a table of `dim` values."""
+    return ",".join(FEATURE_HEADER_FIXED + [f"v{i}" for i in range(dim)]) + "\n"
+
+
+def format_feature_rows(extractor: str, device: str, receiver: str, channel_scenario: str,
+                        trials, snr_db: float, values) -> str:
+    """CSV lines (each with its newline) of one device and receiver's rows:
+    row i is trial `trials[i]` with `values[i]`. The one formatter of the
+    table's rows."""
+    values = np.asarray(values, dtype=np.float64)
+    prefix = ",".join([extractor, device, receiver, channel_scenario]).replace("%", "%%")
+    # same text as format(v, ".17g"), one call per row
+    row_fmt = f"{prefix},%d,{_fmt(snr_db)},{','.join(['%.17g'] * values.shape[1])}\n"
+    return "".join([row_fmt % (trial, *row) for trial, row in zip(trials, values.tolist())])
+
+
+def write_feature_text(path, chunks) -> None:
+    """Write a feature table from its text: the `feature_header` line, then
+    `format_feature_rows` chunks in row order."""
+    # chunk by chunk: one joined copy of the table would double the peak memory
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
 
 
 def _record_dim(rows) -> int | None:
@@ -184,20 +205,16 @@ def write_features(path, rows, dim: int | None = None) -> None:
         if dim is None:
             raise IoError(f"{path}: empty table needs an explicit dim")
     extractor = rows[0].extractor if rows else None
-    lines = [",".join(_feature_header(dim))]
-    values_fmt = ",".join(["%.17g"] * dim)  # same text as format(v, ".17g"), one call per row
+    chunks = [feature_header(dim)]
     for i, r in enumerate(rows):
         vals = np.asarray(r.values, dtype=np.float64)
         if vals.size != dim:
             raise IoError(f"{path}: row {i} has dim {vals.size}, expected {dim}")
         if r.extractor != extractor:
             raise IoError(f"{path}: row {i} extractor {r.extractor!r} != {extractor!r}")
-        cells = [r.extractor, r.device, r.receiver, r.channel_scenario,
-                 str(int(r.trial)), _fmt(r.snr_db), values_fmt % tuple(vals.tolist())]
-        lines.append(",".join(cells))
-    # line by line: one joined copy of the table would double the peak memory
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        chunks.append(format_feature_rows(r.extractor, r.device, r.receiver, r.channel_scenario,
+                                          [int(r.trial)], r.snr_db, vals.reshape(1, dim)))
+    write_feature_text(path, chunks)
 
 
 def _fmt(x: float) -> str:

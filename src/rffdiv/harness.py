@@ -42,6 +42,7 @@ from .channel import ChannelKind, ChannelRealization, apply_channel, sample_chan
 from .features import (
     DegenerateDenominatorError,
     DegenerateModelError,
+    EXTRACTOR_DIM,
     FeatureVector,
     Extractor,
     Field,
@@ -479,7 +480,7 @@ class ExperimentReport:
     config: dict
     cells: list
     drop_rates: dict
-    feature_records: dict
+    feature_records: dict  # tag -> CSV text chunks in file order, header first
     model_info: dict
 
     def to_json_doc(self) -> dict:
@@ -517,11 +518,14 @@ def _needed_fields(extractors) -> tuple:
 class LinkFeatures:
     """One (device, receiver) link's fingerprints: the indices of the frames
     that yielded them, one block FeatureVector per tag whose rows follow
-    `frames`, and the dropped frames counted by cause."""
+    `frames`, and the dropped frames counted by cause. `csv` holds, per
+    tag, the link's feature CSV rows (`data_io.format_feature_rows`) when
+    the link was run for a report."""
 
     frames: np.ndarray
     features: dict
     drops: dict
+    csv: dict = field(default_factory=dict)
 
     @property
     def dropped(self) -> int:
@@ -598,22 +602,30 @@ def map_ordered(fn, items):
         pool.shutdown(cancel_futures=True)
 
 
-def _link_task(cfg, snr_db, repeat, per_frame_channel, link) -> LinkFeatures:
+def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeatures:
     """One (device, receiver) link through the frame engine; `link` is
-    (sent, rx profile, device index, receiver index, device id, model)."""
+    (sent, rx profile, device index, receiver index, device id, model).
+    With `csv` the link's rows are also formatted for the feature CSVs
+    (trial `repeat * frames_per_device + frame`), here in the worker."""
     sent, rx, di, rj, device_id, model = link
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device,
                           per_frame_channel)
-    return _link_features(cfg, blocks, model, rx.device_id, device_id)
+    out = _link_features(cfg, blocks, model, rx.device_id, device_id)
+    if csv:
+        trials = (repeat * cfg.frames_per_device + out.frames).tolist()
+        out.csv = {tag: data_io.format_feature_rows(tag, device_id, rx.device_id,
+                                                    cfg.scenario(), trials, snr_db, fv.values)
+                   for tag, fv in out.features.items()}
+    return out
 
 
 def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-               per_frame_channel) -> dict:
+               per_frame_channel, csv=False) -> dict:
     """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
     links are independent, so they run on every usable CPU."""
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
-    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel)
+    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel, csv)
     results = map_ordered(task, [
         (sent_devices[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
         for di, dev, rj, rx in grid])
@@ -623,12 +635,12 @@ def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
 
 def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat):
     """All links for one (snr, repeat), given the transmitted frames `sent`
-    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures} and the
-    per-receiver model captures."""
+    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures}, with their
+    CSV rows, and the per-receiver model captures."""
     sent_devices, sent_ref = sent
     models = _capture_models(cfg, receivers, sent_ref, repeat, snr_db)
     links = _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-                       _channel_per_frame(cfg))
+                       _channel_per_frame(cfg), csv=True)
     return links, models
 
 
@@ -655,23 +667,41 @@ def _pool_size(pool: dict) -> int:
     return min(sum(len(fv.values) for fv in fvs) for fvs in pool.values())
 
 
-def _train_eval(cfg, links, extractor, train_ids, test_ids) -> list[float]:
-    """Train once on the train receivers' first-half frames, then score each
-    test receiver's second-half frames."""
-    tags = _branch_tags(extractor)
-    train_pool = _pool(cfg, links, tags, train_ids, True)
-    test_pools = [_pool(cfg, links, tags, {test_id}, False) for test_id in test_ids]
-    for test_id, test_pool in zip(test_ids, test_pools):
-        if not _pool_size(train_pool) or not _pool_size(test_pool):
-            raise PipelineError(
-                f"empty train or test pool for extractor {extractor} "
-                f"(train={train_ids}, test={test_id})"
-            )
-    models = [cl.train(train_pool[t], cfg.classifier) for t in tags]
-    if len(models) == 2:
-        return [cl.evaluate_fused(tuple(models), list(zip(*(pool[t] for t in tags))))
-                for pool in test_pools]
-    return [cl.evaluate(models[0], pool[tags[0]]) for pool in test_pools]
+def _train_and_score(cfg, links) -> list:
+    """(extractor, train label, accuracy per test receiver) of each
+    extractor and train set, for one (snr, repeat): each train set's models
+    train once on its receivers' first-half frames, then score each test
+    receiver's second-half frames. Every pool is checked before any
+    training starts; the trainings are independent, so they run on every
+    usable CPU."""
+    cells, trainings = [], []
+    for extractor in cfg.extractors:
+        tags = _branch_tags(extractor)
+        for train_entry in cfg.train_receivers:
+            train_ids = (set(train_entry) if isinstance(train_entry, (list, tuple))
+                         else {train_entry})
+            train_pool = _pool(cfg, links, tags, train_ids, True)
+            test_pools = [_pool(cfg, links, tags, {test_id}, False)
+                          for test_id in cfg.test_receivers]
+            for test_id, test_pool in zip(cfg.test_receivers, test_pools):
+                if not _pool_size(train_pool) or not _pool_size(test_pool):
+                    raise PipelineError(
+                        f"empty train or test pool for extractor {extractor} "
+                        f"(train={train_ids}, test={test_id})"
+                    )
+            cells.append((extractor, "+".join(sorted(train_ids)), tags, test_pools))
+            trainings.extend(train_pool[t] for t in tags)
+    models = map_ordered(partial(cl.train, cfg=cfg.classifier), trainings)
+    out = []
+    for extractor, train_label, tags, test_pools in cells:
+        branch = [next(models) for _ in tags]
+        if len(branch) == 2:
+            accs = [cl.evaluate_fused(tuple(branch), list(zip(*(pool[t] for t in tags))))
+                    for pool in test_pools]
+        else:
+            accs = [cl.evaluate(branch[0], pool[tags[0]]) for pool in test_pools]
+        out.append((extractor, train_label, accs))
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -694,29 +724,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
                     {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
                 )
-            for (dev_id, rx_id), link in links.items():
-                for tag, fv in link.features.items():
-                    for fi, values in zip(link.frames.tolist(), fv.values):
-                        feature_records.setdefault(tag, []).append(
-                            data_io.FeatureRecord(
-                                extractor=tag, device=dev_id, receiver=rx_id,
-                                channel_scenario=cfg.scenario(),
-                                trial=rep * cfg.frames_per_device + fi,
-                                snr_db=snr, values=values,
-                            )
-                        )
-            for extractor in cfg.extractors:
-                for train_entry in cfg.train_receivers:
-                    train_ids = (
-                        set(train_entry) if isinstance(train_entry, (list, tuple))
-                        else {train_entry}
-                    )
-                    train_label = "+".join(sorted(train_ids))
-                    accs = _train_eval(cfg, links, extractor, train_ids, cfg.test_receivers)
-                    for test_id, acc in zip(cfg.test_receivers, accs):
-                        cells_acc.setdefault(
-                            (snr, extractor, train_label, test_id), []
-                        ).append(acc)
+            for link in links.values():
+                for tag, rows in link.csv.items():
+                    if rows:
+                        feature_records.setdefault(tag, [data_io.feature_header(
+                            EXTRACTOR_DIM[Extractor(tag)])]).append(rows)
+            for extractor, train_label, accs in _train_and_score(cfg, links):
+                for test_id, acc in zip(cfg.test_receivers, accs):
+                    cells_acc.setdefault((snr, extractor, train_label, test_id), []).append(acc)
     cells = [
         {
             "snr_db": snr,
@@ -892,5 +907,5 @@ def write_report(report: ExperimentReport, out_dir) -> None:
             f"{c['mean_accuracy']:.6f},{c['std_accuracy']:.6f},{c['repeats']}"
         )
     (out / "accuracy.csv").write_text("\n".join(lines) + "\n")
-    for tag, records in sorted(report.feature_records.items()):
-        data_io.write_features(out / f"features_{tag.lower()}.csv", records)
+    for tag, chunks in sorted(report.feature_records.items()):
+        data_io.write_feature_text(out / f"features_{tag.lower()}.csv", chunks)

@@ -175,6 +175,40 @@ def test_evaluate_cases(rng):
     assert abs(cl.evaluate(const, feats) - prevalence) < 1e-12
 
 
+def _random_pool(rng, classes, dim, extractor, sizes):
+    """Labeled block FeatureVectors of `sizes` rows each (a size may be 0)."""
+    tones = occupied_tones(Field.LSTF if dim == 12 else Field.LLTF)
+    pool = []
+    for n in sizes:
+        v = np.abs(rng.normal(size=(n, dim))) + 0.1
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        pool.append(FeatureVector(extractor, v, tones, classes[rng.integers(len(classes))]))
+    return pool
+
+
+def test_batched_scoring_equals_per_row_count(rng):
+    classes = [f"dev{i}" for i in range(5)]
+    sizes = [7, 0, 1, 16, 3, 11]
+    for _ in range(5):
+        models = [cl.SoftmaxModel(rng.normal(size=(5, dim)), rng.normal(size=5), classes, name,
+                                  input_mean=rng.normal(size=dim) * 0.1,
+                                  input_scale=rng.random(dim) + 0.5)
+                  for dim, name in ((12, "RD_STF"), (52, "RD_LTF"))]
+        stf = _random_pool(rng, classes, 12, Extractor.RD_STF, sizes)
+        ltf = _random_pool(rng, classes, 52, Extractor.RD_LTF, sizes)  # labels from stf
+        rows = [(v, f.device_hint) for f in stf for v in f.values]
+        hits = sum(cl.classify(models[0], v) == label for v, label in rows)
+        assert cl.evaluate(models[0], stf) == hits / len(rows)
+        pairs = [(va, vb, fa.device_hint) for fa, fb in zip(stf, ltf)
+                 for va, vb in zip(fa.values, fb.values)]
+        hits = sum(cl.fuse_and_classify(models, (va, vb)) == label for va, vb, label in pairs)
+        assert cl.evaluate_fused(models, list(zip(stf, ltf))) == hits / len(pairs)
+    with pytest.raises(cl.PredictError):
+        cl.evaluate(models[1], stf)
+    with pytest.raises(cl.EvalError):
+        cl.evaluate_fused(models, [(stf[1], ltf[1])])  # a block of no rows
+
+
 def test_random_labels_near_chance(rng):
     n_classes = 10
     feats = []

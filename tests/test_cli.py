@@ -232,3 +232,40 @@ def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
     cfg.write_text(json.dumps(train_doc))
     _assert_config_error(["train", "--features", str(features), "--out", str(tmp_path / "m.json"),
                           "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("command, contents", [
+    ("eval-model", "{bad"),
+    ("eval-model", None),  # no such file
+    ("select-ref", None),
+])
+def test_bad_input_file_is_config_error(tmp_path, capsys, command, contents):
+    path = tmp_path / "input"
+    if contents is not None:
+        path.write_text(contents)
+    if command == "eval-model":
+        features = tmp_path / "hl.csv"
+        data_io.write_features(features, [
+            data_io.FeatureRecord("HL", "dev0", "rx00", "flat", 0, 30.0, np.ones(52))])
+        argv = ["eval", "--model", str(path), "--features", str(features)]
+    else:
+        argv = ["select-ref", "--csi", str(path)]
+    _assert_config_error(argv, capsys)
+
+
+def _assert_rewrites_same(out_dir: Path):
+    """Every feature CSV in `out_dir` is what `write_features` writes for
+    the rows read back from it."""
+    tables = sorted(out_dir.glob("features_*.csv"))
+    assert len(tables) == 4
+    for table in tables:
+        again = out_dir / f"again_{table.name}"
+        data_io.write_features(again, data_io.read_features(table))
+        assert again.read_bytes() == table.read_bytes(), table.name
+
+
+def test_feature_csvs_match_write_features(config_path, sim_dir, tmp_path):
+    assert main(["bench", "--config", str(config_path), "--out-dir", str(tmp_path / "b")]) == 0
+    _assert_rewrites_same(tmp_path / "b")
+    assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(tmp_path / "e")]) == 0
+    _assert_rewrites_same(tmp_path / "e")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,23 +53,23 @@ def _with_cpus(monkeypatch, n):
     monkeypatch.setattr(hz, "usable_cpus", lambda: n)
 
 
-def test_experiment_same_with_one_or_two_workers(monkeypatch, forks):
+def test_experiment_same_with_one_or_two_workers(monkeypatch, forks, tmp_path):
     cfg = hz.load_config(DOC)
-    reports, stability = {}, {}
+    reports, stability, written = {}, {}, {}
     for n in (1, 2):
         _with_cpus(monkeypatch, n)
         reports[n] = hz.run_experiment(cfg)
         stability[n] = hz.run_feature_stability(cfg)
+        hz.write_report(reports[n], tmp_path / str(n))
+        written[n] = {p.name: p.read_text() for p in sorted((tmp_path / str(n)).iterdir())}
     assert forks, "two CPUs should start worker processes"
     assert reports[1].to_json_doc() == reports[2].to_json_doc()
     assert stability[1] == stability[2]
-    recs = {n: r.feature_records for n, r in reports.items()}
-    assert sorted(recs[1]) == sorted(recs[2]) == ["DV", "HL", "RD_LTF", "RD_STF"]
-    for tag in recs[1]:
-        assert len(recs[1][tag]) == len(recs[2][tag]) > 0
-        for a, b in zip(recs[1][tag], recs[2][tag]):
-            assert (a.device, a.receiver, a.trial) == (b.device, b.receiver, b.trial)
-            assert a.values.tobytes() == b.values.tobytes()
+    assert sorted(written[1]) == ["accuracy.csv", "features_dv.csv", "features_hl.csv",
+                                  "features_rd_ltf.csv", "features_rd_stf.csv", "report.json"]
+    for name, text in written[1].items():
+        assert text == written[2][name], name
+        assert len(text.splitlines()) > 1, name
 
 
 def _digests(root: Path) -> dict:
@@ -129,6 +130,34 @@ def test_failures_same_with_one_or_two_workers(monkeypatch, failures):
             hz.run_experiment(cfg)
         assert type(info.value) is type(want)
         assert str(info.value) == str(want)
+
+
+def test_empty_train_pool_same_with_one_or_two_workers(monkeypatch):
+    """rx01's links keep only their second-half frames, so its train set has
+    no rows: the run fails before any training starts, also rx00's."""
+    cfg = hz.load_config({**DOC, "train_receivers": ["rx00", "rx01"]})
+    real = hz._link_features
+
+    def link_features(cfg, blocks, model, rx_id, device_id):
+        link = real(cfg, blocks, model, rx_id, device_id)
+        if rx_id != "rx01":
+            return link
+        keep = link.frames >= cfg.frames_per_device // 2
+        return hz.LinkFeatures(link.frames[keep], {
+            tag: replace(fv, values=fv.values[keep]) for tag, fv in link.features.items()},
+            link.drops)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training started")
+
+    monkeypatch.setattr(hz, "_link_features", link_features)
+    monkeypatch.setattr(hz.cl, "train", no_training)
+    for n in (1, 2):
+        _with_cpus(monkeypatch, n)
+        with pytest.raises(hz.PipelineError) as info:
+            hz.run_experiment(cfg)
+        assert str(info.value) == ("empty train or test pool for extractor RD "
+                                   "(train={'rx01'}, test=rx00)")
 
 
 def test_one_cpu_starts_no_process(monkeypatch, tmp_path):
