@@ -7,11 +7,17 @@ receivers. Every random draw derives from the master seed through a
 documented splittable scheme, so a rerun with the same config produces a
 byte-identical report.
 
-Seed scheme: every consumer builds
-`numpy.random.SeedSequence((master_seed, stream, repeat, device_idx,
-receiver_idx, frame_idx))`, where `stream` distinguishes channel draws,
-noise, start jitter, and model-capture variants. Devices and receivers are
-indexed by their position in the config.
+Seed scheme: every consumer draws from `numpy.random.default_rng(seed)`
+with the seed `numpy.random.SeedSequence((master_seed, stream, repeat,
+device_idx, receiver_idx, frame_idx)).generate_state(1)[0]`, where `stream`
+distinguishes channel draws, noise, start jitter, and model-capture
+variants. Devices and receivers are indexed by their position in the
+config. The values are unchanged from the scheme's first version; only
+their computation is per link: `derive_seeds` hashes all of a link's
+frames and streams at once with the same arithmetic as `SeedSequence`, and
+`generator_states` gives the PCG64 state each seed's `default_rng` starts
+from, which the frame engine sets on one generator per link instead of
+building a generator per draw.
 
 Reference-division protocol: each receiver's model spectra come from a
 fresh capture of the reference device made through that same receiver
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -101,10 +108,107 @@ MAX_JITTER = 40
 MODEL_CAPTURE_ATTEMPTS = 8
 
 
+# numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe) over a pool of
+# four 32-bit words, and the PCG64 multiplier (pcg64.h).
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's multiply-xorshift step with its running constant
+    (`hashmix` from INIT_A/MULT_A, the output step from INIT_B/MULT_B). A
+    value is a Python int below 2**32 or a uint32 array; every product is
+    taken mod 2**32 either way."""
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return step
+
+
+def _mix(x, y):
+    r = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return r ^ r >> 16
+
+
+def _seed_words(entropy: list, n_words: int) -> list:
+    """`SeedSequence(entropy).generate_state(n_words)`, one entry per output
+    word, for entropy given as a list of 32-bit words (ints, or uint32
+    arrays that hash one entropy per element)."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    return [output(pool[i % _POOL_WORDS]) for i in range(n_words)]
+
+
+def _entropy(values) -> tuple[list, tuple]:
+    """The 32-bit entropy words of `values` as SeedSequence splits them,
+    and their broadcast shape. An int gives its little-endian words (0 is
+    one zero word); an integer array gives one word per element, so its
+    elements must be below 2**32."""
+    words, shapes = [], []
+    for value in values:
+        arr = np.asarray(value)
+        if arr.ndim == 0:
+            n = operator.index(value)
+            if n < 0:
+                raise ValueError("expected non-negative integer")
+            words.append(n & _M32)
+            while n := n >> 32:
+                words.append(n & _M32)
+            continue
+        if arr.size and (arr.min() < 0 or arr.max() > _M32):
+            raise ValueError("seed array entries must lie in [0, 2**32)")
+        words.append(arr.astype(np.uint32))
+        shapes.append(arr.shape)
+    return words, np.broadcast_shapes(*shapes)
+
+
+def derive_seeds(master: int, stream, repeat, device, receiver, frames) -> np.ndarray:
+    """The uint32 seeds `SeedSequence((master, stream, repeat, device,
+    receiver, frame)).generate_state(1)[0]` for every combination the
+    arguments broadcast to: ints, or integer arrays (below 2**32), so one
+    call covers all of a link's frames and streams."""
+    words, shape = _entropy((master, stream, repeat, device, receiver, frames))
+    return np.array(np.broadcast_to(_seed_words(words, 1)[0], shape), dtype=np.uint32)
+
+
 def derive_seed(master: int, stream: int, repeat: int = 0, device: int = 0,
                 receiver: int = 0, frame: int = 0) -> int:
-    ss = np.random.SeedSequence((master, stream, repeat, device, receiver, frame))
-    return int(ss.generate_state(1)[0])
+    return int(derive_seeds(master, stream, repeat, device, receiver, frame))
+
+
+def generator_states(seeds) -> list[dict]:
+    """`numpy.random.default_rng(s).bit_generator.state` for each seed s
+    (below 2**32, as `derive_seeds` gives), without building a generator.
+    PCG64 seeds from `SeedSequence(s).generate_state(4, uint64)`: words
+    (s0, s1, q0, q1) give initstate = s0 * 2**64 + s1 and initseq = q0 *
+    2**64 + q1, and pcg_setseq_128_srandom_r leaves, mod 2**128,
+    inc = 2 * initseq + 1 and state = (inc + initstate) * MULT + inc."""
+    words, _ = _entropy([np.ravel(seeds)])
+    w = [v.astype(np.uint64) for v in _seed_words(words, 8)]
+    halves = [(w[2 * k + 1] << np.uint64(32) | w[2 * k]).tolist() for k in range(4)]
+    states = []
+    for s0, s1, q0, q1 in zip(*halves):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _M128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 @dataclass(frozen=True)
@@ -212,6 +316,8 @@ def load_config(doc: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed must be non-negative, got {cfg.master_seed}")
     if len(cfg.devices) < 2:
         raise ConfigError("need at least two devices")
     if not cfg.receivers:
@@ -316,7 +422,9 @@ def _profiles(cfg: ExperimentConfig):
     return devices, receivers, reference
 
 
-def _draw_channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelRealization:
+def _draw_channel(cfg: ExperimentConfig, snr_db: float, seed) -> ChannelRealization:
+    """The scenario's channel from `seed`: an int, or one generator per row
+    of a block of draws (`sample_channel`)."""
     params = SCENARIOS[cfg.scenario()] | {
         k: v for k, v in cfg.channel.items() if k not in ("scenario",)
     }
@@ -349,28 +457,27 @@ def _transmit(profile: DeviceProfile) -> np.ndarray:
     return apply_transmitter(profile, _FRAME).samples
 
 
-def _receive(sent: np.ndarray, rx: DeviceProfile, draws) -> tuple[Frames, np.ndarray]:
+def _receive(sent: np.ndarray, rx: DeviceProfile, chan: ChannelRealization, noise,
+             jitter) -> tuple[Frames, np.ndarray]:
     """Captures of the transmitted frame `sent` through receiver `rx`, one
-    row per (channel, noise seed, jitter seed) draw: each row gets its own
-    randomized lead gap, channel and fresh noise, then the receiver runs on
-    the whole block. Returns the block and each row's true frame start."""
-    rows = len(draws)
-    block = np.zeros((rows, LEAD_PAD + MAX_JITTER + sent.size + TAIL_PAD), dtype=np.complex128)
-    lengths = np.empty(rows, dtype=np.int64)
-    leads = np.empty(rows, dtype=np.int64)
-    for i, (chan, noise_seed, jitter_seed) in enumerate(draws):
-        lead = LEAD_PAD + int(np.random.default_rng(jitter_seed).integers(0, MAX_JITTER + 1))
-        padded = np.zeros(lead + sent.size + TAIL_PAD, dtype=np.complex128)
-        padded[lead : lead + sent.size] = sent
-        y = apply_channel(chan, ComplexSignal(padded), noise_rng=np.random.default_rng(noise_seed))
-        block[i, : padded.size] = y.samples
-        lengths[i] = padded.size
-        leads[i] = lead
-    return Frames(apply_receiver(rx, ComplexSignal(block)).samples, lengths), leads
+    row per generator of `noise` and of `jitter` (iterables, one generator
+    per row): each row gets its own randomized lead gap, then the channel
+    (`chan`, one realization or a block of one per row) with fresh noise,
+    and the receiver runs on the whole block. Returns the block and each
+    row's true frame start."""
+    leads = np.array([LEAD_PAD + int(rng.integers(0, MAX_JITTER + 1)) for rng in jitter])
+    lengths = leads + sent.size + TAIL_PAD
+    block = np.zeros((leads.size, LEAD_PAD + MAX_JITTER + sent.size + TAIL_PAD),
+                     dtype=np.complex128)
+    for row, lead in zip(block, leads.tolist()):
+        row[lead : lead + sent.size] = sent
+    received = apply_channel(chan, Frames(block, lengths), noise_rng=noise)
+    return Frames(apply_receiver(rx, ComplexSignal(received.samples)).samples, lengths), leads
 
 
 def _capture(sent, rx, chan, noise_seed, jitter_seed) -> tuple[ComplexSignal, int]:
-    frames, leads = _receive(sent, rx, [(chan, noise_seed, jitter_seed)])
+    frames, leads = _receive(sent, rx, chan, [np.random.default_rng(noise_seed)],
+                             [np.random.default_rng(jitter_seed)])
     return ComplexSignal(frames.samples[0, : frames.lengths[0]]), int(leads[0])
 
 
@@ -387,6 +494,15 @@ def simulate_capture(
     return _capture(_transmit(tx), rx, chan, noise_seed, jitter_seed)
 
 
+def _seated(rng: np.random.Generator, states):
+    """`rng` once per state of `states` (`generator_states`), set to start
+    where that seed's `default_rng` starts. Consumers take each row's draws
+    before asking for the next row, so one generator serves every row."""
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
+
+
 def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
                  repeat: int, device_idx: int, receiver_idx: int, n_frames: int,
                  per_frame_channel: bool):
@@ -394,18 +510,23 @@ def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr
     (first frame index, block) for blocks of at most BLOCK_ROWS frames.
     Every frame draws its own jitter, noise and (when `per_frame_channel`)
     channel from its own seeds, so blocking changes no sample; a static
-    link draws one channel for all its frames."""
-    def seed(stream, *frame):
-        return derive_seed(cfg.master_seed, stream, repeat, device_idx, receiver_idx, *frame)
-
-    link_channel = None if per_frame_channel else _draw_channel(cfg, snr_db, seed(_S_CHANNEL))
+    link draws one channel for all its frames (the seed of frame 0). The
+    link's seeds come from one `derive_seeds` call, and one generator, set
+    to each seed's starting state in turn, makes every draw."""
+    seeds = derive_seeds(cfg.master_seed, np.array([[_S_CHANNEL], [_S_NOISE], [_S_JITTER]]),
+                         repeat, device_idx, receiver_idx, np.arange(n_frames))
+    # a static link's channel needs frame 0's seed, not a state per frame
+    states = generator_states(seeds if per_frame_channel else seeds[1:])
+    by_stream = [states[i : i + n_frames] for i in range(0, len(states), n_frames)]
+    channel, noise, jitter = by_stream if per_frame_channel else [None, *by_stream]
+    rng = np.random.default_rng(0)  # every draw comes after a state is set
+    link_channel = None if per_frame_channel else _draw_channel(cfg, snr_db, int(seeds[0, 0]))
     for first in range(0, n_frames, BLOCK_ROWS):
-        draws = [
-            (_draw_channel(cfg, snr_db, seed(_S_CHANNEL, fi)) if per_frame_channel
-             else link_channel, seed(_S_NOISE, fi), seed(_S_JITTER, fi))
-            for fi in range(first, min(first + BLOCK_ROWS, n_frames))
-        ]
-        yield first, _receive(sent, rx, draws)[0]
+        rows = slice(first, first + BLOCK_ROWS)
+        chan = (_draw_channel(cfg, snr_db, _seated(rng, channel[rows])) if per_frame_channel
+                else link_channel)
+        yield first, _receive(sent, rx, chan, _seated(rng, noise[rows]),
+                              _seated(rng, jitter[rows]))[0]
 
 
 _DROP_ERRORS = (NotDetectedError, SyncFailedError, EstimationFailedError,

@@ -127,6 +127,19 @@ def detect_signal(y: ComplexSignal | Frames, cfg: DetectionConfig) -> int | np.n
     return drops.result(np.argmax(hits, axis=1) * w)
 
 
+def _row_medians(block: np.ndarray) -> np.ndarray:
+    """`np.median(block, axis=1)` with the same arithmetic (the middle value,
+    or the mean of the two middle values; NaN for a row holding a NaN),
+    without the NaN check through which `np.median` imports `numpy.ma`."""
+    width = block.shape[1]
+    half = width // 2
+    odd = width % 2
+    part = np.partition(block, [half, width - 1] if odd else [half - 1, half, width - 1], axis=1)
+    mid = np.mean(part[:, half - 1 + odd : half + 1], axis=1)
+    last = part[:, -1]  # NaN sorts last
+    return np.where(np.isnan(last), last, mid)
+
+
 def synchronize(y: ComplexSignal | Frames, n0) -> SyncResult:
     """Locate the frame by correlating against the ideal double long
     training symbol over offsets n0..n0+399.
@@ -153,7 +166,7 @@ def synchronize(y: ComplexSignal | Frames, n0) -> SyncResult:
     for by_row in corrs.values():
         rows = list(by_row)
         block = np.array(list(by_row.values()))
-        floors = np.median(block, axis=1)
+        floors = _row_medians(block)
         peaks_k = np.argmax(block, axis=1)
         for i, floor, peak_k, row in zip(rows, floors.tolist(), peaks_k.tolist(), block):
             peak = float(row[peak_k])

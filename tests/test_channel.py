@@ -52,6 +52,16 @@ def test_realization_invariants():
                               delays=np.array([1]))  # delays must start at 0
 
 
+def test_block_realization_checks_every_row():
+    taps = np.array([[0.6, 0.8], [0.8, 0.6], [1.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="normalized to 1, got 2"):
+        ch.ChannelRealization(ch.ChannelKind.SELECTIVE, taps=taps, delays=np.array([0, 1]))
+    block = ch.ChannelRealization(ch.ChannelKind.SELECTIVE, taps=taps[:2], delays=np.array([0, 2]))
+    assert np.array_equal(block.impulse_response(), [[0.6, 0, 0.8], [0.8, 0, 0.6]])
+    with pytest.raises(ValueError, match="nonzero"):
+        ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=np.array([1.0, 0.0, 0.5j]))
+
+
 def test_sample_channel_deterministic():
     a = ch.sample_channel(ch.ChannelKind.SELECTIVE, 20.0, seed=99)
     b = ch.sample_channel(ch.ChannelKind.SELECTIVE, 20.0, seed=99)

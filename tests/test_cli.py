@@ -100,6 +100,14 @@ def test_import_loads_no_scipy():
     assert proc.stdout.decode().strip() == "[]"
 
 
+def test_import_loads_no_numpy_random():
+    # the frame engine builds its generators per link, never at import
+    code = "import sys, rffdiv, rffdiv.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"
+
+
 def test_bench_deterministic_across_processes(config_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, hashseed in ((a, "0"), (b, "7")):
@@ -199,6 +207,19 @@ def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, v
     bad.write_text(json.dumps(doc))
     _assert_config_error(["bench", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
                          capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, seed, in_config", [
+    ("bench", -1, False), ("simulate", -3, False), ("bench", -5, True)])
+def test_negative_master_seed_is_config_error(config_path, tmp_path, capsys, command, seed,
+                                              in_config):
+    cfg = config_path
+    if in_config:
+        cfg = tmp_path / "neg.json"
+        cfg.write_text(json.dumps({**json.loads(config_path.read_text()), "master_seed": seed}))
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    _assert_config_error(argv if in_config else argv + ["--seed", str(seed)], capsys)
     assert not (tmp_path / "out").exists()
 
 

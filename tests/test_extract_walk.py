@@ -65,8 +65,9 @@ def frames():
     })
     devices, receivers, _ = hz._profiles(cfg)
     chan = hz._draw_channel(cfg, 30.0, 1)
-    block, leads = hz._receive(hz._transmit(devices[0]), receivers[0],
-                               [(chan, 100 + i, 200 + i) for i in range(24)])
+    block, leads = hz._receive(hz._transmit(devices[0]), receivers[0], chan,
+                               [np.random.default_rng(100 + i) for i in range(24)],
+                               [np.random.default_rng(200 + i) for i in range(24)])
     return [block.samples[i, :n] for i, n in enumerate(block.lengths)], leads
 
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import HTMF_FRAME, acquire, build_capture
 
+import rffdiv
 from rffdiv import channel as ch
 from rffdiv import impairments as imp
 from rffdiv import preprocess as pp
@@ -82,6 +87,39 @@ def test_sync_pure_noise_fails(rng):
     noise = ComplexSignal(0.5 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000)))
     with pytest.raises(pp.SyncFailedError):
         pp.synchronize(noise, 0)
+
+
+def test_row_medians_match_np_median():
+    rng = np.random.default_rng(17)
+    for trial in range(3200):
+        rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        block = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 3 == 1:
+            block = np.round(block)  # ties, and signed zeros
+        if trial % 5 == 2:
+            block[rng.integers(rows), rng.integers(width)] = np.nan
+        expected = [float(v).hex() for v in np.median(block, axis=1)]
+        assert [float(v).hex() for v in pp._row_medians(block)] == expected, block
+
+
+def test_synchronize_leaves_numpy_ma_unimported():
+    code = (
+        "import sys, numpy as np\n"
+        "from rffdiv import preprocess as pp\n"
+        "from rffdiv.signals import Frames\n"
+        "from rffdiv.waveform import PreambleFormat, PreambleSpec, generate_preamble\n"
+        "frame = generate_preamble(PreambleSpec(PreambleFormat.HTMF)).samples\n"
+        "block = np.zeros((3, 800), complex)\n"
+        "block[0, 200:600] = block[1, 150:550] = frame\n"
+        "block[2, :700] = np.exp(0.3j * np.arange(700))\n"
+        "sync = pp.synchronize(Frames(block, [800, 800, 700]), [100, 50, 0])\n"
+        "assert sync.frame_start_n1[:2].tolist() == [200, 150]\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rffdiv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"
 
 
 def test_sync_10db_flat_within_one_sample():
