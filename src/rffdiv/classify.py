@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -26,8 +26,8 @@ from . import data_io, harness
 from .features import EXTRACTOR_DIM, Extractor, FeatureVector, FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
-from .signals import ComplexSignal, Frames
-from .waveform import FIELD_WINDOWS, WINDOWS, Field, WindowBoundsError, occupied_tones
+from .signals import SAMPLE_RATE, ComplexSignal, Frames
+from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, Field, WindowBoundsError, occupied_tones
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,7 +94,7 @@ def cmd_simulate(args) -> int:
         "format_version": 1,
         "scenario": cfg.scenario(),
         "snr_db": snr,
-        "sample_rate": 20e6,
+        "sample_rate": SAMPLE_RATE,
         "detection": {
             "window_w": cfg.detection_window,
             "threshold_multiplier": cfg.detection_multiplier,
@@ -156,17 +156,17 @@ class _Step:
 
 def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     """Walk capture files in lock-step, one block row per file still being
-    walked (`readers`: `data_io.IqReader`s of one sample rate, at most
-    `harness.BLOCK_ROWS`), detecting with `detection`, the (window_w,
-    threshold_multiplier) of `harness.detection_settings`. Each step
-    acquires the current segment of every row as one block, then advances
-    each row by its own outcome, so a row sees exactly the segments it
-    would see walked alone. Yields a `_Step` per block; with
-    `until_acquired` a file is walked only up to its first acquired frame."""
+    walked (`readers`: at most `harness.BLOCK_ROWS` `data_io.IqReader`s),
+    detecting with `detection`, the (window_w, threshold_multiplier) of
+    `harness.detection_settings`. Each step acquires the current segment
+    of every row as one block, then advances each row by its own outcome,
+    so a row sees exactly the segments it would see walked alone. Yields a
+    `_Step` per block; with `until_acquired` a file is walked only up to
+    its first acquired frame."""
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
-    frame_end = max(WINDOWS[name].start_index - 1 + WINDOWS[name].length
+    frame_end = max(WINDOWS[name].start_index - 1 + FFT_SIZE
                     for f in fields for name in FIELD_WINDOWS[f])
     pos = [0] * len(readers)
     count = [0] * len(readers)
@@ -180,7 +180,7 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
         block = np.zeros((len(active), int(lengths.max())), dtype=np.complex128)
         for row, i in enumerate(active):
             block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
-        frames = Frames(block, lengths, sample_rate=readers[active[0]].sample_rate)
+        frames = Frames(block, lengths)
         compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
         n1 = sync.frame_start_n1
         more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
@@ -226,13 +226,13 @@ def _load_manifest(path_arg) -> tuple[dict, Path]:
 
 def _lockstep_groups(captures, readers: dict, role: str) -> list:
     """Manifest indices of the `role` captures in lock-step groups: one
-    receiver (so the group shares one reference model) and one sample rate
-    per group, at most `harness.BLOCK_ROWS` captures each."""
-    by_key = {}
-    for i, reader in readers.items():
+    receiver per group (so the group shares one reference model), at most
+    `harness.BLOCK_ROWS` captures each."""
+    by_rx = {}
+    for i in readers:
         if captures[i]["role"] == role:
-            by_key.setdefault((captures[i]["receiver"], reader.sample_rate), []).append(i)
-    return [idx[k : k + harness.BLOCK_ROWS] for idx in by_key.values()
+            by_rx.setdefault(captures[i]["receiver"], []).append(i)
+    return [idx[k : k + harness.BLOCK_ROWS] for idx in by_rx.values()
             for k in range(0, len(idx), harness.BLOCK_ROWS)]
 
 
@@ -381,10 +381,10 @@ def cmd_train(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     try:
         cfg = cl.TrainConfig(**doc)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (TypeError, ValueError) as exc:
         raise harness.ConfigError(f"bad training config: {exc}") from exc
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     try:
         model = cl.train(_records_to_features(records), cfg)
     except cl.TrainError as exc:

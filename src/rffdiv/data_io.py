@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import SAMPLE_RATE, ComplexSignal
 
 
 class IoError(ValueError):
@@ -41,15 +41,15 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
-def write_iq(path, signal: ComplexSignal, center_freq_hz: float = 0.0) -> None:
+def write_iq(path, signal: ComplexSignal) -> None:
     path = Path(path)
     interleaved = np.empty(2 * len(signal), dtype="<f4")
     interleaved[0::2] = signal.samples.real
     interleaved[1::2] = signal.samples.imag
     path.write_bytes(interleaved.tobytes())
     meta = {
-        "sample_rate": signal.sample_rate,
-        "center_freq_hz": center_freq_hz,
+        "sample_rate": SAMPLE_RATE,
+        "center_freq_hz": 0.0,
         "format": "cf32le",
     }
     _sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -74,9 +74,9 @@ def _read_sidecar(sidecar: Path) -> dict:
             meta["scale"] = float(meta.get("scale", 1.0))
     except (TypeError, ValueError) as exc:
         raise IoError(f"{sidecar}: {exc}") from exc
-    if not 0 < meta["sample_rate"] < np.inf:
-        raise IoError(f"{sidecar}: sample_rate must be positive and finite, "
-                      f"got {meta['sample_rate']}")
+    if meta["sample_rate"] != SAMPLE_RATE:
+        raise IoError(f"{sidecar}: sample_rate must be {SAMPLE_RATE:g} (the only rate "
+                      f"rffdiv reads), got {meta['sample_rate']:g}")
     return meta
 
 
@@ -103,7 +103,6 @@ class IqReader:
         if fmt not in _FORMATS:
             raise IoError(f"{path}: unknown format {fmt!r} in sidecar")
         self.path = path
-        self.sample_rate = meta["sample_rate"]
         self._dtype = np.dtype(_FORMATS[fmt])
         self._scale = meta["scale"] if fmt == "ci16le" else None
         self._pair = 2 * self._dtype.itemsize
@@ -159,7 +158,7 @@ class IqReader:
 def read_iq(path) -> ComplexSignal:
     """Load a whole capture (see `IqReader`)."""
     with IqReader(path) as reader:
-        return ComplexSignal(reader.read(0, len(reader)), reader.sample_rate)
+        return ComplexSignal(reader.read(0, len(reader)))
 
 
 FEATURE_HEADER_FIXED = ["extractor", "device", "receiver", "channel_scenario", "trial", "snr_db"]

@@ -238,12 +238,19 @@ _PROFILE_KEYS = ("dc_offset", "iq_gain_imbalance", "iq_phase_imbalance",
                  "fir_taps", "pa_coeffs", "cfo_hz", "band_tilt")
 
 
+def _check_seed(value, what: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ConfigError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 def _expand_entities(spec, prefix: str) -> list[dict]:
     """Device/receiver lists may be explicit dicts or a {count, base_seed}
     shorthand."""
     if isinstance(spec, dict):
         count = int(spec["count"])
-        base = int(spec.get("base_seed", 0))
+        base = _check_seed(spec.get("base_seed", 0), f"{prefix} base_seed")
         fd = bool(spec.get("field_distinct", False))
         return [
             {"id": f"{prefix}{i:02d}", "seed": base + i, "field_distinct": fd}
@@ -255,6 +262,7 @@ def _expand_entities(spec, prefix: str) -> list[dict]:
         d.setdefault("id", f"{prefix}{i:02d}")
         if "seed" not in d and not any(k in d for k in _PROFILE_KEYS):
             raise ConfigError(f"{prefix} entry {i} needs a seed or explicit parameters")
+        _check_seed(d.get("seed", 0), f"{prefix} entry {i} seed")
         out.append(d)
     return out
 
@@ -285,6 +293,9 @@ def load_config(doc: dict) -> ExperimentConfig:
     try:
         devices = _expand_entities(doc["devices"], "dev")
         receivers = _expand_entities(doc["receivers"], "rx")
+        reference = doc.get("reference_device")
+        if isinstance(reference, dict):
+            _check_seed(reference.get("seed", 0), "reference_device seed")
         extractors = [str(e).upper() for e in doc.get("extractors", ["RD", "HL", "DV"])]
         snr = doc.get("snr_db", 30.0)
         snr_list = [float(s) for s in (snr if isinstance(snr, (list, tuple)) else [snr])]
@@ -300,7 +311,7 @@ def load_config(doc: dict) -> ExperimentConfig:
             test_receivers=[str(t) for t in test],
             snr_db=snr_list,
             channel=dict(doc.get("channel", {"scenario": "flat"})),
-            reference_device=doc.get("reference_device"),
+            reference_device=reference,
             frames_per_device=int(doc.get("frames_per_device", 200)),
             repeats=int(doc.get("repeats", 5)),
             classifier=cl.TrainConfig(**doc.get("classifier", {})),
@@ -361,31 +372,19 @@ def profile_from_entry(entry: dict, role: str, default_field_distinct: bool) -> 
         field_distinct=bool(entry.get("field_distinct", default_field_distinct)),
         device_id=entry.get("id", "dev"),
     )
-    if not explicit:
-        return base
-    kwargs = {
-        "device_id": base.device_id,
-        "dc_offset": base.dc_offset,
-        "iq_gain_imbalance": base.iq_gain_imbalance,
-        "iq_phase_imbalance": base.iq_phase_imbalance,
-        "fir_taps": base.fir_taps,
-        "pa_coeffs": base.pa_coeffs,
-        "cfo_hz": base.cfo_hz,
-        "band_tilt": base.band_tilt,
-        "seed": base.seed,
-    }
+    overrides = {}
     if "dc_offset" in explicit:
-        kwargs["dc_offset"] = _as_complex(explicit["dc_offset"])
+        overrides["dc_offset"] = _as_complex(explicit["dc_offset"])
     for key in ("iq_gain_imbalance", "iq_phase_imbalance", "cfo_hz"):
         if key in explicit:
-            kwargs[key] = float(explicit[key])
+            overrides[key] = float(explicit[key])
     for key in ("fir_taps", "pa_coeffs"):
         if key in explicit:
-            kwargs[key] = np.array([_as_complex(v) for v in explicit[key]])
+            overrides[key] = np.array([_as_complex(v) for v in explicit[key]])
     if "band_tilt" in explicit:
         tilt = explicit["band_tilt"]
-        kwargs["band_tilt"] = None if tilt is None else np.asarray(tilt, dtype=float)
-    return DeviceProfile(**kwargs)
+        overrides["band_tilt"] = None if tilt is None else np.asarray(tilt, dtype=float)
+    return replace(base, **overrides)
 
 
 def profile_to_entry(profile: DeviceProfile) -> dict:
@@ -472,7 +471,7 @@ def _receive(sent: np.ndarray, rx: DeviceProfile, chan: ChannelRealization, nois
     for row, lead in zip(block, leads.tolist()):
         row[lead : lead + sent.size] = sent
     received = apply_channel(chan, Frames(block, lengths), noise_rng=noise)
-    return Frames(apply_receiver(rx, ComplexSignal(received.samples)).samples, lengths), leads
+    return apply_receiver(rx, received), leads
 
 
 def _capture(sent, rx, chan, noise_seed, jitter_seed) -> tuple[ComplexSignal, int]:
@@ -993,11 +992,7 @@ def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
         raise ConfigError("reference sweep needs at least 3 candidates")
     rows = []
     for cand in cands:
-        base = asdict(cfg)
-        base["classifier"] = cfg.classifier
-        base["reference_device"] = cand
-        base["extractors"] = ["RD"]
-        report = run_experiment(ExperimentConfig(**base))
+        report = run_experiment(replace(cfg, reference_device=cand, extractors=["RD"]))
         mean_acc = float(np.mean([c["mean_accuracy"] for c in report.cells]))
         etas = [
             rec["eta_lf"]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import SAMPLE_RATE, ComplexSignal, Frames
 from .waveform import FFT_SIZE
 
 
@@ -95,12 +95,12 @@ def _pa(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return x * gain
 
 
-def _rotate(x: np.ndarray, f_hz: float, sample_rate: float) -> np.ndarray:
+def _rotate(x: np.ndarray, f_hz: float) -> np.ndarray:
     if f_hz == 0.0:
         return x
     n = np.arange(x.shape[-1])
     # bound to a name so the product never runs in place (see preprocess.apply_cfo)
-    phasor = np.exp(2j * np.pi * f_hz * n / sample_rate)
+    phasor = np.exp(2j * np.pi * f_hz * n / SAMPLE_RATE)
     return x * phasor
 
 
@@ -142,17 +142,17 @@ def apply_transmitter(profile: DeviceProfile, x: ComplexSignal) -> ComplexSignal
     y = y + profile.dc_offset
     y = _iq_imbalance(y, profile.iq_gain_imbalance, profile.iq_phase_imbalance)
     y = _pa(y, profile.pa_coeffs)
-    y = _rotate(y, profile.cfo_hz, x.sample_rate)
+    y = _rotate(y, profile.cfo_hz)
     return x.replace_samples(y)
 
 
-def apply_receiver(profile: DeviceProfile, y: ComplexSignal) -> ComplexSignal:
+def apply_receiver(profile: DeviceProfile, y: ComplexSignal | Frames) -> ComplexSignal | Frames:
     """Run the receiver chain (mirror order; oscillator derotates, so the
-    downstream rotation is TX minus RX frequency). `y` may hold a block of
-    equally long records, one per row; the FIR runs on each row."""
+    downstream rotation is TX minus RX frequency). `y` may be a block of
+    captures (`Frames`), one per row; the FIR runs on each row."""
     if len(y) == 0:
         raise ValueError("input signal is empty")
-    z = _rotate(y.samples, -profile.cfo_hz, y.sample_rate)
+    z = _rotate(y.samples, -profile.cfo_hz)
     z = _pa(z, profile.pa_coeffs)
     z = _iq_imbalance(z, profile.iq_gain_imbalance, profile.iq_phase_imbalance)
     z = z + profile.dc_offset

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSignal, Frames
+from .signals import SAMPLE_RATE, ComplexSignal, Frames
 from .waveform import lltf_sync_template
 
 
@@ -65,18 +65,15 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class SyncResult:
-    """Long-training and frame starts (one per row for a block)."""
+    """Frame start (one per row for a block)."""
 
-    lltf_start_k0: int | np.ndarray
     frame_start_n1: int | np.ndarray
 
 
 @dataclass(frozen=True)
 class CfoEstimate:
-    """Offsets in Hz (one per row for a block)."""
+    """Coarse plus fine offset in Hz (one per row for a block)."""
 
-    coarse_hz: float | np.ndarray
-    fine_hz: float | np.ndarray
     total_hz: float | np.ndarray
 
 
@@ -97,6 +94,7 @@ DEFAULT_THRESHOLD_MULTIPLIER = 6.0
 # the autocorrelation sums.
 CFO_START_OFFSET = 8
 _SYNC_TEMPLATE = lltf_sync_template()
+_TS = 1.0 / SAMPLE_RATE  # seconds per sample
 _TINY = np.finfo(float).tiny
 
 
@@ -179,7 +177,7 @@ def synchronize(y: ComplexSignal | Frames, n0) -> SyncResult:
     bad[list(failed)] = True
     frames.drops.drop(bad, SyncFailedError, failed.get)
     k0 = frames.drops.result(k0)
-    return SyncResult(lltf_start_k0=k0, frame_start_n1=k0 - _LLTF_FIELD_OFFSET)
+    return SyncResult(frame_start_n1=k0 - _LLTF_FIELD_OFFSET)
 
 
 def _lag_autocorr(frames: Frames, start, lag: int, count: int) -> np.ndarray:
@@ -200,7 +198,7 @@ def estimate_cfo_coarse(y: ComplexSignal | Frames, n1):
     d = 16
     frames = Frames.of(y)
     acc = _lag_autocorr(frames, frames.per_row(n1) + CFO_START_OFFSET, d, 8 * d)
-    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * frames.sample_period * d))
+    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * _TS * d))
 
 
 def estimate_cfo_fine(y: ComplexSignal | Frames, n1):
@@ -210,7 +208,7 @@ def estimate_cfo_fine(y: ComplexSignal | Frames, n1):
     d = 64
     frames = Frames.of(y)
     acc = _lag_autocorr(frames, frames.per_row(n1) + _TEMPLATE_OFFSET, d, d)
-    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * frames.sample_period * d))
+    return frames.drops.result(np.angle(acc) / (2.0 * np.pi * _TS * d))
 
 
 def apply_cfo(y: ComplexSignal | Frames, f_hz) -> ComplexSignal | Frames:
@@ -227,7 +225,7 @@ def apply_cfo(y: ComplexSignal | Frames, f_hz) -> ComplexSignal | Frames:
     # Bound to a name so the product below never multiplies in place: numpy
     # reuses a temporary of 256 KiB or more as the output with the operands
     # swapped, and that complex multiply rounds differently.
-    phasor = np.exp(2j * np.pi * f_hz * n * y.sample_period)
+    phasor = np.exp(2j * np.pi * f_hz * n * _TS)
     return y.replace_samples(y.samples * phasor)
 
 
@@ -249,5 +247,4 @@ def synchronize_and_compensate(y: ComplexSignal | Frames,
     y1 = compensate_cfo(span, coarse)
     fine = estimate_cfo_fine(y1, sync.frame_start_n1)
     y2 = compensate_cfo(y1, fine)
-    est = CfoEstimate(coarse_hz=coarse, fine_hz=fine, total_hz=coarse + fine)
-    return y2, sync, est
+    return y2, sync, CfoEstimate(total_hz=coarse + fine)

@@ -11,31 +11,22 @@ SAMPLE_RATE = 20e6  # samples/second; the whole library operates at 20 Msps
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """Time-domain complex baseband samples plus sample-rate metadata.
+    """One record of time-domain complex baseband samples at `SAMPLE_RATE`.
 
-    `samples` is one record, or a block of equally long records, one per
-    row. Treated as immutable: processing stages return new instances
-    instead of mutating `samples` in place.
+    Treated as immutable: processing stages return new instances instead
+    of mutating `samples` in place.
     """
 
     samples: np.ndarray
-    sample_rate: float = SAMPLE_RATE
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", arr)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
 
     def __len__(self) -> int:
         return self.samples.shape[-1]
 
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.sample_rate
-
     def replace_samples(self, samples: np.ndarray) -> "ComplexSignal":
-        return ComplexSignal(samples, self.sample_rate)
+        return ComplexSignal(samples)
 
 
 class Drops:
@@ -90,13 +81,11 @@ class Frames:
     this one.
     """
 
-    def __init__(self, samples, lengths=None, origin=None,
-                 sample_rate: float = SAMPLE_RATE, drops: Drops | None = None):
+    def __init__(self, samples, lengths=None, origin=None, drops: Drops | None = None):
         self.samples = np.asarray(samples, dtype=np.complex128)
         rows, width = self.samples.shape
         self.lengths = np.array([width] * rows) if lengths is None else np.asarray(lengths)
         self.origin = np.zeros(rows, dtype=np.int64) if origin is None else np.asarray(origin)
-        self.sample_rate = sample_rate
         self.drops = Drops(rows) if drops is None else drops
 
     @classmethod
@@ -104,21 +93,17 @@ class Frames:
         """`y` itself when it is a block; a single frame for one capture."""
         if isinstance(y, Frames):
             return y
-        return cls(y.samples[None, :], sample_rate=y.sample_rate, drops=Drops(1, single=True))
+        return cls(y.samples[None, :], drops=Drops(1, single=True))
 
     def __len__(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.sample_rate
 
     def per_row(self, value) -> np.ndarray:
         value = np.asarray(value)
         return np.array([value] * self.samples.shape[0]) if value.ndim == 0 else value
 
     def replace_samples(self, samples: np.ndarray) -> "Frames":
-        return Frames(samples, self.lengths, self.origin, self.sample_rate, self.drops)
+        return Frames(samples, self.lengths, self.origin, self.drops)
 
     def gather(self, start, width: int) -> np.ndarray:
         """Capture samples [start, start + width) of each row (`start` one
@@ -139,4 +124,4 @@ class Frames:
     def window(self, start, width: int) -> "Frames":
         """The block of capture samples [start, start + width) of each row."""
         start = self.per_row(start)
-        return Frames(self.gather(start, width), self.lengths, start, self.sample_rate, self.drops)
+        return Frames(self.gather(start, width), self.lengths, start, self.drops)

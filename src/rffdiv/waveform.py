@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SAMPLE_RATE, ComplexSignal, Frames
+from .signals import ComplexSignal, Frames
 
 FFT_SIZE = 64
 
@@ -42,7 +42,7 @@ class Field(enum.Enum):
 @dataclass(frozen=True)
 class PreambleSpec:
     """Frame layout selector; the library operates only at 20 Msps
-    (`SAMPLE_RATE`) on a 64-point FFT grid (`FFT_SIZE`)."""
+    (`signals.SAMPLE_RATE`) on a 64-point FFT grid (`FFT_SIZE`)."""
 
     format: PreambleFormat
 
@@ -53,7 +53,7 @@ class PreambleSpec:
 
 @dataclass(frozen=True)
 class SymbolWindow:
-    """A 64-sample FFT window inside the frame.
+    """An `FFT_SIZE`-sample FFT window inside the frame.
 
     `start_index` is 1-based and frame-relative, matching the usual frame
     structure narration (e.g. the first short-training window covers the
@@ -62,7 +62,6 @@ class SymbolWindow:
 
     name: str
     start_index: int
-    length: int = 64
 
 
 # Frame-relative window registry. The long training field starts at frame
@@ -175,7 +174,7 @@ def generate_preamble(spec: PreambleSpec) -> ComplexSignal:
     parts = [_lstf_field(), _lltf_field()]
     if spec.format is PreambleFormat.HTMF:
         parts.append(_htltf_field())
-    return ComplexSignal(np.concatenate(parts), SAMPLE_RATE)
+    return ComplexSignal(np.concatenate(parts))
 
 
 def lltf_sync_template() -> np.ndarray:
@@ -198,7 +197,7 @@ def extract_window(signal: ComplexSignal | Frames, frame_start, window: SymbolWi
     """
     frames = Frames.of(signal)
     start = frames.per_row(frame_start) + (window.start_index - 1)
-    stop = start + window.length
+    stop = start + FFT_SIZE
     outside = ((start < 0) | (stop > frames.lengths)) & frames.drops.live
     if np.count_nonzero(outside):
         i = int(np.argmax(outside))
@@ -206,4 +205,4 @@ def extract_window(signal: ComplexSignal | Frames, frame_start, window: SymbolWi
             f"window {window.name} spans samples [{start[i]}, {stop[i]}) outside "
             f"signal of length {frames.lengths[i]}"
         )
-    return frames.drops.result(frames.gather(start, window.length))
+    return frames.drops.result(frames.gather(start, FFT_SIZE))

@@ -16,12 +16,9 @@ def build_capture(tx, rx, chan, lead=256, tail=120, noise_seed=None, frame=None)
     """Transmit one frame through the full chain, embedded in zero padding."""
     frame = HTMF_FRAME if frame is None else frame
     x = imp.apply_transmitter(tx, frame)
-    padded = ComplexSignal(
-        np.concatenate([
-            np.zeros(lead, dtype=complex), x.samples, np.zeros(tail, dtype=complex),
-        ]),
-        x.sample_rate,
-    )
+    padded = ComplexSignal(np.concatenate([
+        np.zeros(lead, dtype=complex), x.samples, np.zeros(tail, dtype=complex),
+    ]))
     rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
     y = ch.apply_channel(chan, padded, noise_rng=rng)
     return imp.apply_receiver(rx, y), lead

@@ -178,14 +178,16 @@ def test_extract_malformed_manifest_is_config_error(tmp_path, capsys, text):
     assert "manifest.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sidecar", ["{not json", json.dumps({"format": "cf32le"})])
+@pytest.mark.parametrize("sidecar", ["{not json", json.dumps({"format": "cf32le"}),
+                                     json.dumps({"sample_rate": 40e6, "format": "cf32le"})])
 def test_extract_bad_sidecar_is_io_error(config_path, tmp_path, capsys, sidecar):
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
     path = sim / json.loads((sim / "manifest.json").read_text())["captures"][-1]["path"]
     path.with_suffix(".json").write_text(sidecar)
     assert main(["extract", "--manifest", str(sim), "--out-dir", str(tmp_path / "f")]) == 3
-    assert path.with_suffix(".json").name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error:") and path.with_suffix(".json").name in err
 
 
 def _assert_config_error(argv, capsys):
@@ -200,6 +202,11 @@ def _assert_config_error(argv, capsys):
     ("detection", "magnitude"),
     ("classifier", {"optimizer": "adam"}),
     ("classifier", {"epochs": 0}),
+    # negative seeds, caught before any link is simulated
+    ("devices", {"count": 3, "base_seed": -5}),
+    ("receivers", [{"id": "rx00", "seed": 900}, {"id": "rx01", "seed": -1}]),
+    ("reference_device", {"id": "ref", "seed": -4}),
+    ("classifier", {"seed": -2}),
 ])
 def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, value):
     doc = {**json.loads(config_path.read_text()), key: value}
@@ -253,6 +260,17 @@ def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
     cfg.write_text(json.dumps(train_doc))
     _assert_config_error(["train", "--features", str(features), "--out", str(tmp_path / "m.json"),
                           "--config", str(cfg)], capsys)
+
+
+def test_train_negative_seed_is_config_error(tmp_path, capsys):
+    features = tmp_path / "hl.csv"
+    data_io.write_features(features, [
+        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, np.ones(52))
+        for i in range(8)])
+    model = tmp_path / "m.json"
+    _assert_config_error(["train", "--features", str(features), "--out", str(model),
+                          "--seed", "-1"], capsys)
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("command, contents", [

@@ -22,10 +22,11 @@ def test_iq_roundtrip_bit_identical(tmp_path):
     sig = ComplexSignal((rng.standard_normal(256) + 1j * rng.standard_normal(256))
                         .astype(np.complex64).astype(np.complex128))
     path = tmp_path / "cap.iq"
-    data_io.write_iq(path, sig, center_freq_hz=5.745e9)
+    data_io.write_iq(path, sig)
     back = data_io.read_iq(path)
     assert np.array_equal(back.samples, sig.samples)
-    assert back.sample_rate == sig.sample_rate
+    meta = json.loads(path.with_suffix(".json").read_text())
+    assert meta == {"sample_rate": 20e6, "center_freq_hz": 0.0, "format": "cf32le"}
 
 
 def test_iq_eight_floats_is_four_samples(tmp_path):
@@ -98,7 +99,8 @@ def test_iq_reader_ranges_match_read_iq(tmp_path, fmt, dtype):
 
 
 @pytest.mark.parametrize("sidecar", ["{not json", json.dumps({"format": "cf32le"}),
-                                     json.dumps({"sample_rate": -1.0})])
+                                     json.dumps({"sample_rate": -1.0}),
+                                     json.dumps({"sample_rate": 40e6})])
 def test_iq_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
     path = tmp_path / "x.iq"
     np.arange(8, dtype="<f4").tofile(path)

@@ -11,7 +11,7 @@ from rffdiv import preprocess as pp
 from rffdiv.cli import _walk_captures
 from rffdiv.features import Field, field_spectrum
 from rffdiv.signals import ComplexSignal
-from rffdiv.waveform import FIELD_WINDOWS, WINDOWS, WindowBoundsError
+from rffdiv.waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
 FIELDS = (Field.HTLTF, Field.LLTF, Field.LSTF)
 DETECTION = (80, 6.0)  # (window_w, threshold_multiplier), the defaults
@@ -28,10 +28,10 @@ def _walk_one(signal, detection, fields):
     idx = 0
     segment_len = 1100
     n = len(signal)
-    frame_end = max(WINDOWS[name].start_index - 1 + WINDOWS[name].length
+    frame_end = max(WINDOWS[name].start_index - 1 + FFT_SIZE
                     for f in fields for name in FIELD_WINDOWS[f])
     while pos + 500 <= n:
-        seg = ComplexSignal(signal.samples[pos : pos + segment_len], signal.sample_rate)
+        seg = ComplexSignal(signal.samples[pos : pos + segment_len])
         thr = pp.noise_floor_threshold(seg, window_w, multiplier)
         det = pp.DetectionConfig(window_w, thr)
         try:

@@ -72,7 +72,6 @@ def test_sync_exact_noiseless():
         n0 = pp.detect_signal(sig, pp.DetectionConfig(80, 1.0))
         sync = pp.synchronize(sig, n0)
         assert sync.frame_start_n1 == lead
-        assert sync.frame_start_n1 == sync.lltf_start_k0 - 160
 
 
 def test_sync_shift_equivariance():

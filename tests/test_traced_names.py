@@ -1,6 +1,7 @@
-"""`perfbench/traced.py` wraps rffdiv functions by (module, name) and reads
-a few result fields. A rename or deletion in rffdiv would make its traced
-run fail only when someone runs it; these checks fail at once instead."""
+"""`perfbench/traced.py` and `scripts/bench_layers.py` wrap rffdiv
+functions by (module, name), and the tracer reads a few result fields. A
+rename or deletion in rffdiv would make their runs fail only when someone
+runs them; these checks fail at once instead."""
 
 import importlib
 import importlib.util
@@ -9,22 +10,32 @@ from pathlib import Path
 
 from rffdiv import preprocess as pp
 
-TRACED_PY = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced_module():
-    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED_PY)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _unresolved(entries) -> list:
+    """The (module, function) pairs of `entries` that rffdiv does not define."""
+    return [(mod, fn) for mod, fn, _ in entries
+            if not callable(getattr(importlib.import_module(f"rffdiv.{mod}"), fn, None))]
+
+
 def test_every_traced_function_resolves():
-    traced = _traced_module().TRACED
+    traced = _load(ROOT / "perfbench" / "traced.py", "perfbench_traced").TRACED
     assert traced
-    missing = [(mod, fn) for mod, fn, _ in traced
-               if not callable(getattr(importlib.import_module(f"rffdiv.{mod}"), fn, None))]
-    assert missing == []
+    assert _unresolved(traced) == []
+
+
+def test_every_bench_layers_stage_resolves():
+    stages = _load(ROOT / "scripts" / "bench_layers.py", "bench_layers").STAGES
+    assert stages
+    assert _unresolved(stages) == []
 
 
 def test_result_fields_the_tracer_reads_exist():
