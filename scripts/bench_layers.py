@@ -19,13 +19,17 @@ Fields, per tree:
 - `wall_unpinned_s`: the same command in-process without timers or
   pinning, so the links run on every CPU of the affinity mask
   (`machine.affinity_cpus`);
+- `peak_rss_mb`: the largest `ru_maxrss` of that unpinned run's process
+  and of its children (the forked link and training workers);
 - `us_per_frame`: time inside each stage over that run, per frame
   simulated: simulate (the frame engine's `harness.frame_blocks`), detect
   (`noise_floor_threshold`, `detect_signal`), sync (`synchronize`), cfo
   (`estimate_cfo_coarse`, `estimate_cfo_fine`, `compensate_cfo`),
   field_spectrum and extract (`extract_rd/hl/dv`);
 - `s`: seconds in train (`classify.train`), eval (`classify.evaluate`,
-  `evaluate_fused`) and write (`write_report`) over that run;
+  `evaluate_fused`) and write (`write_report`, and `write_link_rows`,
+  which writes the feature tables as the links arrive) over that run; a
+  stage function that the measured tree does not define is skipped;
 - `capture_files_s`: wall time of each process of `simulate --seed 1`,
   `extract`, `train` and `eval` (HL features) on the same config.
 """
@@ -40,6 +44,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -67,6 +72,7 @@ STAGES = [
     ("classify", "evaluate", "eval"),
     ("classify", "evaluate_fused", "eval"),
     ("harness", "write_report", "write"),
+    ("harness", "write_link_rows", "write"),
 ]
 PER_FRAME = ("simulate", "detect", "sync", "cfo", "field_spectrum", "extract")
 
@@ -119,7 +125,9 @@ def worker_bench() -> dict:
     totals = {stage: 0.0 for _, _, stage in STAGES}
     modules = [m for name, m in sys.modules.items() if name.startswith("rffdiv")]
     for mod_name, fn_name, stage in STAGES:
-        original = getattr(importlib.import_module(f"rffdiv.{mod_name}"), fn_name)
+        original = getattr(importlib.import_module(f"rffdiv.{mod_name}"), fn_name, None)
+        if original is None:
+            continue
         wrapped = _timed(original, stage, totals)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
@@ -138,7 +146,10 @@ def worker_bench() -> dict:
 
 
 def worker_wall() -> dict:
-    return {"wall_unpinned_s": _bench_wall()}
+    wall = _bench_wall()
+    peak_kib = max(resource.getrusage(who).ru_maxrss
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return {"wall_unpinned_s": wall, "peak_rss_mb": peak_kib / 1024.0}
 
 
 def worker_import() -> dict:
@@ -236,7 +247,8 @@ def main(argv=None) -> int:
         for name in order:
             runs[name].append(measure(trees[name]))
             print(f"repeat {rep + 1}/{args.repeats} {name}: bench "
-                  f"{runs[name][-1]['wall_s']:.2f} s, extract "
+                  f"{runs[name][-1]['wall_s']:.2f} s, "
+                  f"{runs[name][-1]['peak_rss_mb']:.1f} MB, extract "
                   f"{runs[name][-1]['capture_files_s']['extract']:.2f} s", file=sys.stderr)
     doc = {
         "pr": args.pr,

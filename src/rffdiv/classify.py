@@ -14,6 +14,7 @@ outputs and taking the argmax.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -65,6 +66,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -137,7 +140,8 @@ def _stratified_split(y_idx: np.ndarray, fraction: float, rng: np.random.Generat
     """Per-class holdout indices; classes with fewer than 2 samples stay
     fully in training (no validation possible for them)."""
     val = []
-    for cls in np.unique(y_idx):
+    # the sorted classes present; np.unique would import numpy.ma
+    for cls in np.flatnonzero(np.bincount(y_idx)):
         members = np.nonzero(y_idx == cls)[0]
         if members.size < 2:
             continue

@@ -419,7 +419,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
-    report = harness.run_experiment(cfg)
+    report = harness.run_experiment(cfg, args.out_dir)
     harness.write_report(report, args.out_dir)
     for cell in report.cells:
         print(f"snr={cell['snr_db']:g} {cell['extractor']:6s} "

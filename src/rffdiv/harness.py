@@ -37,6 +37,8 @@ import json
 import math
 import operator
 import os
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -600,7 +602,6 @@ class ExperimentReport:
     config: dict
     cells: list
     drop_rates: dict
-    feature_records: dict  # tag -> CSV text chunks in file order, header first
     model_info: dict
 
     def to_json_doc(self) -> dict:
@@ -640,7 +641,7 @@ class LinkFeatures:
     that yielded them, one block FeatureVector per tag whose rows follow
     `frames`, and the dropped frames counted by cause. `csv` holds, per
     tag, the link's feature CSV rows (`data_io.format_feature_rows`) when
-    the link was run for a report."""
+    the run writes feature tables, until `write_link_rows` writes them."""
 
     frames: np.ndarray
     features: dict
@@ -715,9 +716,10 @@ def map_ordered(fn, items):
     # thread of its own.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        for future in futures:
-            yield future.result()
+        futures = deque(pool.submit(fn, item) for item in items)
+        while futures:
+            # a yielded future is dropped: it would hold its result to the end
+            yield futures.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -726,7 +728,8 @@ def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeature
     """One (device, receiver) link through the frame engine; `link` is
     (sent, rx profile, device index, receiver index, device id, model).
     With `csv` the link's rows are also formatted for the feature CSVs
-    (trial `repeat * frames_per_device + frame`), here in the worker."""
+    (trial `repeat * frames_per_device + frame`), here in the worker;
+    without it no row is formatted."""
     sent, rx, di, rj, device_id, model = link
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device,
                           per_frame_channel)
@@ -740,28 +743,70 @@ def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeature
 
 
 def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-               per_frame_channel, csv=False) -> dict:
+               per_frame_channel, write_rows=None) -> dict:
     """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
-    links are independent, so they run on every usable CPU."""
+    links are independent, so they run on every usable CPU. With
+    `write_rows` (`_feature_tables`) each link's feature CSV rows are
+    formatted in its worker and written as the link arrives."""
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
-    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel, csv)
+    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel, write_rows is not None)
     results = map_ordered(task, [
         (sent_devices[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
         for di, dev, rj, rx in grid])
-    return {(dev.device_id, rx.device_id): link
-            for (_, dev, _, rx), link in zip(grid, results)}
+    links = {}
+    for (_, dev, _, rx), link in zip(grid, results):
+        if write_rows is not None:
+            write_rows(link)
+        links[(dev.device_id, rx.device_id)] = link
+    return links
 
 
-def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat):
+def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat, write_rows=None):
     """All links for one (snr, repeat), given the transmitted frames `sent`
-    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures}, with their
-    CSV rows, and the per-receiver model captures."""
+    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures} and the
+    per-receiver model captures; `write_rows` as in `_run_links`."""
     sent_devices, sent_ref = sent
     models = _capture_models(cfg, receivers, sent_ref, repeat, snr_db)
     links = _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-                       _channel_per_frame(cfg), csv=True)
+                       _channel_per_frame(cfg), write_rows)
     return links, models
+
+
+def write_link_rows(out: Path, tables: dict, link: LinkFeatures) -> None:
+    """Append `link`'s feature CSV rows to the run's tables in `out` (tag ->
+    open file, under its temporary name), then drop the text. A tag's
+    table opens, header first, with its first non-empty rows."""
+    for tag, rows in link.csv.items():
+        if rows:
+            if tag not in tables:
+                out.mkdir(parents=True, exist_ok=True)
+                tables[tag] = open(out / f"features_{tag.lower()}.csv.part", "w")
+                tables[tag].write(data_io.feature_header(EXTRACTOR_DIM[Extractor(tag)]))
+            tables[tag].write(rows)
+    link.csv = {}
+
+
+@contextmanager
+def _feature_tables(out_dir):
+    """The row writer of a run that writes its feature tables in `out_dir`
+    (`write_link_rows`), or None without one. Each table is renamed to
+    features_<tag>.csv when the run ends, and removed if it raises, so a
+    failed run leaves no table."""
+    if out_dir is None:
+        yield None
+        return
+    tables = {}
+    try:
+        yield partial(write_link_rows, Path(out_dir), tables)
+    except BaseException:
+        for fh in tables.values():
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh in tables.values():
+        fh.close()
+        os.replace(fh.name, fh.name.removesuffix(".part"))
 
 
 def _branch_tags(extractor: str):
@@ -824,34 +869,37 @@ def _train_and_score(cfg, links) -> list:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Full grid: per (snr, extractor, train set, test receiver) accuracy,
-    aggregated as mean and sample std over the repeats."""
+    aggregated as mean and sample std over the repeats. With `out_dir`, the
+    feature tables (features_<tag>.csv) are written there as the links
+    arrive, in (snr, repeat, device, receiver) order, so only the current
+    (snr, repeat)'s features stay in memory; a run that raises leaves no
+    table (`_feature_tables`)."""
     validate_config(cfg)
     devices, receivers, reference = _profiles(cfg)
     sent = _transmit_all(devices, reference)
     cells_acc = {}
     drop_acc = {}
-    feature_records = {}
     model_info = {}
-    for snr in cfg.snr_db:
-        for rep in range(cfg.repeats):
-            links, models = _simulate_cells(cfg, devices, receivers, sent, snr, rep)
-            for key, link in links.items():
-                drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
-            for rx_id, mc in models.items():
-                csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
-                model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
-                    {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
-                )
-            for link in links.values():
-                for tag, rows in link.csv.items():
-                    if rows:
-                        feature_records.setdefault(tag, [data_io.feature_header(
-                            EXTRACTOR_DIM[Extractor(tag)])]).append(rows)
-            for extractor, train_label, accs in _train_and_score(cfg, links):
-                for test_id, acc in zip(cfg.test_receivers, accs):
-                    cells_acc.setdefault((snr, extractor, train_label, test_id), []).append(acc)
+    with _feature_tables(out_dir) as write_rows:
+        for snr in cfg.snr_db:
+            for rep in range(cfg.repeats):
+                links, models = _simulate_cells(cfg, devices, receivers, sent, snr, rep,
+                                                write_rows)
+                for key, link in links.items():
+                    drop_acc.setdefault((snr,) + key, []).append(
+                        link.dropped / cfg.frames_per_device)
+                for rx_id, mc in models.items():
+                    csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
+                    model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
+                        {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
+                    )
+                for extractor, train_label, accs in _train_and_score(cfg, links):
+                    for test_id, acc in zip(cfg.test_receivers, accs):
+                        cells_acc.setdefault((snr, extractor, train_label, test_id),
+                                             []).append(acc)
+                del links  # freed before the next (snr, repeat)'s links arrive
     cells = [
         {
             "snr_db": snr,
@@ -872,7 +920,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         config=_config_doc(cfg),
         cells=cells,
         drop_rates=drop_rates,
-        feature_records=feature_records,
         model_info={k: v for k, v in sorted(model_info.items())},
     )
 
@@ -1009,8 +1056,8 @@ def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:
-    """report.json plus one feature CSV and an accuracy CSV; deterministic
-    bytes for a fixed config."""
+    """report.json plus an accuracy CSV; deterministic bytes for a fixed
+    config. The feature tables are written by `run_experiment`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
@@ -1023,5 +1070,3 @@ def write_report(report: ExperimentReport, out_dir) -> None:
             f"{c['mean_accuracy']:.6f},{c['std_accuracy']:.6f},{c['repeats']}"
         )
     (out / "accuracy.csv").write_text("\n".join(lines) + "\n")
-    for tag, chunks in sorted(report.feature_records.items()):
-        data_io.write_feature_text(out / f"features_{tag.lower()}.csv", chunks)

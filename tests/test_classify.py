@@ -242,3 +242,7 @@ def test_train_config_validation():
         cl.TrainConfig(label_smoothing=0.5)
     with pytest.raises(ValueError):
         cl.TrainConfig(learning_rate=0.0)
+    for seed in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            cl.TrainConfig(seed=seed)
+    assert cl.TrainConfig(seed=np.int64(3)).seed == 3

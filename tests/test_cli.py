@@ -108,6 +108,21 @@ def test_import_loads_no_numpy_random():
     assert proc.stdout.decode().strip() == "False"
 
 
+def test_train_loads_no_numpy_ma(tmp_path):
+    # np.unique would import numpy.ma (through np.ma.is_masked)
+    features, model = tmp_path / "hl.csv", tmp_path / "m.json"
+    values = np.random.default_rng(0).random((8, 52))
+    data_io.write_features(features, [
+        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, v / np.linalg.norm(v))
+        for i, v in enumerate(values)])
+    code = ("import sys; from rffdiv.cli import main; "
+            f"code = main(['train', '--features', {str(features)!r}, '--out', {str(model)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "0 False"
+
+
 def test_bench_deterministic_across_processes(config_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, hashseed in ((a, "0"), (b, "7")):
@@ -207,6 +222,7 @@ def _assert_config_error(argv, capsys):
     ("receivers", [{"id": "rx00", "seed": 900}, {"id": "rx01", "seed": -1}]),
     ("reference_device", {"id": "ref", "seed": -4}),
     ("classifier", {"seed": -2}),
+    ("classifier", {"seed": 1.5}),
 ])
 def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, value):
     doc = {**json.loads(config_path.read_text()), key: value}

@@ -40,13 +40,14 @@ def test_config_validation_errors():
         hz.load_config(_base_doc(extractors=["PCA"]))
 
 
-def test_separable_devices_reach_full_accuracy():
+def test_separable_devices_reach_full_accuracy(tmp_path):
     cfg = hz.load_config(_base_doc())
-    report = hz.run_experiment(cfg)
+    report = hz.run_experiment(cfg, tmp_path)
     by_ext = {c["extractor"]: c for c in report.cells}
     assert by_ext["RD"]["mean_accuracy"] == 1.0
     assert by_ext["HL"]["mean_accuracy"] == 1.0
-    assert set(report.feature_records) == {"RD_STF", "RD_LTF", "HL", "DV"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "features_dv.csv", "features_hl.csv", "features_rd_ltf.csv", "features_rd_stf.csv"]
 
 
 def test_identical_devices_score_near_chance():
@@ -104,8 +105,8 @@ def test_model_capture_structural_isolation():
 
 def test_write_report_deterministic_bytes(tmp_path):
     cfg = hz.load_config(_base_doc(frames_per_device=8, repeats=1))
-    hz.write_report(hz.run_experiment(cfg), tmp_path / "a")
-    hz.write_report(hz.run_experiment(cfg), tmp_path / "b")
+    for out in (tmp_path / "a", tmp_path / "b"):
+        hz.write_report(hz.run_experiment(cfg, out), out)
     for name in ("report.json", "accuracy.csv", "features_hl.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -58,7 +58,7 @@ def test_experiment_same_with_one_or_two_workers(monkeypatch, forks, tmp_path):
     reports, stability, written = {}, {}, {}
     for n in (1, 2):
         _with_cpus(monkeypatch, n)
-        reports[n] = hz.run_experiment(cfg)
+        reports[n] = hz.run_experiment(cfg, tmp_path / str(n))
         stability[n] = hz.run_feature_stability(cfg)
         hz.write_report(reports[n], tmp_path / str(n))
         written[n] = {p.name: p.read_text() for p in sorted((tmp_path / str(n)).iterdir())}
@@ -130,6 +130,29 @@ def test_failures_same_with_one_or_two_workers(monkeypatch, failures):
             hz.run_experiment(cfg)
         assert type(info.value) is type(want)
         assert str(info.value) == str(want)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", [("dev01", "rx01"), ("dev02", "rx01")])  # middle, last
+def test_failed_run_leaves_no_feature_table(monkeypatch, tmp_path, cpus, failing):
+    """Tables are written as links arrive, so the links before the failing
+    one are already on disk when it raises; none may stay."""
+    cfg = hz.load_config(DOC)
+    _failing_links(monkeypatch, {failing: ValueError("injected")})
+    _with_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="injected"):
+        hz.run_experiment(cfg, tmp_path)
+    assert list(tmp_path.rglob("features_*")) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_without_out_dir_formats_no_row(monkeypatch, cpus):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a feature row was formatted")
+
+    monkeypatch.setattr(hz.data_io, "format_feature_rows", no_rows)
+    _with_cpus(monkeypatch, cpus)
+    assert hz.run_experiment(hz.load_config(DOC)).cells
 
 
 def test_empty_train_pool_same_with_one_or_two_workers(monkeypatch):
