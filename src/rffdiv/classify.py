@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,8 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters. The defaults (smoothing 0.1, 50 epochs,
-    batch 64, learning rate 1e-3, L2 0.1) suit the Adam steps `train`
-    takes."""
+    """Training hyperparameters, the classifier table of the experiment
+    config; the defaults suit the Adam steps `train` takes."""
 
     epochs: int = 50
     batch: int = 64
@@ -58,6 +57,11 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            v, integer = getattr(self, f.name), f.type == "int"
+            kind, word = (numbers.Integral, "integer") if integer else (numbers.Real, "number")
+            if isinstance(v, bool) or not isinstance(v, kind) or not -np.inf < v < np.inf:
+                raise ValueError(f"{f.name} must be a finite {word}, got {v!r}")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be positive")
         if self.learning_rate <= 0 or self.l2 < 0:
@@ -66,8 +70,6 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5)")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

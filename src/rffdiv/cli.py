@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -45,13 +45,11 @@ def _load_json(path) -> dict:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        doc["master_seed"] = args.seed
-    if getattr(args, "snr_db", None) is not None:
-        doc["snr_db"] = args.snr_db
-    if getattr(args, "extractor", None):
-        doc["extractors"] = [args.extractor]
-    return doc
+    """`doc` with the --seed, --snr-db and --extractor given over its keys."""
+    extractor = getattr(args, "extractor", None)
+    given = {"master_seed": args.seed, "snr_db": args.snr_db,
+             "extractors": extractor and [extractor]}
+    return doc | {key: value for key, value in given.items() if value is not None}
 
 
 def _write_capture(cfg, out: Path, snr_db: float, per_frame_channel: bool, capture) -> None:
@@ -92,14 +90,12 @@ def cmd_simulate(args) -> int:
         pass
     manifest = {
         "format_version": 1,
-        "scenario": cfg.scenario(),
+        "scenario": cfg.channel["scenario"],
         "snr_db": snr,
         "sample_rate": SAMPLE_RATE,
-        "detection": {
-            "window_w": cfg.detection_window,
-            "threshold_multiplier": cfg.detection_multiplier,
-            "metric": "magnitude",  # kept until manifest format 2 (ROADMAP item 3)
-        },
+        # `metric` is kept until manifest format 2 (ROADMAP item 3)
+        "detection": {"window_w": cfg.detection_window,
+                      "threshold_multiplier": cfg.detection_multiplier, "metric": "magnitude"},
         "captures": entries,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -157,12 +153,11 @@ class _Step:
 def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     """Walk capture files in lock-step, one block row per file still being
     walked (`readers`: at most `harness.BLOCK_ROWS` `data_io.IqReader`s),
-    detecting with `detection`, the (window_w, threshold_multiplier) of
-    `harness.detection_settings`. Each step acquires the current segment
-    of every row as one block, then advances each row by its own outcome,
-    so a row sees exactly the segments it would see walked alone. Yields a
-    `_Step` per block; with `until_acquired` a file is walked only up to
-    its first acquired frame."""
+    detecting with `detection`, a (window_w, threshold_multiplier) pair.
+    Each step acquires the current segment of every row as one block,
+    then advances each row by its own outcome, so a row sees exactly the
+    segments it would see walked alone. Yields a `_Step` per block; with
+    `until_acquired` a file is walked only up to its first acquired frame."""
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
@@ -212,15 +207,8 @@ def _load_manifest(path_arg) -> tuple[dict, Path]:
     if not man_path.exists():
         raise harness.ConfigError(f"manifest not found: {man_path}")
     manifest = _load_json(man_path)
-    captures = manifest.get("captures")
-    if not isinstance(captures, list):
-        raise harness.ConfigError(f"{man_path}: manifest has no 'captures' list")
-    for k, cap in enumerate(captures):
-        if not (isinstance(cap, dict)
-                and all(isinstance(cap.get(key), str)
-                        for key in ("path", "device", "receiver", "role"))):
-            raise harness.ConfigError(
-                f"{man_path}: capture {k} needs string path, device, receiver and role")
+    manifest["captures"] = harness._list_of(partial(harness._read, harness._CAPTURE))(
+        manifest.get("captures"), f"{man_path}: captures")
     return manifest, man_path.parent
 
 
@@ -284,11 +272,12 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> tupl
 def cmd_extract(args) -> int:
     manifest, base = _load_manifest(args.manifest)
     captures = manifest["captures"]
-    extractors = [args.extractor.upper()] if args.extractor else ["RD", "HL", "DV"]
-    use_rd = any(e.startswith("RD") for e in extractors)
+    extractors = [args.extractor] if args.extractor else list(harness.EXTRACTORS)
+    use_rd = harness._needs_reference(extractors)
     if use_rd and not any(c["role"] == "reference" for c in captures):
         raise harness.ConfigError("reference-division extraction needs reference captures")
-    detection = harness.detection_settings(manifest.get("detection", {}))
+    det = harness._read(harness._DETECTION, manifest.get("detection", {}), "manifest detection")
+    detection = (det["window_w"], det["threshold_multiplier"])
     fields = harness._needed_fields(extractors)
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
@@ -379,12 +368,9 @@ def cmd_train(args) -> int:
     if not records:
         raise harness.ConfigError(f"{args.features}: empty feature table")
     doc = _load_json(args.config) if args.config else {}
-    try:
-        cfg = cl.TrainConfig(**doc)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (TypeError, ValueError) as exc:
-        raise harness.ConfigError(f"bad training config: {exc}") from exc
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    cfg = harness._train_config(doc, "training config")
     try:
         model = cl.train(_records_to_features(records), cfg)
     except cl.TrainError as exc:
@@ -444,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extract", help="extract feature tables from IQ captures")
     ext.add_argument("--manifest", required=True, help="manifest.json or its directory")
     ext.add_argument("--out-dir", required=True)
-    ext.add_argument("--extractor", choices=["RD", "HL", "DV"])
+    ext.add_argument("--extractor", choices=harness.EXTRACTORS)
     ext.set_defaults(func=cmd_extract)
 
     sel = sub.add_parser("select-ref", help="rank candidate reference devices by eta_LF")
@@ -470,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--out-dir", required=True)
     be.add_argument("--seed", type=int)
     be.add_argument("--snr-db", type=float)
-    be.add_argument("--extractor", choices=["RD", "HL", "DV"])
+    be.add_argument("--extractor", choices=harness.EXTRACTORS)
     be.set_defaults(func=cmd_bench)
     return p
 

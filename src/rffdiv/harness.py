@@ -64,7 +64,7 @@ from .features import (
 )
 from .impairments import DeviceProfile, Role, apply_receiver, apply_transmitter, sample_profile
 from .preprocess import (
-    DEFAULT_THRESHOLD_MULTIPLIER,
+    MIN_WINDOW_W,
     DetectionConfig,
     EstimationFailedError,
     NotDetectedError,
@@ -222,171 +222,205 @@ class ExperimentConfig:
     train_receivers: list
     test_receivers: list
     snr_db: list
-    channel: dict = field(default_factory=lambda: {"scenario": "flat"})
-    reference_device: dict | None = None
-    frames_per_device: int = 200
-    repeats: int = 5
-    classifier: cl.TrainConfig = field(default_factory=cl.TrainConfig)
-    detection_window: int = 80
-    detection_multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER
-
-    def scenario(self) -> str:
-        return self.channel.get("scenario", "flat")
+    channel: dict
+    reference_device: dict | None
+    frames_per_device: int
+    repeats: int
+    classifier: cl.TrainConfig
+    detection_window: int
+    detection_multiplier: float
 
 
-# Explicit per-profile keys the config may carry instead of (or on top of)
-# a draw seed. Complex values are written as [real, imag] pairs.
-_PROFILE_KEYS = ("dc_offset", "iq_gain_imbalance", "iq_phase_imbalance",
-                 "fir_taps", "pa_coeffs", "cfo_hz", "band_tilt")
+# The config schema: one table per config object, each row a key's check
+# (type and range) and default. A check takes a value and its place in the
+# config and returns the value in its type, or raises ConfigError. Defaults
+# are written as in a config and checked too; an _OPEN key that the config
+# leaves out stays out, for the code that reads the object to fill in.
+_NEEDED, _OPEN = object(), object()
 
 
-def _check_seed(value, what: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ConfigError(f"{what} must be non-negative, got {seed}")
-    return seed
+def _is(test, wanted: str):
+    def check(v, what):
+        if not test(v):
+            raise ConfigError(f"{what} must be {wanted}, got {v!r}")
+        return v
+    return check
 
 
-def _expand_entities(spec, prefix: str) -> list[dict]:
-    """Device/receiver lists may be explicit dicts or a {count, base_seed}
-    shorthand."""
-    if isinstance(spec, dict):
-        count = int(spec["count"])
-        base = _check_seed(spec.get("base_seed", 0), f"{prefix} base_seed")
-        fd = bool(spec.get("field_distinct", False))
-        return [
-            {"id": f"{prefix}{i:02d}", "seed": base + i, "field_distinct": fd}
-            for i in range(count)
-        ]
-    out = []
-    for i, d in enumerate(spec):
-        d = dict(d)
-        d.setdefault("id", f"{prefix}{i:02d}")
-        if "seed" not in d and not any(k in d for k in _PROFILE_KEYS):
-            raise ConfigError(f"{prefix} entry {i} needs a seed or explicit parameters")
-        _check_seed(d.get("seed", 0), f"{prefix} entry {i} seed")
-        out.append(d)
+def _number(integer=False, lo=-math.inf, above=False, inf=False):
+    """A number at least `lo` (above it with `above`): an int (a whole float
+    too) when `integer`, else a float, finite unless `inf` admits +inf."""
+    def ok(v):
+        try:
+            return (not isinstance(v, bool) and isinstance(v, (int, float))
+                    and (float(v).is_integer() if integer else math.isfinite(v) or inf and v > 0)
+                    and (v > lo if above else v >= lo))
+        except OverflowError:  # an integer too large for a float
+            return False
+    check = _is(ok, ("an integer" if integer else "a finite number" + " or +inf" * inf)
+                + f" {'above' if above else 'at least'} {lo:g}" * (lo > -math.inf))
+    return lambda v, what: (int if integer else float)(check(v, what))
+
+
+def _list_of(item, scalar=None):
+    """A non-empty list of `item` values, or with `scalar` a non-list value."""
+    many = _is(lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "a non-empty list")
+    return lambda v, what: (scalar(v, what) if scalar and not isinstance(v, (list, tuple))
+                            else [item(x, f"{what}[{i}]") for i, x in enumerate(many(v, what))])
+
+
+def _or_null(check):
+    return lambda v, what: None if v is None else check(v, what)
+
+
+_object = _is(lambda v: isinstance(v, dict), "a JSON object")
+_text = _is(lambda v: isinstance(v, str), "a string")
+_flag = _is(lambda v: isinstance(v, bool), "true or false")
+_real, _seed, _snr = _number(), _number(integer=True, lo=0), _number(inf=True)
+_complex = _list_of(_real, scalar=_real)  # a number, or [re, im]
+
+
+def _read(table: dict, obj, what: str) -> dict:
+    """`obj`, the config's JSON object `what`, checked against `table`."""
+    unknown = [key for key in _object(obj, what) if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {what}")
+    out = {}
+    for key, (check, default) in table.items():
+        if key not in obj and default is _NEEDED:
+            raise ConfigError(f"{what} needs {key!r}")
+        if key in obj or default is not _OPEN:
+            out[key] = check(obj.get(key, default), f"{what}.{key}")
     return out
 
 
-def detection_settings(det) -> tuple[int, float]:
-    """(window_w, threshold_multiplier) from the `detection` object of an
-    experiment config or a capture manifest. The detector always sums
-    magnitudes; `metric` is accepted only as "magnitude", for files that
-    still carry it (report format 2 drops the key: ROADMAP item 3)."""
-    if not isinstance(det, dict):
-        raise ConfigError("detection settings must be a JSON object")
+# A device, receiver, reference or sweep candidate, echoed as written; the
+# impairments after `field_distinct` override the seed's draw within ranges
+# that `DeviceProfile` checks.
+_ENTITY = {
+    "id": (_text, _OPEN),  # <prefix><list position:02d>; "ref" for the reference
+    "seed": (_seed, _OPEN),  # 0, for an entry that gives impairments instead
+    "field_distinct": (_flag, _OPEN),  # true for a device, false for a receiver or reference
+    "dc_offset": (_complex, _OPEN),
+    "iq_gain_imbalance": (_real, _OPEN),
+    "iq_phase_imbalance": (_real, _OPEN),
+    "fir_taps": (_list_of(_complex), _OPEN),
+    "pa_coeffs": (_list_of(_complex), _OPEN),
+    "cfo_hz": (_real, _OPEN),
+    "band_tilt": (_or_null(_list_of(_real)), _OPEN),
+}
+# A device or receiver list as {count, base_seed}: entry i is <prefix><i:02d>.
+_SHORTHAND = {
+    "count": (_number(integer=True, lo=1), _NEEDED),
+    "base_seed": (_seed, 0),
+    "field_distinct": (_flag, False),
+}
+# Echoed as written; a key left out takes the scenario preset's value.
+_CHANNEL = {
+    "scenario": (_is(SCENARIOS.__contains__, f"one of {', '.join(SCENARIOS)}"), _NEEDED),
+    "n_taps": (_number(integer=True, lo=1), _OPEN),
+    "decay": (_number(lo=0, above=True), _OPEN),
+    "rice_k_db": (_or_null(_real), _OPEN),
+    "per_frame": (_flag, _OPEN),
+}
+# Also a capture manifest's detection. The detector always sums magnitudes;
+# `metric` stays for the files that carry it (report format 2 drops it).
+_DETECTION = {
+    "window_w": (_number(integer=True, lo=MIN_WINDOW_W), 80),
+    "threshold_multiplier": (_number(lo=0, above=True), 6.0),
+    "metric": (_is("magnitude".__eq__, "'magnitude'"), "magnitude"),
+}
+# A capture that a manifest lists: its IQ file, transmitter, receiver and role.
+_CAPTURE = {**dict.fromkeys(("path", "device", "receiver", "role"), (_text, _NEEDED)),
+            "frames": (_number(integer=True, lo=1), _OPEN)}
+
+
+def _entity(v, what: str) -> dict:
+    entry = _read(_ENTITY, v, what)
+    if "seed" not in entry and entry.keys() <= {"id", "field_distinct"}:
+        raise ConfigError(f"{what} needs a seed or explicit impairments")
+    return entry
+
+
+def _entities(prefix: str, v, what: str) -> list:
+    """A list of entity entries, or the shorthand, with seeds base_seed + i."""
+    if isinstance(v, dict):
+        short = _read(_SHORTHAND, v, what)
+        return [{"id": f"{prefix}{i:02d}", "seed": short["base_seed"] + i,
+                 "field_distinct": short["field_distinct"]} for i in range(short["count"])]
+    return [{"id": f"{prefix}{i:02d}"} | e for i, e in enumerate(_list_of(_entity)(v, what))]
+
+
+def _train_config(v, what: str) -> cl.TrainConfig:
+    """The classifier object; `classify.TrainConfig` is its table."""
     try:
-        window_w = int(det.get("window_w", 80))
-        multiplier = float(det.get("threshold_multiplier", DEFAULT_THRESHOLD_MULTIPLIER))
+        return cl.TrainConfig(**_object(v, what))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad detection settings: {exc}") from exc
-    if window_w < 16:
-        raise ConfigError(f"detection window_w must be at least 16, got {window_w}")
-    if not multiplier > 0:
-        raise ConfigError(f"detection threshold_multiplier must be positive, got {multiplier}")
-    if det.get("metric", "magnitude") != "magnitude":
-        raise ConfigError(f"unknown detection metric {det['metric']!r}; only 'magnitude' is kept")
-    return window_w, multiplier
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def load_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document and normalize its shorthands."""
+EXTRACTORS = ("RD", "HL", "DV")
+_TOP = {
+    "master_seed": (_seed, _NEEDED),
+    "devices": (partial(_entities, "dev"), _NEEDED),
+    "receivers": (partial(_entities, "rx"), _NEEDED),
+    "reference_device": (_or_null(_entity), None),
+    "extractors": (_list_of(_is(EXTRACTORS.__contains__, "RD, HL or DV")), list(EXTRACTORS)),
+    # an entry is a receiver id, or a list of them that trains as one set
+    "train_receivers": (_list_of(_list_of(_text, scalar=_text)), _OPEN),  # the first receiver
+    "test_receivers": (_list_of(_text), _OPEN),  # every receiver
+    "snr_db": (_list_of(_snr, scalar=lambda v, what: [_snr(v, what)]), 30.0),
+    "channel": (partial(_read, _CHANNEL), {"scenario": "flat"}),
+    "frames_per_device": (_number(integer=True, lo=2), 200),
+    "repeats": (_number(integer=True, lo=1), 5),
+    "classifier": (_train_config, {}),
+    "detection": (partial(_read, _DETECTION), {}),
+}
+
+
+def _needs_reference(extractors) -> bool:
+    return "RD" in extractors  # reference division divides by a reference's model
+
+
+def load_config(doc) -> ExperimentConfig:
+    """The experiment config of a config document, read through the tables
+    above and the rules that tie keys together, before anything runs."""
+    top = _read(_TOP, doc, "config")
+    rx_ids = [r["id"] for r in top["receivers"]]
+    train = top.setdefault("train_receivers", rx_ids[:1])
+    test = top.setdefault("test_receivers", rx_ids)
+    if len(top["devices"]) < 2:
+        raise ConfigError("need at least two devices")
+    ids = {r for t in train for r in ([t] if isinstance(t, str) else t)} | set(test)
+    if ids - set(rx_ids):
+        raise ConfigError(f"train or test receivers {sorted(ids - set(rx_ids))} not in receivers")
+    if _needs_reference(top["extractors"]) and top["reference_device"] is None:
+        raise ConfigError("reference-division extraction needs a reference_device")
+    det = top.pop("detection")
+    cfg = ExperimentConfig(**top, detection_window=det["window_w"],
+                           detection_multiplier=det["threshold_multiplier"])
     try:
-        devices = _expand_entities(doc["devices"], "dev")
-        receivers = _expand_entities(doc["receivers"], "rx")
-        reference = doc.get("reference_device")
-        if isinstance(reference, dict):
-            _check_seed(reference.get("seed", 0), "reference_device seed")
-        extractors = [str(e).upper() for e in doc.get("extractors", ["RD", "HL", "DV"])]
-        snr = doc.get("snr_db", 30.0)
-        snr_list = [float(s) for s in (snr if isinstance(snr, (list, tuple)) else [snr])]
-        train = doc.get("train_receivers") or [receivers[0]["id"]]
-        test = doc.get("test_receivers") or [r["id"] for r in receivers]
-        window_w, multiplier = detection_settings(doc.get("detection", {}))
-        cfg = ExperimentConfig(
-            master_seed=int(doc["master_seed"]),
-            devices=devices,
-            receivers=receivers,
-            extractors=extractors,
-            train_receivers=list(train),
-            test_receivers=[str(t) for t in test],
-            snr_db=snr_list,
-            channel=dict(doc.get("channel", {"scenario": "flat"})),
-            reference_device=reference,
-            frames_per_device=int(doc.get("frames_per_device", 200)),
-            repeats=int(doc.get("repeats", 5)),
-            classifier=cl.TrainConfig(**doc.get("classifier", {})),
-            detection_window=window_w,
-            detection_multiplier=multiplier,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad experiment config: {exc}") from exc
-    validate_config(cfg)
+        _profiles(cfg)
+    except (TypeError, ValueError) as exc:  # an impairment that DeviceProfile rejects
+        raise ConfigError(f"bad impairment: {exc}") from exc
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.master_seed < 0:
-        raise ConfigError(f"master_seed must be non-negative, got {cfg.master_seed}")
-    if len(cfg.devices) < 2:
-        raise ConfigError("need at least two devices")
-    if not cfg.receivers:
-        raise ConfigError("need at least one receiver")
-    known = {e.value for e in Extractor} | {"RD"}
-    for e in cfg.extractors:
-        if e not in known:
-            raise ConfigError(f"unknown extractor {e!r}")
-    if any(e in ("RD", "RD_STF", "RD_LTF") for e in cfg.extractors) and not cfg.reference_device:
-        raise ConfigError("reference-division extraction needs a reference_device")
-    if cfg.scenario() not in SCENARIOS:
-        raise ConfigError(f"unknown channel scenario {cfg.scenario()!r}")
-    rx_ids = {r["id"] for r in cfg.receivers}
-    for entry in cfg.train_receivers:
-        ids = entry if isinstance(entry, (list, tuple)) else [entry]
-        for rid in ids:
-            if rid not in rx_ids:
-                raise ConfigError(f"train receiver {rid!r} not in receivers")
-    for rid in cfg.test_receivers:
-        if rid not in rx_ids:
-            raise ConfigError(f"test receiver {rid!r} not in receivers")
-    if cfg.frames_per_device < 2:
-        raise ConfigError("frames_per_device must be at least 2")
-    if cfg.repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    if cfg.reference_device is not None and "seed" not in cfg.reference_device \
-            and not any(k in cfg.reference_device for k in _PROFILE_KEYS):
-        raise ConfigError("reference_device needs a seed or explicit parameters")
-
-
-def _as_complex(v):
-    return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-
-
 def profile_from_entry(entry: dict, role: str, default_field_distinct: bool) -> DeviceProfile:
-    """Build a profile from a config entry: a drawn profile when only a
-    seed is given, with any explicit impairment keys overriding the draw."""
-    explicit = {k: entry[k] for k in _PROFILE_KEYS if k in entry}
-    base = sample_profile(
-        int(entry.get("seed", 0)), role,
-        field_distinct=bool(entry.get("field_distinct", default_field_distinct)),
-        device_id=entry.get("id", "dev"),
-    )
-    overrides = {}
+    """The profile of a checked entity entry: its seed's draw, with any
+    impairment the entry gives over the drawn one."""
+    def _as_complex(v):  # a number, or an [re, im] pair
+        return complex(*v) if isinstance(v, list) else complex(v)
+
+    explicit = {k: v for k, v in entry.items() if k not in ("id", "seed", "field_distinct")}
     if "dc_offset" in explicit:
-        overrides["dc_offset"] = _as_complex(explicit["dc_offset"])
-    for key in ("iq_gain_imbalance", "iq_phase_imbalance", "cfo_hz"):
-        if key in explicit:
-            overrides[key] = float(explicit[key])
+        explicit["dc_offset"] = _as_complex(explicit["dc_offset"])
     for key in ("fir_taps", "pa_coeffs"):
         if key in explicit:
-            overrides[key] = np.array([_as_complex(v) for v in explicit[key]])
-    if "band_tilt" in explicit:
-        tilt = explicit["band_tilt"]
-        overrides["band_tilt"] = None if tilt is None else np.asarray(tilt, dtype=float)
-    return replace(base, **overrides)
+            explicit[key] = [_as_complex(v) for v in explicit[key]]
+    base = sample_profile(entry.get("seed", 0), role, device_id=entry["id"],
+                          field_distinct=entry.get("field_distinct", default_field_distinct))
+    return replace(base, **explicit)
 
 
 def profile_to_entry(profile: DeviceProfile) -> dict:
@@ -406,42 +440,33 @@ def profile_to_entry(profile: DeviceProfile) -> dict:
 
 
 def _profiles(cfg: ExperimentConfig):
-    devices = [
-        profile_from_entry(d, Role.TRANSMITTER, default_field_distinct=True)
-        for d in cfg.devices
-    ]
-    receivers = [
-        profile_from_entry(r, Role.RECEIVER, default_field_distinct=False)
-        for r in cfg.receivers
-    ]
-    reference = None
-    if cfg.reference_device:
-        reference = profile_from_entry(
-            {**cfg.reference_device, "id": cfg.reference_device.get("id", "ref")},
-            Role.TRANSMITTER, default_field_distinct=False,
-        )
-    return devices, receivers, reference
+    """Device, receiver and reference profiles. Where an entry does not say,
+    a device is field-distinct and a receiver or the reference is not, and
+    the reference's id is "ref"."""
+    devices = [profile_from_entry(d, Role.TRANSMITTER, True) for d in cfg.devices]
+    receivers = [profile_from_entry(r, Role.RECEIVER, False) for r in cfg.receivers]
+    ref = cfg.reference_device and {"id": "ref"} | cfg.reference_device
+    return devices, receivers, ref and profile_from_entry(ref, Role.TRANSMITTER, False)
+
+
+def _channel_params(cfg: ExperimentConfig) -> dict:
+    """The scenario's preset (per frame only where it says so) under the
+    config's channel keys."""
+    return {"per_frame": False} | SCENARIOS[cfg.channel["scenario"]] | cfg.channel
 
 
 def _draw_channel(cfg: ExperimentConfig, snr_db: float, seed) -> ChannelRealization:
     """The scenario's channel from `seed`: an int, or one generator per row
     of a block of draws (`sample_channel`)."""
-    params = SCENARIOS[cfg.scenario()] | {
-        k: v for k, v in cfg.channel.items() if k not in ("scenario",)
-    }
-    if params["kind"] == "flat":
+    p = _channel_params(cfg)
+    if p["kind"] == "flat":
         return sample_channel(ChannelKind.FLAT, snr_db, seed)
-    return sample_channel(
-        ChannelKind.SELECTIVE, snr_db, seed,
-        n_taps=int(params.get("n_taps", 4)),
-        decay=float(params.get("decay", 1.0)),
-        rice_k_db=params.get("rice_k_db"),
-    )
+    return sample_channel(ChannelKind.SELECTIVE, snr_db, seed, p["n_taps"], p["decay"],
+                          p["rice_k_db"])
 
 
 def _channel_per_frame(cfg: ExperimentConfig) -> bool:
-    preset = SCENARIOS[cfg.scenario()].get("per_frame", False)
-    return bool(cfg.channel.get("per_frame", preset))
+    return _channel_params(cfg)["per_frame"]
 
 
 _FRAME = generate_preamble(PreambleSpec(PreambleFormat.HTMF))
@@ -579,7 +604,7 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
 def _extract_all(spectra: dict, extractors, model: ModelCapture | None,
                  rx_id: str, device_id: str) -> dict[str, FeatureVector]:
     out = {}
-    if any(e in ("RD", "RD_STF", "RD_LTF") for e in extractors):
+    if _needs_reference(extractors):
         if model is None:
             raise PipelineError("reference-division extraction without a model capture")
         # structural isolation: the model must have been captured through
@@ -625,14 +650,10 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
 
 
 def _needed_fields(extractors) -> tuple:
-    fields = set()
-    if any(e in ("RD", "RD_STF", "RD_LTF") for e in extractors):
-        fields.update((Field.LSTF, Field.LLTF))
-    if "HL" in extractors:
-        fields.update((Field.LLTF, Field.HTLTF))
-    if "DV" in extractors:
-        fields.update((Field.LSTF, Field.LLTF))
-    return tuple(sorted(fields, key=lambda f: f.value))
+    """The preamble fields that the extractors read, in field order."""
+    reads = {"RD": (Field.LSTF, Field.LLTF), "HL": (Field.LLTF, Field.HTLTF),
+             "DV": (Field.LSTF, Field.LLTF)}
+    return tuple(sorted({f for e in extractors for f in reads[e]}, key=lambda f: f.value))
 
 
 @dataclass
@@ -681,7 +702,7 @@ def _transmit_all(devices, reference) -> tuple[list, np.ndarray | None]:
 
 
 def _capture_models(cfg, receivers, sent_ref, repeat, snr_db) -> dict[str, ModelCapture]:
-    if sent_ref is None or not any(e.startswith("RD") for e in cfg.extractors):
+    if not _needs_reference(cfg.extractors):
         return {}
     return {rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr_db)
             for rj, rx in enumerate(receivers)}
@@ -736,8 +757,9 @@ def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeature
     out = _link_features(cfg, blocks, model, rx.device_id, device_id)
     if csv:
         trials = (repeat * cfg.frames_per_device + out.frames).tolist()
-        out.csv = {tag: data_io.format_feature_rows(tag, device_id, rx.device_id,
-                                                    cfg.scenario(), trials, snr_db, fv.values)
+        scenario = cfg.channel["scenario"]
+        out.csv = {tag: data_io.format_feature_rows(tag, device_id, rx.device_id, scenario,
+                                                    trials, snr_db, fv.values)
                    for tag, fv in out.features.items()}
     return out
 
@@ -843,8 +865,7 @@ def _train_and_score(cfg, links) -> list:
     for extractor in cfg.extractors:
         tags = _branch_tags(extractor)
         for train_entry in cfg.train_receivers:
-            train_ids = (set(train_entry) if isinstance(train_entry, (list, tuple))
-                         else {train_entry})
+            train_ids = {train_entry} if isinstance(train_entry, str) else set(train_entry)
             train_pool = _pool(cfg, links, tags, train_ids, True)
             test_pools = [_pool(cfg, links, tags, {test_id}, False)
                           for test_id in cfg.test_receivers]
@@ -876,7 +897,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     arrive, in (snr, repeat, device, receiver) order, so only the current
     (snr, repeat)'s features stay in memory; a run that raises leaves no
     table (`_feature_tables`)."""
-    validate_config(cfg)
     devices, receivers, reference = _profiles(cfg)
     sent = _transmit_all(devices, reference)
     cells_acc = {}
@@ -936,14 +956,13 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
     dominated by the shared flat component, so the centered variant is the
     discriminative stability measure.
     """
-    validate_config(cfg)
     devices, receivers, reference = _profiles(cfg)
     sent_devices, sent_ref = _transmit_all(devices, reference)
     snr = cfg.snr_db[0]
     models = _capture_models(cfg, receivers, sent_ref, 0, snr)
     links = _run_links(cfg, devices, receivers, sent_devices, models, snr, 0,
                        per_frame_channel=True)
-    out = {"snr_db": snr, "scenario": cfg.scenario(), "devices": {}}
+    out = {"snr_db": snr, "scenario": cfg.channel["scenario"], "devices": {}}
     for dev in devices:
         per_rx = {rx.device_id: links[(dev.device_id, rx.device_id)].features
                   for rx in receivers}
@@ -1034,23 +1053,15 @@ def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
     """Repeat the reference-division experiment once per candidate reference
     device and correlate each candidate's low-frequency energy ratio with
     its mean accuracy."""
-    cands = _expand_entities(candidates, "cand")
+    cands = _entities("cand", candidates, "candidates")
     if len(cands) < 3:
         raise ConfigError("reference sweep needs at least 3 candidates")
     rows = []
     for cand in cands:
         report = run_experiment(replace(cfg, reference_device=cand, extractors=["RD"]))
-        mean_acc = float(np.mean([c["mean_accuracy"] for c in report.cells]))
-        etas = [
-            rec["eta_lf"]
-            for key, recs in report.model_info.items()
-            for rec in recs
-        ]
-        rows.append({
-            "candidate": cand["id"],
-            "eta_lf": float(np.mean(etas)),
-            "mean_accuracy": mean_acc,
-        })
+        etas = [rec["eta_lf"] for recs in report.model_info.values() for rec in recs]
+        rows.append({"candidate": cand["id"], "eta_lf": float(np.mean(etas)),
+                     "mean_accuracy": float(np.mean([c["mean_accuracy"] for c in report.cells]))})
     r, p = pearson_r_p([r_["eta_lf"] for r_ in rows], [r_["mean_accuracy"] for r_ in rows])
     return {"candidates": rows, "pearson_r": r, "p_value": p}
 

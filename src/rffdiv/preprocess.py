@@ -53,12 +53,12 @@ class DetectionConfig:
     """Detector settings: a window's statistic is its summed magnitude,
     sum |y|. `threshold_t` may hold one threshold per row of a block."""
 
-    window_w: int = 80
-    threshold_t: float | np.ndarray = 1.0
+    window_w: int
+    threshold_t: float | np.ndarray
 
     def __post_init__(self):
-        if self.window_w < 16:
-            raise ValueError("window_w must be at least 16")
+        if self.window_w < MIN_WINDOW_W:
+            raise ValueError(f"window_w must be at least {MIN_WINDOW_W}")
         if np.asarray(self.threshold_t).min() <= 0:
             raise ValueError("threshold_t must be positive")
 
@@ -89,7 +89,7 @@ _SPAN_LEN = 384
 # the correlation peak is below this multiple of the search median.
 _SEARCH_LEN = 400
 _PEAK_FLOOR_RATIO = 3.0
-DEFAULT_THRESHOLD_MULTIPLIER = 6.0
+MIN_WINDOW_W = 16  # the shortest detection window, in samples
 # Skip the first half short symbol so detection-edge transients stay out of
 # the autocorrelation sums.
 CFO_START_OFFSET = 8
@@ -98,8 +98,8 @@ _TS = 1.0 / SAMPLE_RATE  # seconds per sample
 _TINY = np.finfo(float).tiny
 
 
-def noise_floor_threshold(y: ComplexSignal | Frames, cfg_w: int = 80,
-                          multiplier: float = DEFAULT_THRESHOLD_MULTIPLIER) -> float | np.ndarray:
+def noise_floor_threshold(y: ComplexSignal | Frames, cfg_w: int,
+                          multiplier: float) -> float | np.ndarray:
     """Threshold from the first window of each capture, assumed signal-free."""
     frames = Frames.of(y)
     stat = np.sum(np.abs(frames.samples[:, :cfg_w]), axis=1)

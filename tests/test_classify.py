@@ -242,6 +242,10 @@ def test_train_config_validation():
         cl.TrainConfig(label_smoothing=0.5)
     with pytest.raises(ValueError):
         cl.TrainConfig(learning_rate=0.0)
+    for bad in ({"epochs": 1.5}, {"batch": True}, {"learning_rate": float("nan")},
+                {"l2": float("inf")}, {"label_smoothing": "0.1"}):
+        with pytest.raises(ValueError):
+            cl.TrainConfig(**bad)
     for seed in (1.5, 2.0, True, "3"):
         with pytest.raises(ValueError, match="integer"):
             cl.TrainConfig(seed=seed)

@@ -223,6 +223,26 @@ def _assert_config_error(argv, capsys):
     ("reference_device", {"id": "ref", "seed": -4}),
     ("classifier", {"seed": -2}),
     ("classifier", {"seed": 1.5}),
+    # each ran with a value it did not say, or failed only after the links ran
+    ("frames_per_devic", 10),
+    ("repeats", 1.9),
+    ("master_seed", 7.5),
+    ("devices", {"count": 2.5, "base_seed": 100}),
+    ("devices", {"count": 3, "base_seed": 2.7}),
+    ("devices", [{"id": "a", "seed": 1, "fied_distinct": True}, {"id": "b", "seed": 2}]),
+    ("channel", {"scenario": "los", "n_tapz": 3}),
+    ("channel", {"scenario": "flat", "per_frame": "no"}),
+    ("snr_db", float("-inf")),
+    ("snr_db", ["30"]),
+    ("channel", {"scenario": "los", "n_taps": 0}),
+    pytest.param("snr_db", 10**400, id="snr_db-int10e400"),
+    ("snr_db", float("nan")),
+    ("detection", {"threshold_multiplier": float("inf")}),
+    ("classifier", {"epochs": 1.5}),
+    ("classifier", {"batch": True}),
+    ("classifier", {"learning_rate": float("nan")}),
+    ("extractors", ["RD_STF"]),
+    ("devices", [{"id": "a", "seed": 1, "fir_taps": [[0.1, 0], [1, 0]]}, {"id": "b", "seed": 2}]),
 ])
 def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, value):
     doc = {**json.loads(config_path.read_text()), key: value}
@@ -254,7 +274,9 @@ def sim_dir(config_path, tmp_path_factory):
 
 
 @pytest.mark.parametrize("detection", [{"window_w": 8}, {"threshold_multiplier": -1.0},
-                                       {"metric": "energy"}, {"window_w": "wide"}])
+                                       {"metric": "energy"}, {"window_w": "wide"},
+                                       {"window_w": 80.5}, {"threshold_multiplier": float("inf")},
+                                       {"window": 80}])
 def test_extract_bad_detection_is_config_error(sim_dir, tmp_path, capsys, detection):
     doc = json.loads((sim_dir / "manifest.json").read_text())
     doc["detection"] = detection
@@ -265,7 +287,9 @@ def test_extract_bad_detection_is_config_error(sim_dir, tmp_path, capsys, detect
                           "--out-dir", str(tmp_path / "f")], capsys)
 
 
-@pytest.mark.parametrize("train_doc", [{"epochs": 0}, {"epoch": 5}, {"optimizer": "adam"}])
+@pytest.mark.parametrize("train_doc", [{"epochs": 0}, {"epoch": 5}, {"optimizer": "adam"},
+                                       {"epochs": 1.5}, {"batch": True},
+                                       {"learning_rate": float("nan")}])
 def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
     rng = np.random.default_rng(0)
     features = tmp_path / "hl.csv"

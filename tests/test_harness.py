@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -274,3 +275,17 @@ def test_explicit_profile_entries_roundtrip_and_run():
 def test_entry_without_seed_or_parameters_rejected():
     with pytest.raises(hz.ConfigError):
         hz.load_config(_base_doc(devices=[{"id": "a"}, {"id": "b", "seed": 1}]))
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"extractors": "HL"}, "config.extractors must be a non-empty list, got 'HL'"),
+    ({"frames_per_devic": 10}, "unknown key 'frames_per_devic' in config"),
+    ({"channel": {"scenario": "flat", "per_frame": "no"}},
+     "config.channel.per_frame must be true or false, got 'no'"),
+    ({"devices": [{"id": "a", "seed": 1}, {"id": "b", "seed": True}]},
+     "config.devices[1].seed must be an integer at least 0, got True"),
+    ({"test_receivers": ["rx07"]}, "train or test receivers ['rx07'] not in receivers"),
+])
+def test_config_error_names_the_value(override, message):
+    with pytest.raises(hz.ConfigError, match=re.escape(message)):
+        hz.load_config(_base_doc(**override))
