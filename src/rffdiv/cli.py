@@ -23,11 +23,11 @@ import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from .features import EXTRACTOR_DIM, Extractor, FeatureVector, FieldSpectrum, field_spectrum
+from .features import DIVISIONS, Extractor, FeatureVector, FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, Field, WindowBoundsError, occupied_tones
+from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError, occupied_tones
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -206,10 +206,11 @@ def _load_manifest(path_arg) -> tuple[dict, Path]:
         man_path = man_path / "manifest.json"
     if not man_path.exists():
         raise harness.ConfigError(f"manifest not found: {man_path}")
-    manifest = _load_json(man_path)
-    manifest["captures"] = harness._list_of(partial(harness._read, harness._CAPTURE))(
-        manifest.get("captures"), f"{man_path}: captures")
-    return manifest, man_path.parent
+    doc = _load_json(man_path)
+    try:
+        return harness._read(harness._MANIFEST, doc, "manifest"), man_path.parent
+    except harness.ConfigError as exc:
+        raise harness.ConfigError(f"{man_path}: {exc}") from exc
 
 
 def _lockstep_groups(captures, readers: dict, role: str) -> list:
@@ -260,11 +261,9 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> tupl
                 rows_of.setdefault(tag, {}).setdefault(rows[row], []).append(
                     (int(step.frame_index[row]), values))
     captures = manifest["captures"]
-    scenario = manifest.get("scenario", "unknown")
-    snr_db = float(manifest.get("snr_db", 0.0))
     return {tag: {i: (len(r), data_io.format_feature_rows(
-                      tag, captures[i]["device"], captures[i]["receiver"], scenario,
-                      [fi for fi, _ in r], snr_db, [v for _, v in r]))
+                      tag, captures[i]["device"], captures[i]["receiver"], manifest["scenario"],
+                      [fi for fi, _ in r], manifest["snr_db"], [v for _, v in r]))
                   for i, r in by_capture.items()}
             for tag, by_capture in rows_of.items()}, dropped
 
@@ -276,8 +275,7 @@ def cmd_extract(args) -> int:
     use_rd = harness._needs_reference(extractors)
     if use_rd and not any(c["role"] == "reference" for c in captures):
         raise harness.ConfigError("reference-division extraction needs reference captures")
-    det = harness._read(harness._DETECTION, manifest.get("detection", {}), "manifest detection")
-    detection = (det["window_w"], det["threshold_multiplier"])
+    detection = (manifest["detection"]["window_w"], manifest["detection"]["threshold_multiplier"])
     fields = harness._needed_fields(extractors)
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
@@ -312,7 +310,7 @@ def cmd_extract(args) -> int:
     for tag, by_capture in sorted(rows.items()):
         data_io.write_feature_text(
             out / f"features_{tag.lower()}.csv",
-            [data_io.feature_header(EXTRACTOR_DIM[Extractor(tag)])]
+            [data_io.feature_header(DIVISIONS[Extractor(tag)].dim)]
             + [by_capture[i][1] for i in sorted(by_capture)])
     print(f"wrote {sum(n for c in rows.values() for n, _ in c.values())} feature rows "
           f"({dropped} frames dropped) to {out}")
@@ -354,7 +352,7 @@ def _records_to_features(records):
     out = []
     for r in records:
         ext = Extractor(r.extractor)
-        tones = occupied_tones(Field.LSTF if EXTRACTOR_DIM[ext] == 12 else Field.LLTF)
+        tones = occupied_tones(DIVISIONS[ext].tones)
         v = np.asarray(r.values, dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm > 0:

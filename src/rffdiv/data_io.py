@@ -7,8 +7,9 @@ carries a `scale` field so SDR captures can be replayed; samples are
 multiplied by the scale on read. Feature tables are CSV with a fixed
 header (extractor, device, receiver, channel_scenario, trial, snr_db,
 v0..v{dim-1}); values are written with 17 significant digits so round
-trips are lossless. Parse errors always carry a location (byte offset or
-row number).
+trips are lossless. A table's rows share one extractor, a feature table
+of `features.DIVISIONS`, and its header has that table's width. Parse
+errors always carry a location (byte offset or row number).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import DIVISIONS, Extractor
 from .signals import SAMPLE_RATE, ComplexSignal
 
 
@@ -243,6 +245,12 @@ def read_features(path) -> list[FeatureRecord]:
             raise IoError(f"{path}: row {row_no} has {len(cells)} cells, expected {len(header)}")
         if extractor is None:
             extractor = cells[0]
+            try:
+                want = DIVISIONS[Extractor(extractor)].dim
+            except ValueError:
+                raise IoError(f"{path}: row {row_no}: unknown extractor {extractor!r}") from None
+            if dim != want:
+                raise IoError(f"{path}: {extractor} tables have {want} values, header has {dim}")
         elif cells[0] != extractor:
             raise IoError(f"{path}: row {row_no} mixes extractor {cells[0]!r} into {extractor!r}")
         try:

@@ -1,21 +1,21 @@
 """Frequency-domain division features.
 
-All three extractors share one recipe: take per-field 64-point spectra from
-a synchronized, CFO-compensated frame (averaging a field's repeated symbol
-windows first), divide two spectra tone by tone on a fixed occupied-tone
-set, divide out the known transmitted sequences, then keep magnitudes and
-normalize to unit energy. What differs is the pair of spectra:
+Each feature table is one division, stated once in `DIVISIONS`: one field's
+spectrum over another's, tone by tone on a field's occupied tones (the
+table's width), with the known sequence ratio divided out, then magnitudes
+at unit energy. A row also names the config extractor that writes the table
+and the error of a near-zero denominator bin:
 
-* reference-device division: the unknown device's field over a same-receiver
-  capture of a reference device (same field). Receiver response and any flat
-  channel gain cancel; the result is the unknown/reference transmit-response
-  ratio. 12 tones from the short training field, 52 from the long one.
-* HT-over-long division: a frame's HT long training field over its own long
-  training field, on the 52 shared tones. The frame's channel response and
-  the receiver response (common across the two fields) cancel, leaving the
-  device's HT/long transmit-response ratio.
-* short-over-long division (baseline): a frame's short training field over
-  its long training field on the 12 shared tones.
+* RD_STF and RD_LTF (reference-device division, written by RD): the unknown
+  device's field over a same-receiver capture of the reference device (same
+  field and sequence, so no sequence ratio). Receiver response and any flat
+  channel gain cancel, leaving the unknown/reference transmit-response ratio.
+* HL (HT-over-long division): a frame's HT long training field over its own
+  long training field on the 52 shared tones. The channel and receiver
+  responses, common to both fields, cancel, leaving the device's HT/long
+  transmit-response ratio.
+* DV (short-over-long division, the baseline): a frame's short training
+  field over its long training field on the 12 shared tones.
 
 Ratios are exact cancellations only for convolutional impairments; additive
 DC, IQ image leakage, and PA curvature leave small residues.
@@ -25,8 +25,8 @@ leave behind (flat gain ratios, sequence scale), and magnitudes discard the
 phase that residual CFO and timing offsets corrupt.
 
 Spectra and features come one per frame or as a block of frames, one per
-row. Block spectra carry the block's `Drops`: the dividers record a
-degenerate denominator there instead of raising, and their features keep
+row. Block spectra carry the block's `Drops`: the divider records a
+degenerate denominator there instead of raising, and its features keep
 the rows still live.
 """
 
@@ -56,13 +56,6 @@ class Extractor(enum.Enum):
     DV = "DV"
 
 
-EXTRACTOR_DIM = {
-    Extractor.RD_STF: 12,
-    Extractor.RD_LTF: 52,
-    Extractor.HL: 52,
-    Extractor.DV: 12,
-}
-
 DENOMINATOR_EPS = 1e-6
 
 
@@ -72,6 +65,37 @@ class DegenerateModelError(ValueError):
 
 class DegenerateDenominatorError(ValueError):
     """A same-frame denominator bin is too small to divide by."""
+
+
+@dataclass(frozen=True)
+class Division:
+    """A row of `DIVISIONS`; `by_model` divides by the reference model's field."""
+
+    extractor: str
+    numerator: Field
+    denominator: Field
+    by_model: bool
+    tones: Field
+    error: type
+
+    @property
+    def dim(self) -> int:
+        return occupied_tones(self.tones).size
+
+
+_LSTF, _LLTF, _HTLTF = Field.LSTF, Field.LLTF, Field.HTLTF
+# The division table, in the order the harness extracts the tables.
+DIVISIONS = {
+    Extractor.RD_STF: Division("RD", _LSTF, _LSTF, True, _LSTF, DegenerateModelError),
+    Extractor.RD_LTF: Division("RD", _LLTF, _LLTF, True, _LLTF, DegenerateModelError),
+    Extractor.HL: Division("HL", _HTLTF, _LLTF, False, _LLTF, DegenerateDenominatorError),
+    Extractor.DV: Division("DV", _LSTF, _LLTF, False, _LSTF, DegenerateDenominatorError),
+}
+
+
+def tables_of(extractors) -> dict[Extractor, Division]:
+    """The rows of the feature tables that the config `extractors` write."""
+    return {table: div for table, div in DIVISIONS.items() if div.extractor in extractors}
 
 
 @dataclass(frozen=True)
@@ -106,11 +130,10 @@ class FeatureVector:
         object.__setattr__(self, "tone_indices", np.asarray(self.tone_indices, dtype=np.int64))
         if v.ndim not in (1, 2) or v.shape[-1:] != self.tone_indices.shape:
             raise ValueError("values and tone_indices must align")
-        if v.shape[-1] != EXTRACTOR_DIM[self.extractor]:
+        dim = DIVISIONS[self.extractor].dim
+        if v.shape[-1] != dim:
             raise ValueError(
-                f"{self.extractor.value} features have dimension "
-                f"{EXTRACTOR_DIM[self.extractor]}, got {v.shape[-1]}"
-            )
+                f"{self.extractor.value} features have dimension {dim}, got {v.shape[-1]}")
         if v.size == 0:
             return
         if not np.isfinite(v).all() or v.min() < 0:
@@ -134,38 +157,39 @@ def field_spectrum(signal: ComplexSignal | Frames, n1, field: Field) -> FieldSpe
     return FieldSpectrum(field=field, bins=bins, drops=drops)
 
 
-def _block(spectrum: FieldSpectrum, bins: np.ndarray) -> np.ndarray:
-    """The spectrum's occupied `bins`, one row per frame. C order, so that
-    each row's sums and dot products run over contiguous memory and round
-    as they do for one frame."""
-    return np.ascontiguousarray(np.atleast_2d(spectrum.bins)[:, bins])
-
-
-def _guard_denominator(bins_occ: np.ndarray, drops: Drops, exc: type, what: str) -> None:
-    """Drop the rows whose denominator has a near-zero bin; one denominator
-    row (a model spectrum) guards every row of the block."""
-    mag = np.abs(bins_occ)
+def divide(table: Extractor, numerator: FieldSpectrum, denominator: FieldSpectrum,
+           device_hint: str | None) -> FeatureVector:
+    """Feature table `table` of `numerator`'s frames over `denominator` (one
+    model row divides every frame). A denominator bin under DENOMINATOR_EPS
+    of its occupied-tone RMS drops the row with the table's error."""
+    div = DIVISIONS[table]
+    drops = Drops(1, single=True) if numerator.drops is None else numerator.drops
+    tones = occupied_tones(div.tones)
+    bins = tone_to_bin(tones)
+    # one row per frame, in C order so that each row's sums and dot products run
+    # over contiguous memory and round as they do for one frame
+    num, den = (np.ascontiguousarray(np.atleast_2d(x.bins)[:, bins])
+                for x in (numerator, denominator))
+    mag = np.abs(den)
     rms = np.sqrt(np.mean(mag**2, axis=1))
-    bad = (rms == 0.0) | (mag < DENOMINATOR_EPS * rms[:, None]).any(axis=1)
-    drops.drop(bad, exc, lambda i: (
-        f"{what} has near-zero occupied bins (rms {rms[i % rms.size]:.3g})"))
-
-
-def _normalize(mag: np.ndarray, drops: Drops, extractor: Extractor, tones: np.ndarray,
-               device_hint: str | None) -> FeatureVector:
+    what = "model spectrum" if div.by_model else "long-training spectrum"
+    drops.drop((rms == 0.0) | (mag < DENOMINATOR_EPS * rms[:, None]).any(axis=1), div.error,
+               lambda i: f"{what} has near-zero occupied bins (rms {rms[i % rms.size]:.3g})")
+    with np.errstate(divide="ignore", invalid="ignore"):  # dropped rows
+        ratio = num / den
+        if not div.by_model:
+            ratio = ratio / (ideal_symbol_spectrum(div.numerator)[bins]
+                             / ideal_symbol_spectrum(div.denominator)[bins])
+    mag = np.abs(ratio)
     # one dot product per row, as np.linalg.norm takes it for one vector (a
     # batched matmul rounds differently)
     norm = np.sqrt([row.dot(row) for row in mag])
     drops.drop(norm == 0.0, DegenerateDenominatorError, "all-zero feature magnitudes")
-    live = drops.live
     if drops.single:
-        return FeatureVector(extractor, mag[0] / norm[0], tones, device_hint)
-    return FeatureVector(extractor, mag[live] / norm[live, None], tones, device_hint,
+        return FeatureVector(table, mag[0] / norm[0], tones, device_hint)
+    live = drops.live
+    return FeatureVector(table, mag[live] / norm[live, None], tones, device_hint,
                          rows=np.flatnonzero(live))
-
-
-def _drops(spectrum: FieldSpectrum) -> Drops:
-    return Drops(1, single=True) if spectrum.drops is None else spectrum.drops
 
 
 def extract_rd(unknown: FieldSpectrum, model: FieldSpectrum,
@@ -182,15 +206,8 @@ def extract_rd(unknown: FieldSpectrum, model: FieldSpectrum,
         )
     if unknown.field is Field.HTLTF:
         raise ValueError("reference division uses the legacy fields only")
-    drops = _drops(unknown)
-    tones = occupied_tones(unknown.field)
-    bins = tone_to_bin(tones)
-    model_occ = _block(model, bins)
-    _guard_denominator(model_occ, drops, DegenerateModelError, "model spectrum")
-    with np.errstate(divide="ignore", invalid="ignore"):  # dropped rows
-        ratio = _block(unknown, bins) / model_occ
-    extractor = Extractor.RD_STF if unknown.field is Field.LSTF else Extractor.RD_LTF
-    return _normalize(np.abs(ratio), drops, extractor, tones, device_hint)
+    table = Extractor.RD_STF if unknown.field is Field.LSTF else Extractor.RD_LTF
+    return divide(table, unknown, model, device_hint)
 
 
 def extract_hl(lltf: FieldSpectrum, htltf: FieldSpectrum,
@@ -200,15 +217,7 @@ def extract_hl(lltf: FieldSpectrum, htltf: FieldSpectrum,
     so they share one channel realization."""
     if lltf.field is not Field.LLTF or htltf.field is not Field.HTLTF:
         raise ValueError("extract_hl takes (LLTF, HTLTF) spectra in that order")
-    drops = _drops(lltf)
-    tones = occupied_tones(Field.LLTF)  # shared subset of the HT tones
-    bins = tone_to_bin(tones)
-    den = _block(lltf, bins)
-    _guard_denominator(den, drops, DegenerateDenominatorError, "long-training spectrum")
-    x_ratio = ideal_symbol_spectrum(Field.HTLTF)[bins] / ideal_symbol_spectrum(Field.LLTF)[bins]
-    with np.errstate(divide="ignore", invalid="ignore"):  # dropped rows
-        ratio = (_block(htltf, bins) / den) / x_ratio
-    return _normalize(np.abs(ratio), drops, Extractor.HL, tones, device_hint)
+    return divide(Extractor.HL, htltf, lltf, device_hint)
 
 
 def extract_dv(lstf: FieldSpectrum, lltf: FieldSpectrum,
@@ -217,15 +226,7 @@ def extract_dv(lstf: FieldSpectrum, lltf: FieldSpectrum,
     transmitted sequence ratio divided out."""
     if lstf.field is not Field.LSTF or lltf.field is not Field.LLTF:
         raise ValueError("extract_dv takes (LSTF, LLTF) spectra in that order")
-    drops = _drops(lstf)
-    tones = occupied_tones(Field.LSTF)  # shared subset of the long-training tones
-    bins = tone_to_bin(tones)
-    den = _block(lltf, bins)
-    _guard_denominator(den, drops, DegenerateDenominatorError, "long-training spectrum")
-    with np.errstate(divide="ignore", invalid="ignore"):  # dropped rows
-        ratio = _block(lstf, bins) / den
-    x_ratio = ideal_symbol_spectrum(Field.LSTF)[bins] / ideal_symbol_spectrum(Field.LLTF)[bins]
-    return _normalize(np.abs(ratio / x_ratio), drops, Extractor.DV, tones, device_hint)
+    return divide(Extractor.DV, lstf, lltf, device_hint)
 
 
 def _values(f: FeatureVector | np.ndarray) -> np.ndarray:

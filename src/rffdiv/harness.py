@@ -49,9 +49,9 @@ from . import classify as cl
 from . import data_io
 from .channel import ChannelKind, ChannelRealization, apply_channel, sample_channel
 from .features import (
+    DIVISIONS,
     DegenerateDenominatorError,
     DegenerateModelError,
-    EXTRACTOR_DIM,
     FeatureVector,
     Extractor,
     Field,
@@ -61,6 +61,7 @@ from .features import (
     extract_hl,
     extract_rd,
     field_spectrum,
+    tables_of,
 )
 from .impairments import DeviceProfile, Role, apply_receiver, apply_transmitter, sample_profile
 from .preprocess import (
@@ -73,7 +74,7 @@ from .preprocess import (
     synchronize_and_compensate,
 )
 from .refselect import eta_lf
-from .signals import ComplexSignal, Frames
+from .signals import SAMPLE_RATE, ComplexSignal, Frames
 from .waveform import PreambleFormat, PreambleSpec, generate_preamble
 
 
@@ -333,6 +334,15 @@ _DETECTION = {
 # A capture that a manifest lists: its IQ file, transmitter, receiver and role.
 _CAPTURE = {**dict.fromkeys(("path", "device", "receiver", "role"), (_text, _NEEDED)),
             "frames": (_number(integer=True, lo=1), _OPEN)}
+# A capture manifest, as `rffdiv simulate` writes it.
+_MANIFEST = {
+    "format_version": (_is(lambda v: v == 1 and not isinstance(v, bool), "1"), 1),
+    "scenario": (_text, "unknown"),
+    "snr_db": (_snr, 0.0),
+    "sample_rate": (_is(lambda v: v == SAMPLE_RATE, f"{SAMPLE_RATE:g}"), SAMPLE_RATE),
+    "detection": (partial(_read, _DETECTION), {}),
+    "captures": (_list_of(partial(_read, _CAPTURE)), _NEEDED),
+}
 
 
 def _entity(v, what: str) -> dict:
@@ -359,7 +369,7 @@ def _train_config(v, what: str) -> cl.TrainConfig:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-EXTRACTORS = ("RD", "HL", "DV")
+EXTRACTORS = tuple(dict.fromkeys(div.extractor for div in DIVISIONS.values()))
 _TOP = {
     "master_seed": (_seed, _NEEDED),
     "devices": (partial(_entities, "dev"), _NEEDED),
@@ -379,7 +389,7 @@ _TOP = {
 
 
 def _needs_reference(extractors) -> bool:
-    return "RD" in extractors  # reference division divides by a reference's model
+    return any(div.by_model for div in tables_of(extractors).values())
 
 
 def load_config(doc) -> ExperimentConfig:
@@ -397,11 +407,16 @@ def load_config(doc) -> ExperimentConfig:
     if _needs_reference(top["extractors"]) and top["reference_device"] is None:
         raise ConfigError("reference-division extraction needs a reference_device")
     det = top.pop("detection")
-    cfg = ExperimentConfig(**top, detection_window=det["window_w"],
-                           detection_multiplier=det["threshold_multiplier"])
+    return _checked(ExperimentConfig(**top, detection_window=det["window_w"],
+                                     detection_multiplier=det["threshold_multiplier"]))
+
+
+def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg`, once its profiles build: an impairment that `DeviceProfile`
+    rejects is a ConfigError."""
     try:
         _profiles(cfg)
-    except (TypeError, ValueError) as exc:  # an impairment that DeviceProfile rejects
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad impairment: {exc}") from exc
     return cfg
 
@@ -585,6 +600,7 @@ class ModelCapture:
 def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
     """Capture the transmitted reference frame `sent_ref` through one
     receiver until a capture survives acquisition."""
+    fields = tuple(div.denominator for div in DIVISIONS.values() if div.by_model)
     for attempt in range(MODEL_CAPTURE_ATTEMPTS):
         ch_seed = derive_seed(cfg.master_seed, _S_MODEL_CHANNEL, repeat, attempt, rx_idx)
         chan = _draw_channel(cfg, snr_db, ch_seed)
@@ -592,7 +608,7 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
         jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, repeat, attempt, rx_idx, 999)
         capture, _ = _capture(sent_ref, rx_profile, chan, noise_seed, jitter_seed)
         try:
-            spectra = acquire_spectra(capture, cfg, (Field.LSTF, Field.LLTF))
+            spectra = acquire_spectra(capture, cfg, fields)
         except _DROP_ERRORS:
             continue
         return ModelCapture(rx_profile.device_id, spectra, attempt + 1)
@@ -651,9 +667,8 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
 
 def _needed_fields(extractors) -> tuple:
     """The preamble fields that the extractors read, in field order."""
-    reads = {"RD": (Field.LSTF, Field.LLTF), "HL": (Field.LLTF, Field.HTLTF),
-             "DV": (Field.LSTF, Field.LLTF)}
-    return tuple(sorted({f for e in extractors for f in reads[e]}, key=lambda f: f.value))
+    fields = {f for div in tables_of(extractors).values() for f in (div.numerator, div.denominator)}
+    return tuple(sorted(fields, key=lambda f: f.value))
 
 
 @dataclass
@@ -804,7 +819,7 @@ def write_link_rows(out: Path, tables: dict, link: LinkFeatures) -> None:
             if tag not in tables:
                 out.mkdir(parents=True, exist_ok=True)
                 tables[tag] = open(out / f"features_{tag.lower()}.csv.part", "w")
-                tables[tag].write(data_io.feature_header(EXTRACTOR_DIM[Extractor(tag)]))
+                tables[tag].write(data_io.feature_header(DIVISIONS[Extractor(tag)].dim))
             tables[tag].write(rows)
     link.csv = {}
 
@@ -829,10 +844,6 @@ def _feature_tables(out_dir):
     for fh in tables.values():
         fh.close()
         os.replace(fh.name, fh.name.removesuffix(".part"))
-
-
-def _branch_tags(extractor: str):
-    return ("RD_STF", "RD_LTF") if extractor == "RD" else (extractor,)
 
 
 def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
@@ -863,7 +874,7 @@ def _train_and_score(cfg, links) -> list:
     usable CPU."""
     cells, trainings = [], []
     for extractor in cfg.extractors:
-        tags = _branch_tags(extractor)
+        tags = [table.value for table in tables_of([extractor])]
         for train_entry in cfg.train_receivers:
             train_ids = {train_entry} if isinstance(train_entry, str) else set(train_entry)
             train_pool = _pool(cfg, links, tags, train_ids, True)
@@ -1056,11 +1067,13 @@ def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
     cands = _entities("cand", candidates, "candidates")
     if len(cands) < 3:
         raise ConfigError("reference sweep needs at least 3 candidates")
+    # every candidate's profiles are checked before the first run
+    configs = [_checked(replace(cfg, reference_device=c, extractors=["RD"])) for c in cands]
     rows = []
-    for cand in cands:
-        report = run_experiment(replace(cfg, reference_device=cand, extractors=["RD"]))
+    for cand_cfg in configs:
+        report = run_experiment(cand_cfg)
         etas = [rec["eta_lf"] for recs in report.model_info.values() for rec in recs]
-        rows.append({"candidate": cand["id"], "eta_lf": float(np.mean(etas)),
+        rows.append({"candidate": cand_cfg.reference_device["id"], "eta_lf": float(np.mean(etas)),
                      "mean_accuracy": float(np.mean([c["mean_accuracy"] for c in report.cells]))})
     r, p = pearson_r_p([r_["eta_lf"] for r_ in rows], [r_["mean_accuracy"] for r_ in rows])
     return {"candidates": rows, "pearson_r": r, "p_value": p}

@@ -313,6 +313,31 @@ def test_train_negative_seed_is_config_error(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_train_table_of_the_wrong_width_is_io_error(tmp_path, capsys):
+    features = tmp_path / "dv.csv"
+    data_io.write_features(features, [
+        data_io.FeatureRecord("DV", f"dev{i % 2}", "rx00", "flat", i, 30.0, np.ones(52))
+        for i in range(8)])
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error:") and str(features) in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("key, value", [("snr_db", "thirty"), ("scenari", "flat"),
+                                        ("sample_rate", 40e6), ("format_version", 2)])
+def test_extract_bad_manifest_key_is_config_error(sim_dir, tmp_path, capsys, key, value):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    doc[key] = value
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    _assert_config_error(["extract", "--manifest", str(tmp_path),
+                          "--out-dir", str(tmp_path / "f")], capsys)
+    assert not (tmp_path / "f").exists()
+
+
 @pytest.mark.parametrize("command, contents", [
     ("eval-model", "{bad"),
     ("eval-model", None),  # no such file

@@ -82,6 +82,11 @@ def test_simulate_manifest_loads(tmp_path):
     detection = hz._read(hz._DETECTION, manifest["detection"], "manifest detection")
     assert detection == {"window_w": 64, "threshold_multiplier": 5.0, "metric": "magnitude"}
     assert {c["role"] for c in manifest["captures"]} == {"device", "reference"}
+    # the top level loads to what simulate wrote
+    written = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest == written
+    assert (manifest["format_version"], manifest["scenario"], manifest["snr_db"],
+            manifest["sample_rate"]) == (1, "flat", 30.0, 20e6)
 
 
 def _readme_tables() -> dict:

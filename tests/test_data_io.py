@@ -161,6 +161,18 @@ def test_features_read_rejects_mixed_file(tmp_path):
         data_io.read_features(path)
 
 
+@pytest.mark.parametrize("extractor, dim, message", [
+    ("XX", 12, "unknown extractor 'XX'"),
+    ("DV", 52, "DV tables have 12 values, header has 52"),
+])
+def test_features_read_checks_the_division_table(tmp_path, extractor, dim, message):
+    path = tmp_path / "f.csv"
+    data_io.write_features(path, _records(2, dim=dim, extractor=extractor))
+    with pytest.raises(IoError, match=message) as info:
+        data_io.read_features(path)
+    assert str(path) in str(info.value)
+
+
 def test_features_bad_header(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("nope,nope\n")

@@ -154,11 +154,14 @@ def test_transmitter_runs_once_per_device(monkeypatch):
     assert sorted(calls) == ["dev00", "dev01", "ref"]
 
 
-def test_plain_value_error_in_extraction_propagates(monkeypatch):
+@pytest.mark.parametrize("divider", ["extract_rd", "extract_hl", "extract_dv"])
+def test_plain_value_error_in_extraction_propagates(monkeypatch, divider):
+    # the harness calls each divider through its module binding, which the
+    # benchmark's tracer and scripts/bench_layers.py wrap
     def broken(*args, **kwargs):
         raise ValueError("shape bug")
 
-    monkeypatch.setattr(hz, "extract_hl", broken)
+    monkeypatch.setattr(hz, divider, broken)
     cfg = hz.load_config(_doc("flat", frames_per_device=4))
     with pytest.raises(ValueError, match="shape bug"):
         hz.run_experiment(cfg)

@@ -176,6 +176,17 @@ def test_reference_sweep_requires_three_candidates():
         hz.run_reference_sweep(cfg, [{"id": "a", "seed": 1}, {"id": "b", "seed": 2}])
 
 
+def test_reference_sweep_checks_every_candidate_before_running(monkeypatch):
+    runs = []
+    monkeypatch.setattr(hz, "run_experiment", lambda cfg: runs.append(cfg))
+    cfg = hz.load_config(_base_doc(devices={"count": 2, "base_seed": 100}, frames_per_device=4,
+                                   repeats=1, extractors=["RD"]))
+    candidates = [{"seed": 1}, {"seed": 2}, {"seed": 3, "fir_taps": [[0.1, 0], [1, 0]]}]
+    with pytest.raises(hz.ConfigError, match="first FIR tap must dominate"):
+        hz.run_reference_sweep(cfg, candidates)
+    assert runs == []
+
+
 def test_reference_sweep_smoke():
     cfg = hz.load_config(_base_doc(
         devices={"count": 2, "base_seed": 100, "field_distinct": True},
