@@ -27,8 +27,9 @@ Fields, per tree:
   (`estimate_cfo_coarse`, `estimate_cfo_fine`, `compensate_cfo`),
   field_spectrum and extract (`extract_rd/hl/dv`);
 - `s`: seconds in train (`classify.train`), eval (`classify.evaluate`,
-  `evaluate_fused`) and write (`write_report`, and `write_link_rows`,
-  which writes the feature tables as the links arrive) over that run; a
+  `evaluate_fused`) and write (`write_report`, and
+  `data_io.append_feature_rows`, which appends to the feature tables as
+  the links arrive) over that run; a
   stage function that the measured tree does not define is skipped;
 - `capture_files_s`: wall time of each process of `simulate --seed 1`,
   `extract`, `train` and `eval` (HL features) on the same config.
@@ -72,7 +73,7 @@ STAGES = [
     ("classify", "evaluate", "eval"),
     ("classify", "evaluate_fused", "eval"),
     ("harness", "write_report", "write"),
-    ("harness", "write_link_rows", "write"),
+    ("data_io", "append_feature_rows", "write"),
 ]
 PER_FRAME = ("simulate", "detect", "sync", "cfo", "field_spectrum", "extract")
 

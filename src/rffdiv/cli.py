@@ -23,11 +23,11 @@ import numpy as np
 
 from . import classify as cl
 from . import data_io, harness
-from .features import DIVISIONS, Extractor, FeatureVector, FieldSpectrum, field_spectrum
+from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError, SyncFailedError
 from .refselect import EmptyCandidatesError, eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError, occupied_tones
+from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -306,12 +306,10 @@ def cmd_extract(args) -> int:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for tag, by_capture in sorted(rows.items()):
-        data_io.write_feature_text(
-            out / f"features_{tag.lower()}.csv",
-            [data_io.feature_header(DIVISIONS[Extractor(tag)].dim)]
-            + [by_capture[i][1] for i in sorted(by_capture)])
+    with data_io.feature_tables(out) as write_rows:
+        for i in range(len(captures)):  # manifest order
+            write_rows({tag: by_capture[i][1] for tag, by_capture in rows.items()
+                        if i in by_capture})
     print(f"wrote {sum(n for c in rows.values() for n, _ in c.values())} feature rows "
           f"({dropped} frames dropped) to {out}")
     return EXIT_OK
@@ -348,50 +346,36 @@ def cmd_select_ref(args) -> int:
     return EXIT_OK
 
 
-def _records_to_features(records):
-    out = []
-    for r in records:
-        ext = Extractor(r.extractor)
-        tones = occupied_tones(DIVISIONS[ext].tones)
-        v = np.asarray(r.values, dtype=np.float64)
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v = v / norm
-        out.append(FeatureVector(ext, v, tones, r.device))
-    return out
-
-
 def cmd_train(args) -> int:
-    records = data_io.read_features(args.features)
-    if not records:
+    table = data_io.read_features(args.features)
+    if not len(table):
         raise harness.ConfigError(f"{args.features}: empty feature table")
     doc = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     cfg = harness._train_config(doc, "training config")
     try:
-        model = cl.train(_records_to_features(records), cfg)
+        model = cl.train(table.feature_vectors(), cfg)
     except cl.TrainError as exc:
         raise harness.ConfigError(str(exc)) from exc
     cl.save_model(model, args.out, cfg)
-    print(f"trained {model.trained_on} model on {len(records)} rows "
+    print(f"trained {model.trained_on} model on {len(table)} rows "
           f"({len(model.classes)} classes) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     model = cl.load_model(args.model)
-    records = data_io.read_features(args.features)
-    if not records:
+    table = data_io.read_features(args.features)
+    if not len(table):
         raise harness.ConfigError(f"{args.features}: empty feature table")
-    feats = _records_to_features(records)
     try:
-        acc = cl.evaluate(model, feats)
+        acc = cl.evaluate(model, table.feature_vectors())
     except (cl.EvalError, cl.PredictError) as exc:
         raise harness.ConfigError(str(exc)) from exc
     doc = {
         "model": str(args.model), "features": str(args.features),
-        "extractor": model.trained_on, "n_test": len(feats), "accuracy": acc,
+        "extractor": model.trained_on, "n_test": len(table), "accuracy": acc,
     }
     if args.out_dir:
         out = Path(args.out_dir)

@@ -8,35 +8,31 @@ multiplied by the scale on read. Feature tables are CSV with a fixed
 header (extractor, device, receiver, channel_scenario, trial, snr_db,
 v0..v{dim-1}); values are written with 17 significant digits so round
 trips are lossless. A table's rows share one extractor, a feature table
-of `features.DIVISIONS`, and its header has that table's width. Parse
-errors always carry a location (byte offset or row number).
+of `features.DIVISIONS`, and its header has that table's width. This
+module is the one owner of the table format: `feature_tables` writes the
+tables of `bench` and `extract`, and `read_features` reads one back as a
+block for `train` and `eval`. Parse errors always carry a location (byte
+offset or row number).
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .features import DIVISIONS, Extractor
+from .features import DIVISIONS, Extractor, FeatureVector
 from .signals import SAMPLE_RATE, ComplexSignal
+from .waveform import occupied_tones
 
 
 class IoError(ValueError):
     """Malformed file; the message carries the offending location."""
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    extractor: str
-    device: str
-    receiver: str
-    channel_scenario: str
-    trial: int
-    snr_db: float
-    values: np.ndarray
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -183,46 +179,92 @@ def format_feature_rows(extractor: str, device: str, receiver: str, channel_scen
     return "".join([row_fmt % (trial, *row) for trial, row in zip(trials, values.tolist())])
 
 
-def write_feature_text(path, chunks) -> None:
-    """Write a feature table from its text: the `feature_header` line, then
-    `format_feature_rows` chunks in row order."""
-    # chunk by chunk: one joined copy of the table would double the peak memory
+def append_feature_rows(out: Path, tables: dict, rows: dict) -> None:
+    """Append each tag's CSV rows (`rows`: tag -> `format_feature_rows`
+    text) to its table in `out` (`tables`: tag -> open file, under its
+    temporary name). A tag's table opens, header first, with its first
+    non-empty rows."""
+    for tag, text in rows.items():
+        if text:
+            if tag not in tables:
+                out.mkdir(parents=True, exist_ok=True)
+                tables[tag] = open(out / f"features_{tag.lower()}.csv.part", "w")
+                tables[tag].write(feature_header(DIVISIONS[Extractor(tag)].dim))
+            tables[tag].write(text)
+
+
+@contextmanager
+def feature_tables(out_dir):
+    """The writer of the feature tables features_<tag>.csv in `out_dir`: a
+    function that takes {tag: CSV rows} and appends them
+    (`append_feature_rows`). Each table is renamed when the block ends and
+    removed if it raises, so a failed run leaves no table."""
+    tables = {}
+    try:
+        yield partial(append_feature_rows, Path(out_dir), tables)
+    except BaseException:
+        for fh in tables.values():
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh in tables.values():
+        fh.close()
+        os.replace(fh.name, fh.name.removesuffix(".part"))
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """A feature table as one block: its extractor (None for a table with
+    no rows), one entry per row in each of the header's per-row columns,
+    and the values, one row per table row ([rows, dim])."""
+
+    extractor: str | None
+    device: list
+    receiver: list
+    channel_scenario: list
+    trial: list
+    snr_db: list
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def feature_vectors(self) -> list[FeatureVector]:
+        """The labeled vectors `train` and `evaluate` take: one block per run
+        of consecutive rows from the same device, each row divided by its
+        own norm (one dot product per row, as `np.linalg.norm` takes it)."""
+        if not len(self):
+            return []
+        table = Extractor(self.extractor)
+        tones = occupied_tones(DIVISIONS[table].tones)
+        values = self.values / np.sqrt([row.dot(row) for row in self.values])[:, None]
+        starts = [i for i in range(len(self)) if i == 0 or self.device[i] != self.device[i - 1]]
+        return [FeatureVector(table, values[a:b], tones, self.device[a])
+                for a, b in zip(starts, starts[1:] + [len(self)])]
+
+
+def write_features(path, table: FeatureTable) -> None:
+    """Write `table` as CSV, row by row through `format_feature_rows`: the
+    reference for the tables `feature_tables` writes."""
+    values = np.asarray(table.values, dtype=np.float64)
+    chunks = [feature_header(values.shape[1])]
+    for i, row in enumerate(values):
+        chunks.append(format_feature_rows(table.extractor, table.device[i], table.receiver[i],
+                                          table.channel_scenario[i], [int(table.trial[i])],
+                                          table.snr_db[i], row[None]))
     with open(path, "w") as fh:
         fh.writelines(chunks)
-
-
-def _record_dim(rows) -> int | None:
-    for r in rows:
-        return int(np.asarray(r.values).size)
-    return None
-
-
-def write_features(path, rows, dim: int | None = None) -> None:
-    """Write records to CSV. All rows must share one extractor and one
-    dimension; pass `dim` explicitly to write a valid empty table."""
-    rows = list(rows)
-    if dim is None:
-        dim = _record_dim(rows)
-        if dim is None:
-            raise IoError(f"{path}: empty table needs an explicit dim")
-    extractor = rows[0].extractor if rows else None
-    chunks = [feature_header(dim)]
-    for i, r in enumerate(rows):
-        vals = np.asarray(r.values, dtype=np.float64)
-        if vals.size != dim:
-            raise IoError(f"{path}: row {i} has dim {vals.size}, expected {dim}")
-        if r.extractor != extractor:
-            raise IoError(f"{path}: row {i} extractor {r.extractor!r} != {extractor!r}")
-        chunks.append(format_feature_rows(r.extractor, r.device, r.receiver, r.channel_scenario,
-                                          [int(r.trial)], r.snr_db, vals.reshape(1, dim)))
-    write_feature_text(path, chunks)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def read_features(path) -> list[FeatureRecord]:
+def read_features(path) -> FeatureTable:
+    """The table at `path` as one block. Besides the header, the extractor
+    and the cells, each row's values are checked: a value that is NaN,
+    infinite or negative, or a row whose energy is zero (or overflows),
+    raises `IoError` naming the row."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"{path}: no such file")
@@ -235,7 +277,8 @@ def read_features(path) -> list[FeatureRecord]:
     dim = len(header) - len(FEATURE_HEADER_FIXED)
     if [f"v{i}" for i in range(dim)] != header[len(FEATURE_HEADER_FIXED):]:
         raise IoError(f"{path}: bad value columns in header")
-    out: list[FeatureRecord] = []
+    columns = ([], [], [], [], [])  # device, receiver, channel_scenario, trial, snr_db
+    values, row_nos = np.empty((len(lines) - 1, dim)), []
     extractor = None
     for row_no, line in enumerate(lines[1:], start=1):
         if not line:
@@ -254,12 +297,18 @@ def read_features(path) -> list[FeatureRecord]:
         elif cells[0] != extractor:
             raise IoError(f"{path}: row {row_no} mixes extractor {cells[0]!r} into {extractor!r}")
         try:
-            rec = FeatureRecord(
-                extractor=cells[0], device=cells[1], receiver=cells[2],
-                channel_scenario=cells[3], trial=int(cells[4]), snr_db=float(cells[5]),
-                values=np.array([float(c) for c in cells[6:]]),
-            )
+            row = (cells[1], cells[2], cells[3], int(cells[4]), float(cells[5]))
+            values[len(row_nos)] = list(map(float, cells[6:]))
         except ValueError as exc:
             raise IoError(f"{path}: row {row_no}: {exc}") from exc
-        out.append(rec)
-    return out
+        for column, cell in zip(columns, row):
+            column.append(cell)
+        row_nos.append(row_no)
+    values = values[: len(row_nos)]
+    with np.errstate(over="ignore"):
+        energy = np.sum(values**2, axis=1)
+    bad = ~((values >= 0).all(axis=1) & (0 < energy) & (energy < np.inf))
+    if bad.any():
+        raise IoError(f"{path}: row {row_nos[int(np.argmax(bad))]}: feature values must be "
+                      f"finite and nonnegative, with nonzero finite energy")
+    return FeatureTable(extractor, *columns, values)

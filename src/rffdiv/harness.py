@@ -38,8 +38,8 @@ import math
 import operator
 import os
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -53,7 +53,6 @@ from .features import (
     DegenerateDenominatorError,
     DegenerateModelError,
     FeatureVector,
-    Extractor,
     Field,
     centered_cosine_similarity,
     cosine_similarity,
@@ -109,6 +108,10 @@ LEAD_PAD = 256
 TAIL_PAD = 120
 MAX_JITTER = 40
 MODEL_CAPTURE_ATTEMPTS = 8
+# The largest SNR magnitude in dB that a config or manifest may give (or
+# +inf, no noise): the channel's 10 ** (snr_db / 10) leaves the float range
+# near +-3083 dB.
+SNR_LIMIT_DB = 300.0
 
 
 # numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe) over a pool of
@@ -248,18 +251,20 @@ def _is(test, wanted: str):
     return check
 
 
-def _number(integer=False, lo=-math.inf, above=False, inf=False):
-    """A number at least `lo` (above it with `above`): an int (a whole float
-    too) when `integer`, else a float, finite unless `inf` admits +inf."""
+def _number(integer=False, lo=-math.inf, above=False, inf=False, hi=math.inf):
+    """A number at least `lo` (above it with `above`) and at most `hi`: an
+    int (a whole float too) when `integer`, else a float, finite unless
+    `inf` admits +inf."""
     def ok(v):
         try:
             return (not isinstance(v, bool) and isinstance(v, (int, float))
                     and (float(v).is_integer() if integer else math.isfinite(v) or inf and v > 0)
-                    and (v > lo if above else v >= lo))
+                    and (v > lo if above else v >= lo) and (v <= hi or inf and v == math.inf))
         except OverflowError:  # an integer too large for a float
             return False
-    check = _is(ok, ("an integer" if integer else "a finite number" + " or +inf" * inf)
-                + f" {'above' if above else 'at least'} {lo:g}" * (lo > -math.inf))
+    check = _is(ok, ("an integer" if integer else "a finite number")
+                + f" {'above' if above else 'at least'} {lo:g}" * (lo > -math.inf)
+                + f" and at most {hi:g}" * (hi < math.inf) + ", or +inf" * inf)
     return lambda v, what: (int if integer else float)(check(v, what))
 
 
@@ -277,7 +282,8 @@ def _or_null(check):
 _object = _is(lambda v: isinstance(v, dict), "a JSON object")
 _text = _is(lambda v: isinstance(v, str), "a string")
 _flag = _is(lambda v: isinstance(v, bool), "true or false")
-_real, _seed, _snr = _number(), _number(integer=True, lo=0), _number(inf=True)
+_real, _seed = _number(), _number(integer=True, lo=0)
+_snr = _number(lo=-SNR_LIMIT_DB, hi=SNR_LIMIT_DB, inf=True)
 _complex = _list_of(_real, scalar=_real)  # a number, or [re, im]
 
 
@@ -361,11 +367,17 @@ def _entities(prefix: str, v, what: str) -> list:
     return [{"id": f"{prefix}{i:02d}"} | e for i, e in enumerate(_list_of(_entity)(v, what))]
 
 
+# The classifier object: `classify.TrainConfig`'s fields, an int field read
+# as every integer key is (a whole float too); `TrainConfig` checks ranges.
+_CLASSIFIER = {f.name: (_number(integer=f.type == "int"), f.default)
+               for f in fields(cl.TrainConfig)}
+
+
 def _train_config(v, what: str) -> cl.TrainConfig:
-    """The classifier object; `classify.TrainConfig` is its table."""
+    values = _read(_CLASSIFIER, v, what)
     try:
-        return cl.TrainConfig(**_object(v, what))
-    except (TypeError, ValueError) as exc:
+        return cl.TrainConfig(**values)
+    except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -677,7 +689,7 @@ class LinkFeatures:
     that yielded them, one block FeatureVector per tag whose rows follow
     `frames`, and the dropped frames counted by cause. `csv` holds, per
     tag, the link's feature CSV rows (`data_io.format_feature_rows`) when
-    the run writes feature tables, until `write_link_rows` writes them."""
+    the run writes feature tables, until the tables' writer takes them."""
 
     frames: np.ndarray
     features: dict
@@ -783,7 +795,7 @@ def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
                per_frame_channel, write_rows=None) -> dict:
     """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
     links are independent, so they run on every usable CPU. With
-    `write_rows` (`_feature_tables`) each link's feature CSV rows are
+    `write_rows` (`data_io.feature_tables`) each link's feature CSV rows are
     formatted in its worker and written as the link arrives."""
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
@@ -794,7 +806,8 @@ def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
     links = {}
     for (_, dev, _, rx), link in zip(grid, results):
         if write_rows is not None:
-            write_rows(link)
+            write_rows(link.csv)
+            link.csv = {}
         links[(dev.device_id, rx.device_id)] = link
     return links
 
@@ -808,42 +821,6 @@ def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat, write_rows=No
     links = _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
                        _channel_per_frame(cfg), write_rows)
     return links, models
-
-
-def write_link_rows(out: Path, tables: dict, link: LinkFeatures) -> None:
-    """Append `link`'s feature CSV rows to the run's tables in `out` (tag ->
-    open file, under its temporary name), then drop the text. A tag's
-    table opens, header first, with its first non-empty rows."""
-    for tag, rows in link.csv.items():
-        if rows:
-            if tag not in tables:
-                out.mkdir(parents=True, exist_ok=True)
-                tables[tag] = open(out / f"features_{tag.lower()}.csv.part", "w")
-                tables[tag].write(data_io.feature_header(DIVISIONS[Extractor(tag)].dim))
-            tables[tag].write(rows)
-    link.csv = {}
-
-
-@contextmanager
-def _feature_tables(out_dir):
-    """The row writer of a run that writes its feature tables in `out_dir`
-    (`write_link_rows`), or None without one. Each table is renamed to
-    features_<tag>.csv when the run ends, and removed if it raises, so a
-    failed run leaves no table."""
-    if out_dir is None:
-        yield None
-        return
-    tables = {}
-    try:
-        yield partial(write_link_rows, Path(out_dir), tables)
-    except BaseException:
-        for fh in tables.values():
-            fh.close()
-            os.remove(fh.name)
-        raise
-    for fh in tables.values():
-        fh.close()
-        os.replace(fh.name, fh.name.removesuffix(".part"))
 
 
 def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
@@ -907,13 +884,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     feature tables (features_<tag>.csv) are written there as the links
     arrive, in (snr, repeat, device, receiver) order, so only the current
     (snr, repeat)'s features stay in memory; a run that raises leaves no
-    table (`_feature_tables`)."""
+    table (`data_io.feature_tables`)."""
     devices, receivers, reference = _profiles(cfg)
     sent = _transmit_all(devices, reference)
     cells_acc = {}
     drop_acc = {}
     model_info = {}
-    with _feature_tables(out_dir) as write_rows:
+    with nullcontext() if out_dir is None else data_io.feature_tables(out_dir) as write_rows:
         for snr in cfg.snr_db:
             for rep in range(cfg.repeats):
                 links, models = _simulate_cells(cfg, devices, receivers, sent, snr, rep,

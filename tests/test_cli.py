@@ -45,12 +45,13 @@ def test_simulate_extract_train_eval_flow(config_path, tmp_path):
 
     feat = tmp_path / "feat"
     assert main(["extract", "--manifest", str(sim), "--out-dir", str(feat)]) == 0
-    rows = data_io.read_features(feat / "features_hl.csv")
-    assert len(rows) > 0
-    assert {r.receiver for r in rows} == {"rx00", "rx01"}
+    table = data_io.read_features(feat / "features_hl.csv")
+    assert len(table) > 0
+    assert set(table.receiver) == {"rx00", "rx01"}
     # rows follow the manifest's capture order, then the frame index
     order = {(c["device"], c["receiver"]): k for k, c in enumerate(manifest["captures"])}
-    keys = [(order[(r.device, r.receiver)], r.trial) for r in rows]
+    keys = [(order[(device, rx)], trial)
+            for device, rx, trial in zip(table.device, table.receiver, table.trial)]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     model = tmp_path / "hl.json"
@@ -85,6 +86,14 @@ def test_bench_writes_report_and_is_deterministic(config_path, tmp_path):
     assert config["classifier"]["optimizer"] == "adam"
 
 
+def _write_table(path, extractor, values):
+    """A feature table of `values`, row i from device dev{i % 2} through rx00."""
+    n = len(values)
+    data_io.write_features(path, data_io.FeatureTable(
+        extractor, [f"dev{i % 2}" for i in range(n)], ["rx00"] * n, ["flat"] * n,
+        list(range(n)), [30.0] * n, np.asarray(values)))
+
+
 def _child_env(**extra):
     """A minimal environment for a fresh interpreter that still finds the
     `rffdiv` under test, installed or not."""
@@ -112,9 +121,7 @@ def test_train_loads_no_numpy_ma(tmp_path):
     # np.unique would import numpy.ma (through np.ma.is_masked)
     features, model = tmp_path / "hl.csv", tmp_path / "m.json"
     values = np.random.default_rng(0).random((8, 52))
-    data_io.write_features(features, [
-        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, v / np.linalg.norm(v))
-        for i, v in enumerate(values)])
+    _write_table(features, "HL", values / np.linalg.norm(values, axis=1, keepdims=True))
     code = ("import sys; from rffdiv.cli import main; "
             f"code = main(['train', '--features', {str(features)!r}, '--out', {str(model)!r}]); "
             "print(code, 'numpy.ma' in sys.modules)")
@@ -243,6 +250,10 @@ def _assert_config_error(argv, capsys):
     ("classifier", {"learning_rate": float("nan")}),
     ("extractors", ["RD_STF"]),
     ("devices", [{"id": "a", "seed": 1, "fir_taps": [[0.1, 0], [1, 0]]}, {"id": "b", "seed": 2}]),
+    # past the float range of 10 ** (snr_db / 10): failed at the first capture
+    ("snr_db", 4000.0),
+    ("snr_db", -4000.0),
+    ("snr_db", [30.0, 300.5]),
 ])
 def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, value):
     doc = {**json.loads(config_path.read_text()), key: value}
@@ -263,6 +274,15 @@ def test_negative_master_seed_is_config_error(config_path, tmp_path, capsys, com
         cfg.write_text(json.dumps({**json.loads(config_path.read_text()), "master_seed": seed}))
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
     _assert_config_error(argv if in_config else argv + ["--seed", str(seed)], capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_snr_db_override_out_of_range_is_config_error(config_path, tmp_path, capsys, command,
+                                                      snr_db):
+    _assert_config_error([command, "--config", str(config_path), "--out-dir",
+                          str(tmp_path / "out"), f"--snr-db={snr_db}"], capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -293,9 +313,7 @@ def test_extract_bad_detection_is_config_error(sim_dir, tmp_path, capsys, detect
 def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
     rng = np.random.default_rng(0)
     features = tmp_path / "hl.csv"
-    data_io.write_features(features, [
-        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, rng.random(52))
-        for i in range(8)])
+    _write_table(features, "HL", rng.random((8, 52)))
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps(train_doc))
     _assert_config_error(["train", "--features", str(features), "--out", str(tmp_path / "m.json"),
@@ -304,9 +322,7 @@ def test_train_bad_config_is_config_error(tmp_path, capsys, train_doc):
 
 def test_train_negative_seed_is_config_error(tmp_path, capsys):
     features = tmp_path / "hl.csv"
-    data_io.write_features(features, [
-        data_io.FeatureRecord("HL", f"dev{i % 2}", "rx00", "flat", i, 30.0, np.ones(52))
-        for i in range(8)])
+    _write_table(features, "HL", np.ones((8, 52)))
     model = tmp_path / "m.json"
     _assert_config_error(["train", "--features", str(features), "--out", str(model),
                           "--seed", "-1"], capsys)
@@ -315,9 +331,7 @@ def test_train_negative_seed_is_config_error(tmp_path, capsys):
 
 def test_train_table_of_the_wrong_width_is_io_error(tmp_path, capsys):
     features = tmp_path / "dv.csv"
-    data_io.write_features(features, [
-        data_io.FeatureRecord("DV", f"dev{i % 2}", "rx00", "flat", i, 30.0, np.ones(52))
-        for i in range(8)])
+    _write_table(features, "DV", np.ones((8, 52)))
     model = tmp_path / "m.json"
     assert main(["train", "--features", str(features), "--out", str(model)]) == 3
     err = capsys.readouterr().err
@@ -326,7 +340,8 @@ def test_train_table_of_the_wrong_width_is_io_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("snr_db", "thirty"), ("scenari", "flat"),
-                                        ("sample_rate", 40e6), ("format_version", 2)])
+                                        ("sample_rate", 40e6), ("format_version", 2),
+                                        ("snr_db", 4000.0)])
 def test_extract_bad_manifest_key_is_config_error(sim_dir, tmp_path, capsys, key, value):
     doc = json.loads((sim_dir / "manifest.json").read_text())
     doc[key] = value
@@ -349,8 +364,7 @@ def test_bad_input_file_is_config_error(tmp_path, capsys, command, contents):
         path.write_text(contents)
     if command == "eval-model":
         features = tmp_path / "hl.csv"
-        data_io.write_features(features, [
-            data_io.FeatureRecord("HL", "dev0", "rx00", "flat", 0, 30.0, np.ones(52))])
+        _write_table(features, "HL", np.ones((1, 52)))
         argv = ["eval", "--model", str(path), "--features", str(features)]
     else:
         argv = ["select-ref", "--csi", str(path)]
@@ -373,3 +387,43 @@ def test_feature_csvs_match_write_features(config_path, sim_dir, tmp_path):
     _assert_rewrites_same(tmp_path / "b")
     assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(tmp_path / "e")]) == 0
     _assert_rewrites_same(tmp_path / "e")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad", [0.0, np.nan, -1.0])
+def test_table_with_a_bad_row_is_io_error(tmp_path, capsys, command, bad):
+    good, features = tmp_path / "good.csv", tmp_path / "hl.csv"
+    values = np.random.default_rng(0).random((8, 52))
+    _write_table(good, "HL", values)
+    values[-1] = bad
+    _write_table(features, "HL", values)
+    model = tmp_path / "m.json"
+    if command == "train":
+        argv = ["train", "--features", str(features), "--out", str(model)]
+    else:
+        assert main(["train", "--features", str(good), "--out", str(model)]) == 0
+        argv = ["eval", "--model", str(model), "--features", str(features)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pipeline error: {features}: row 8:"), err
+    assert command == "eval" or not model.exists()
+
+
+def test_failed_extract_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path):
+    """The tables open as the first rows arrive; a write that fails after
+    that removes every table, under either name."""
+    real, calls = data_io.append_feature_rows, []
+
+    def append(out, tables, rows):
+        calls.append(sorted(tables))
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        real(out, tables, rows)
+
+    monkeypatch.setattr(data_io, "append_feature_rows", append)
+    out = tmp_path / "feat"
+    with pytest.raises(OSError, match="no space"):
+        main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)])
+    assert calls[1] == ["DV", "HL", "RD_LTF", "RD_STF"]  # every table was open
+    assert list(out.rglob("features_*")) == []

@@ -115,3 +115,30 @@ def test_readme_names_every_config_key():
         "`detection` key": set(hz._DETECTION),
         "`classifier` key": {f.name for f in dataclasses.fields(cl.TrainConfig)},
     }
+
+
+def _small_doc(**keys):
+    return {"master_seed": 1, "devices": {"count": 2, "base_seed": 100},
+            "receivers": {"count": 1, "base_seed": 900}, "extractors": ["HL"], **keys}
+
+
+def test_every_integer_key_takes_a_whole_float():
+    cfg = hz.load_config(_small_doc(frames_per_device=4.0, classifier={"epochs": 2.0,
+                                                                       "batch": 16.0}))
+    assert (cfg.frames_per_device, cfg.classifier.epochs, cfg.classifier.batch) == (4, 2, 16)
+    assert all(type(v) is int for v in (cfg.frames_per_device, cfg.classifier.epochs,
+                                        cfg.classifier.batch))
+    for key, doc in [("frames_per_device", _small_doc(frames_per_device=4.5)),
+                     ("classifier.epochs", _small_doc(classifier={"epochs": 2.5}))]:
+        with pytest.raises(hz.ConfigError, match=f"{key} must be an integer"):
+            hz.load_config(doc)
+
+
+@pytest.mark.parametrize("snr_db, ok", [(300, True), (-300.0, True), (float("inf"), True),
+                                        (300.5, False), (-301, False), (3084.0, False)])
+def test_snr_db_range(snr_db, ok):
+    if ok:
+        assert hz.load_config(_small_doc(snr_db=snr_db)).snr_db == [snr_db]
+    else:
+        with pytest.raises(hz.ConfigError, match="at least -300 and at most 300, or \\+inf"):
+            hz.load_config(_small_doc(snr_db=snr_db))

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from rffdiv import data_io
-from rffdiv.data_io import FeatureRecord, IoError
+from rffdiv.data_io import FeatureTable, IoError
 from rffdiv.signals import ComplexSignal
 
 
-def _records(n, dim=12, extractor="DV"):
+def _table(n, dim=12, extractor="DV", devices=None):
     rng = np.random.default_rng(0)
-    return [
-        FeatureRecord(extractor, f"dev{i % 3}", "rx0", "flat", i, 30.0,
-                      rng.uniform(0.01, 1.0, size=dim))
-        for i in range(n)
-    ]
+    devices = devices or [f"dev{i % 3}" for i in range(n)]
+    return FeatureTable(extractor, devices, ["rx0"] * n, ["flat"] * n, list(range(n)),
+                        [30.0] * n, rng.uniform(0.01, 1.0, size=(n, dim)))
 
 
 def test_iq_roundtrip_bit_identical(tmp_path):
@@ -110,50 +108,63 @@ def test_iq_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
 
 
 def test_features_roundtrip_lossless(tmp_path):
-    rows = _records(100)
+    table = _table(100)
     path = tmp_path / "f.csv"
-    data_io.write_features(path, rows)
+    data_io.write_features(path, table)
     back = data_io.read_features(path)
-    assert len(back) == 100
-    for a, b in zip(rows, back):
-        assert np.abs(a.values - b.values).max() < 1e-15
-        assert (a.device, a.receiver, a.trial, a.snr_db) == (b.device, b.receiver, b.trial, b.snr_db)
+    assert len(back) == 100 and back.extractor == "DV"
+    assert np.abs(table.values - back.values).max() < 1e-15
+    for column in ("device", "receiver", "channel_scenario", "trial", "snr_db"):
+        assert list(getattr(back, column)) == list(getattr(table, column)), column
 
 
 def test_features_values_written_as_17_digits(tmp_path):
     vals = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1 / 3, 0.1, 1e16, 123456789.0,
                      np.nextafter(1.0, 2.0), 1e-300, 7.0, 0.5])
     path = tmp_path / "f.csv"
-    data_io.write_features(path, [FeatureRecord("DV", "d", "r", "flat", 0, 30.0, vals)])
+    data_io.write_features(path, FeatureTable("DV", ["d"], ["r"], ["flat"], [0], [30.0], [vals]))
     cells = path.read_text().splitlines()[1].split(",")
     assert cells[6:] == [format(float(v), ".17g") for v in vals]
-    back = data_io.read_features(path)[0].values
+    back = data_io.read_features(path).values[0]
     assert np.array_equal(back, vals) and np.array_equal(np.signbit(back), np.signbit(vals))
 
 
+def _rows_text(extractor, values):
+    return data_io.format_feature_rows(extractor, "d", "r", "flat", range(len(values)), 30.0,
+                                       values)
+
+
 def test_features_mixed_extractors_rejected(tmp_path):
-    rows = _records(3) + [FeatureRecord("HL", "d", "r", "flat", 0, 30.0, np.ones(12))]
-    with pytest.raises(IoError, match="extractor"):
-        data_io.write_features(tmp_path / "f.csv", rows)
+    # a FeatureTable has one extractor; a file whose rows mix two is refused
+    path = tmp_path / "f.csv"
+    path.write_text(data_io.feature_header(12) + _rows_text("DV", np.ones((3, 12)))
+                    + _rows_text("HL", np.ones((1, 12))))
+    with pytest.raises(IoError, match="row 4 mixes extractor 'HL'"):
+        data_io.read_features(path)
 
 
 def test_features_dim_drift_rejected(tmp_path):
-    rows = _records(3) + [FeatureRecord("DV", "d", "r", "flat", 0, 30.0, np.ones(13))]
-    with pytest.raises(IoError, match="row 3"):
-        data_io.write_features(tmp_path / "f.csv", rows)
+    # a FeatureTable's values are one [rows, dim] array; a file whose row
+    # drifts from the header's width is refused
+    path = tmp_path / "f.csv"
+    path.write_text(data_io.feature_header(12) + _rows_text("DV", np.ones((3, 12)))
+                    + _rows_text("DV", np.ones((1, 13))))
+    with pytest.raises(IoError, match="row 4 has 19 cells, expected 18"):
+        data_io.read_features(path)
 
 
 def test_features_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    data_io.write_features(path, [], dim=12)
-    assert data_io.read_features(path) == []
+    data_io.write_features(path, FeatureTable("DV", [], [], [], [], [], np.empty((0, 12))))
+    back = data_io.read_features(path)
+    assert len(back) == 0 and back.values.shape == (0, 12) and back.feature_vectors() == []
     header = path.read_text().splitlines()[0]
     assert header.startswith("extractor,device,receiver,channel_scenario,trial,snr_db,v0")
 
 
 def test_features_read_rejects_mixed_file(tmp_path):
     path = tmp_path / "f.csv"
-    data_io.write_features(path, _records(2))
+    data_io.write_features(path, _table(2))
     lines = path.read_text().splitlines()
     lines.append(lines[1].replace("DV", "HL", 1))
     path.write_text("\n".join(lines) + "\n")
@@ -167,7 +178,7 @@ def test_features_read_rejects_mixed_file(tmp_path):
 ])
 def test_features_read_checks_the_division_table(tmp_path, extractor, dim, message):
     path = tmp_path / "f.csv"
-    data_io.write_features(path, _records(2, dim=dim, extractor=extractor))
+    data_io.write_features(path, _table(2, dim=dim, extractor=extractor))
     with pytest.raises(IoError, match=message) as info:
         data_io.read_features(path)
     assert str(path) in str(info.value)
@@ -179,3 +190,26 @@ def test_features_bad_header(tmp_path):
     with pytest.raises(IoError, match="header"):
         data_io.read_features(path)
 
+
+
+@pytest.mark.parametrize("bad", [np.zeros(12), np.full(12, np.nan), -np.ones(12),
+                                 np.full(12, np.inf), np.full(12, 1e300)])
+def test_features_read_rejects_bad_values(tmp_path, bad):
+    # zeros: no energy; NaN, inf and a negative value: not a magnitude;
+    # 1e300: an energy past the float range
+    path = tmp_path / "f.csv"
+    values = np.vstack([np.ones((2, 12)), bad])
+    path.write_text(data_io.feature_header(12) + _rows_text("DV", values))
+    with pytest.raises(IoError, match="nonnegative") as info:
+        data_io.read_features(path)
+    assert str(info.value).startswith(f"{path}: row 3:")
+
+
+def test_feature_vectors_follow_device_runs():
+    table = _table(5, extractor="HL", dim=52, devices=["a", "a", "b", "a", "a"])
+    vectors = table.feature_vectors()
+    assert [(fv.device_hint, len(fv.values)) for fv in vectors] == [("a", 2), ("b", 1), ("a", 2)]
+    rows = np.concatenate([fv.values for fv in vectors])
+    # each row at unit energy, bit for bit as one vector over its own norm
+    assert np.array_equal(rows, [v / np.linalg.norm(v) for v in table.values])
+    assert all(fv.extractor.value == "HL" and fv.tone_indices.size == 52 for fv in vectors)
