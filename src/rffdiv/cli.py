@@ -24,7 +24,7 @@ import numpy as np
 from . import classify as cl
 from . import data_io, harness
 from .features import FieldSpectrum, field_spectrum
-from .preprocess import NotDetectedError, SyncFailedError
+from .preprocess import NotDetectedError
 from .refselect import EmptyCandidatesError, eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
 from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
@@ -93,7 +93,7 @@ def cmd_simulate(args) -> int:
         "scenario": cfg.channel["scenario"],
         "snr_db": snr,
         "sample_rate": SAMPLE_RATE,
-        # `metric` is kept until manifest format 2 (ROADMAP item 3)
+        # `metric` is kept until manifest format 2 (ROADMAP item 6)
         "detection": {"window_w": cfg.detection_window,
                       "threshold_multiplier": cfg.detection_multiplier, "metric": "magnitude"},
         "captures": entries,
@@ -116,8 +116,9 @@ def cmd_simulate(args) -> int:
 #    the segment, in a file that holds more samples: by n1 less two
 #    detection windows (at least 1 sample). The frame takes no index there;
 #    the next segment's noise-floor window is quiet and the segment holds
-#    the whole frame, which is walked again. A capture that ends inside
-#    the frame raises `WindowBoundsError`.
+#    the whole frame, which is walked again. A frame that the capture's
+#    end cuts off is dropped as a `WindowBoundsError`, like a failed
+#    acquisition: it takes an index and the walk moves on by FAILED_SKIP.
 # Samples per segment: more than one simulated frame capture (a lead gap of
 # at most 296 samples, the 400-sample preamble and a 120-sample tail make
 # 816), so a segment that starts in the quiet gap before a frame holds the
@@ -179,8 +180,8 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
         compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
         n1 = sync.frame_start_n1
         more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
-        frames.drops.drop((n1 + frame_end > lengths) & more, WindowBoundsError,
-                          "frame runs past its segment; walked again")
+        frames.drops.drop(n1 + frame_end > lengths, WindowBoundsError,
+                          "frame runs past its segment")
         spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
         acquired = frames.drops.live
         frame_index = np.full(len(active), -1)
@@ -188,7 +189,7 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
             if isinstance(exc, NotDetectedError):
                 pos[i] += quiet_skip
                 continue
-            if isinstance(exc, WindowBoundsError):
+            if isinstance(exc, WindowBoundsError) and more[row]:
                 pos[i] += max(int(n1[row]) - rewalk_lead, 1)
                 continue
             frame_index[row] = count[i]
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
     except (harness.ConfigError, cl.TrainError, cl.ModelFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (harness.PipelineError, data_io.IoError, NotDetectedError, SyncFailedError) as exc:
+    except (harness.PipelineError, data_io.IoError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -37,7 +37,7 @@ import json
 import math
 import operator
 import os
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -50,10 +50,9 @@ from . import data_io
 from .channel import ChannelKind, ChannelRealization, apply_channel, sample_channel
 from .features import (
     DIVISIONS,
-    DegenerateDenominatorError,
-    DegenerateModelError,
     FeatureVector,
     Field,
+    FieldSpectrum,
     centered_cosine_similarity,
     cosine_similarity,
     extract_dv,
@@ -66,9 +65,6 @@ from .impairments import DeviceProfile, Role, apply_receiver, apply_transmitter,
 from .preprocess import (
     MIN_WINDOW_W,
     DetectionConfig,
-    EstimationFailedError,
-    NotDetectedError,
-    SyncFailedError,
     noise_floor_threshold,
     synchronize_and_compensate,
 )
@@ -528,12 +524,6 @@ def _receive(sent: np.ndarray, rx: DeviceProfile, chan: ChannelRealization, nois
     return apply_receiver(rx, received), leads
 
 
-def _capture(sent, rx, chan, noise_seed, jitter_seed) -> tuple[ComplexSignal, int]:
-    frames, leads = _receive(sent, rx, chan, [np.random.default_rng(noise_seed)],
-                             [np.random.default_rng(jitter_seed)])
-    return ComplexSignal(frames.samples[0, : frames.lengths[0]]), int(leads[0])
-
-
 def simulate_capture(
     tx: DeviceProfile,
     rx: DeviceProfile,
@@ -544,7 +534,9 @@ def simulate_capture(
     """One frame: pad with a randomized lead gap, run transmitter, channel
     with fresh noise, receiver. Returns the capture and the true frame
     start (for diagnostics; the pipeline re-estimates it)."""
-    return _capture(_transmit(tx), rx, chan, noise_seed, jitter_seed)
+    frames, leads = _receive(_transmit(tx), rx, chan, [np.random.default_rng(noise_seed)],
+                             [np.random.default_rng(jitter_seed)])
+    return ComplexSignal(frames.samples[0, : frames.lengths[0]]), int(leads[0])
 
 
 def _seated(rng: np.random.Generator, states):
@@ -582,10 +574,6 @@ def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr
                               _seated(rng, jitter[rows]))[0]
 
 
-_DROP_ERRORS = (NotDetectedError, SyncFailedError, EstimationFailedError,
-                DegenerateDenominatorError, DegenerateModelError)
-
-
 def _acquire(capture: ComplexSignal | Frames, window_w: int, multiplier: float):
     """`synchronize_and_compensate` with each capture's detection threshold
     set at `multiplier` times its leading window's statistic."""
@@ -594,8 +582,8 @@ def _acquire(capture: ComplexSignal | Frames, window_w: int, multiplier: float):
 
 
 def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fields) -> dict:
-    """Detection through field spectra, for one capture or a block; a
-    capture raises the pipeline errors the caller counts as drops."""
+    """Detection through field spectra, for a block; one capture (the
+    tests' one-frame reference) raises its drop error instead."""
     compensated, sync, _ = _acquire(capture, cfg.detection_window, cfg.detection_multiplier)
     return {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
 
@@ -611,21 +599,27 @@ class ModelCapture:
 
 def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
     """Capture the transmitted reference frame `sent_ref` through one
-    receiver until a capture survives acquisition."""
+    receiver, one frame-engine row per attempt, until a capture survives
+    acquisition. The error after the last attempt counts the attempts'
+    drop causes."""
     fields = tuple(div.denominator for div in DIVISIONS.values() if div.by_model)
+    causes = Counter()
     for attempt in range(MODEL_CAPTURE_ATTEMPTS):
         ch_seed = derive_seed(cfg.master_seed, _S_MODEL_CHANNEL, repeat, attempt, rx_idx)
         chan = _draw_channel(cfg, snr_db, ch_seed)
         noise_seed = derive_seed(cfg.master_seed, _S_MODEL_NOISE, repeat, attempt, rx_idx)
         jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, repeat, attempt, rx_idx, 999)
-        capture, _ = _capture(sent_ref, rx_profile, chan, noise_seed, jitter_seed)
-        try:
-            spectra = acquire_spectra(capture, cfg, fields)
-        except _DROP_ERRORS:
-            continue
-        return ModelCapture(rx_profile.device_id, spectra, attempt + 1)
+        frames, _ = _receive(sent_ref, rx_profile, chan, [np.random.default_rng(noise_seed)],
+                             [np.random.default_rng(jitter_seed)])
+        spectra = acquire_spectra(frames, cfg, fields)
+        if frames.drops.live[0]:
+            return ModelCapture(rx_profile.device_id,
+                                {f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()},
+                                attempt + 1)
+        causes[type(frames.drops.errors[0]).__name__] += 1
     raise PipelineError(
-        f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}"
+        f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}: "
+        + ", ".join(f"{cause} x{n}" for cause, n in causes.most_common())
     )
 
 
@@ -670,8 +664,7 @@ class ExperimentReport:
 def _config_doc(cfg: ExperimentConfig) -> dict:
     doc = asdict(cfg)
     # Echoed as constants: detection always sums magnitudes and training
-    # always takes Adam steps. Report format 2 drops both keys (ROADMAP
-    # item 3, seed scheme v2).
+    # always takes Adam steps. Report format 2 drops both keys (ROADMAP item 6).
     doc["detection_metric"] = "magnitude"
     doc["classifier"]["optimizer"] = "adam"
     return doc
@@ -812,17 +805,6 @@ def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
     return links
 
 
-def _simulate_cells(cfg, devices, receivers, sent, snr_db, repeat, write_rows=None):
-    """All links for one (snr, repeat), given the transmitted frames `sent`
-    (`_transmit_all`): returns {(dev_id, rx_id): LinkFeatures} and the
-    per-receiver model captures; `write_rows` as in `_run_links`."""
-    sent_devices, sent_ref = sent
-    models = _capture_models(cfg, receivers, sent_ref, repeat, snr_db)
-    links = _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-                       _channel_per_frame(cfg), write_rows)
-    return links, models
-
-
 def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
     """Per tag, the block FeatureVectors of receivers `rx_ids`, limited to
     each link's first half of frame indices (training) or second half
@@ -886,15 +868,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     (snr, repeat)'s features stay in memory; a run that raises leaves no
     table (`data_io.feature_tables`)."""
     devices, receivers, reference = _profiles(cfg)
-    sent = _transmit_all(devices, reference)
+    sent_devices, sent_ref = _transmit_all(devices, reference)
+    per_frame_channel = _channel_per_frame(cfg)
     cells_acc = {}
     drop_acc = {}
     model_info = {}
     with nullcontext() if out_dir is None else data_io.feature_tables(out_dir) as write_rows:
         for snr in cfg.snr_db:
             for rep in range(cfg.repeats):
-                links, models = _simulate_cells(cfg, devices, receivers, sent, snr, rep,
-                                                write_rows)
+                models = _capture_models(cfg, receivers, sent_ref, rep, snr)
+                links = _run_links(cfg, devices, receivers, sent_devices, models, snr, rep,
+                                   per_frame_channel, write_rows)
                 for key, link in links.items():
                     drop_acc.setdefault((snr,) + key, []).append(
                         link.dropped / cfg.frames_per_device)

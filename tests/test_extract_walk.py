@@ -22,7 +22,8 @@ def _walk_one(signal, detection, fields):
     calls. Yields (frame_index, spectra | None); None marks a detected but
     unusable frame. A frame whose last field window runs past its segment,
     in a file with more samples, is walked again from a segment starting
-    two detection windows before it."""
+    two detection windows before it; a frame that the file's end cuts off
+    is unusable."""
     window_w, multiplier = detection
     pos = 0
     idx = 0
@@ -36,14 +37,16 @@ def _walk_one(signal, detection, fields):
         det = pp.DetectionConfig(window_w, thr)
         try:
             compensated, sync, _ = pp.synchronize_and_compensate(seg, det)
-            if sync.frame_start_n1 + frame_end > len(seg) and pos + len(seg) < n:
-                pos += max(sync.frame_start_n1 - 2 * window_w, 1)
-                continue
+            if sync.frame_start_n1 + frame_end > len(seg):
+                if pos + len(seg) < n:
+                    pos += max(sync.frame_start_n1 - 2 * window_w, 1)
+                    continue
+                raise WindowBoundsError("frame runs past the end of its file")
             spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
         except pp.NotDetectedError:
             pos += segment_len - window_w
             continue
-        except (pp.SyncFailedError, pp.EstimationFailedError):
+        except (pp.SyncFailedError, pp.EstimationFailedError, WindowBoundsError):
             yield idx, None
             idx += 1
             pos += 500
@@ -168,19 +171,22 @@ def test_reference_walk_stops_at_the_first_acquired_frame(frames, tmp_path):
     assert [[s is None for _, s in got[p]] for p in paths] == [[False], [True, False]]
     for path in paths:
         _assert_same(got[path], _reference(path, until_acquired=True))
-    with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        _lockstep(paths)
+    # walked to the end, each file's last frame is cut off: a drop
+    got, _ = _lockstep(paths)
+    for path in paths:
+        _assert_same(got[path], _reference(path))
+    assert [[s is None for _, s in got[p]] for p in paths] == [[False, True], [True, False, True]]
 
 
-def test_capture_ending_inside_the_ht_ltf_raises_in_both_walks(frames, tmp_path):
+def test_capture_ending_inside_the_ht_ltf_is_a_drop_in_both_walks(frames, tmp_path):
     f, _ = frames
     cut = f[3][: f[3].size - 120 - 60]
     bad = _write(tmp_path, "bad", [f[0], f[1], cut])
     good = _write(tmp_path, "good", f[4:10])
-    with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        _lockstep([good, bad])
-    with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        _reference(bad)
+    got, _ = _lockstep([good, bad])
+    for path in (good, bad):
+        _assert_same(got[path], _reference(path))
+    assert [s is None for _, s in got[bad]] == [False, False, True]
 
 
 def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
@@ -195,9 +201,9 @@ def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
     for path in (late, after_skip, good):
         _assert_same(got[path], _reference(path))
     assert [[s is None for _, s in got[p]] for p in (late, after_skip)] == [[False, False]] * 2
-    # cut inside the late frame's HT-LTF: the capture really ends there
+    # cut inside the late frame's HT-LTF: the capture really ends there, and
+    # the frame walked again from the next segment is a drop
     cut = _write(tmp_path, "cut", [_quiet(f, 740 - leads[0]), f[0][: leads[0] + 380]])
-    with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        _lockstep([good, cut])
-    with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        _reference(cut)
+    got, _ = _lockstep([good, cut])
+    _assert_same(got[cut], _reference(cut))
+    assert [s is None for _, s in got[cut]] == [True]

@@ -87,9 +87,8 @@ def test_drop_rates_cover_every_link():
 
 def test_model_capture_structural_isolation():
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
-    devices, receivers, reference = hz._profiles(cfg)
-    _, models = hz._simulate_cells(
-        cfg, devices, receivers, hz._transmit_all(devices, reference), 30.0, 0)
+    _, receivers, reference = hz._profiles(cfg)
+    models = hz._capture_models(cfg, receivers, hz._transmit(reference), 0, 30.0)
     for rx in receivers:
         assert models[rx.device_id].receiver_id == rx.device_id
     # cross-wiring the model captures trips the structural check
