@@ -260,12 +260,16 @@ def _rows(f: FeatureVector) -> np.ndarray:
 
 
 def _pool_scores(model: SoftmaxModel, blocks) -> np.ndarray:
-    """Softmax probabilities of every row of the 2-D `blocks`, stacked, from
-    one product."""
-    for x in blocks:
+    """Softmax probabilities of every row of `blocks`, (2-D rows, extractor)
+    pairs, stacked, from one product. A model scores only the feature table
+    it trained on."""
+    for x, table in blocks:
         if x.shape[1] != model.feature_dim:
             raise PredictError(f"feature dim ({x.shape[1]},) != model dim {model.feature_dim}")
-    x = np.concatenate(blocks)
+        if table.value != model.trained_on:
+            raise EvalError(f"a model trained on {model.trained_on} features cannot score "
+                            f"{table.value} features")
+    x = np.concatenate([x for x, _ in blocks])
     return _softmax((x - model.input_mean) / model.input_scale @ model.weights.T + model.bias)
 
 
@@ -279,11 +283,11 @@ def _accuracy(classes: list, scores: np.ndarray, labels: list) -> float:
 def evaluate(model: SoftmaxModel, features) -> float:
     """Fraction of correctly classified labeled features (every row of a
     block FeatureVector counts as one); one product scores them all."""
-    blocks = [(_rows(f), f.device_hint) for f in features]
-    labels = [label for x, label in blocks for _ in range(len(x))]
+    blocks = [((_rows(f), f.extractor), f.device_hint) for f in features]
+    labels = [label for (x, _), label in blocks for _ in range(len(x))]
     if not labels:
         raise EvalError("empty test set")
-    return _accuracy(model.classes, _pool_scores(model, [x for x, _ in blocks]), labels)
+    return _accuracy(model.classes, _pool_scores(model, [b for b, _ in blocks]), labels)
 
 
 def evaluate_fused(models, feature_pairs) -> float:
@@ -294,15 +298,15 @@ def evaluate_fused(models, feature_pairs) -> float:
     for fa, fb in feature_pairs:
         xa, xb = _rows(fa), _rows(fb)
         n = min(len(xa), len(xb))
-        pairs.append((xa[:n], xb[:n], fa.device_hint))
-    labels = [label for xa, _, label in pairs for _ in range(len(xa))]
+        pairs.append(((xa[:n], fa.extractor), (xb[:n], fb.extractor), fa.device_hint))
+    labels = [label for (xa, _), _, label in pairs for _ in range(len(xa))]
     if not labels:
         raise EvalError("empty test set")
     m_a, m_b = models
     if m_a.classes != m_b.classes:
         raise FuseError("branch models disagree on the class list")
-    combined = (_pool_scores(m_a, [xa for xa, _, _ in pairs])
-                + _pool_scores(m_b, [xb for _, xb, _ in pairs]))
+    combined = (_pool_scores(m_a, [a for a, _, _ in pairs])
+                + _pool_scores(m_b, [b for _, b, _ in pairs]))
     return _accuracy(m_a.classes, combined, labels)
 
 

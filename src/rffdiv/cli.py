@@ -52,12 +52,12 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc | {key: value for key, value in given.items() if value is not None}
 
 
-def _write_capture(cfg, out: Path, snr_db: float, per_frame_channel: bool, capture) -> None:
+def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
     """Simulate one capture file's frames and write its `.iq` and sidecar;
     `capture` is (sent, rx profile, transmitter index, receiver index,
     frames, file name)."""
     sent, rx, di, rj, n_frames, name = capture
-    blocks = harness.frame_blocks(cfg, sent, rx, snr_db, 0, di, rj, n_frames, per_frame_channel)
+    blocks = harness.frame_blocks(cfg, sent, rx, snr_db, 0, di, rj, n_frames)
     segments = [frames.samples[i, :n] for _, frames in blocks
                 for i, n in enumerate(frames.lengths)]
     data_io.write_iq(out / name, ComplexSignal(np.concatenate(segments)))
@@ -85,7 +85,7 @@ def cmd_simulate(args) -> int:
                 "frames": n_frames, "role": role,
             })
     # each file is its own task; the files do not depend on one another
-    task = partial(_write_capture, cfg, out, snr, harness._channel_per_frame(cfg))
+    task = partial(_write_capture, cfg, out, snr)
     for _ in harness.map_ordered(task, captures):
         pass
     manifest = {

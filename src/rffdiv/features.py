@@ -228,28 +228,3 @@ def extract_dv(lstf: FieldSpectrum, lltf: FieldSpectrum,
         raise ValueError("extract_dv takes (LSTF, LLTF) spectra in that order")
     return divide(Extractor.DV, lstf, lltf, device_hint)
 
-
-def _values(f: FeatureVector | np.ndarray) -> np.ndarray:
-    return f.values if isinstance(f, FeatureVector) else f
-
-
-def cosine_similarity(a: FeatureVector | np.ndarray, b: FeatureVector | np.ndarray) -> float:
-    """Plain cosine of two unit-energy feature vectors (or their values)."""
-    return float(np.dot(_values(a), _values(b)))
-
-
-def centered_cosine_similarity(a: FeatureVector | np.ndarray,
-                               b: FeatureVector | np.ndarray) -> float:
-    """Cosine after removing each vector's tone mean.
-
-    The plain cosine of nonnegative normalized features is dominated by
-    their shared flat component; centering compares the informative
-    deviation, which is what separates a structured fingerprint from a
-    noise-dominated flat one.
-    """
-    va = _values(a) - _values(a).mean()
-    vb = _values(b) - _values(b).mean()
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))

@@ -53,8 +53,6 @@ from .features import (
     FeatureVector,
     Field,
     FieldSpectrum,
-    centered_cosine_similarity,
-    cosine_similarity,
     extract_dv,
     extract_hl,
     extract_rd,
@@ -488,10 +486,6 @@ def _draw_channel(cfg: ExperimentConfig, snr_db: float, seed) -> ChannelRealizat
                           p["rice_k_db"])
 
 
-def _channel_per_frame(cfg: ExperimentConfig) -> bool:
-    return _channel_params(cfg)["per_frame"]
-
-
 _FRAME = generate_preamble(PreambleSpec(PreambleFormat.HTMF))
 
 # Frames per block in the frame engine. A block of 16 captures of at most
@@ -549,26 +543,27 @@ def _seated(rng: np.random.Generator, states):
 
 
 def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
-                 repeat: int, device_idx: int, receiver_idx: int, n_frames: int,
-                 per_frame_channel: bool):
+                 repeat: int, device_idx: int, receiver_idx: int, n_frames: int):
     """The frame engine's captures of one (device, receiver) link: yields
     (first frame index, block) for blocks of at most BLOCK_ROWS frames.
-    Every frame draws its own jitter, noise and (when `per_frame_channel`)
-    channel from its own seeds, so blocking changes no sample; a static
-    link draws one channel for all its frames (the seed of frame 0). The
-    link's seeds come from one `derive_seeds` call, and one generator, set
-    to each seed's starting state in turn, makes every draw."""
+    Every frame draws its own jitter, noise and (when the config's channel
+    is per frame) channel from its own seeds, so blocking changes no
+    sample; a static link draws one channel for all its frames (the seed of
+    frame 0). The link's seeds come from one `derive_seeds` call, and one
+    generator, set to each seed's starting state in turn, makes every
+    draw."""
+    per_frame = _channel_params(cfg)["per_frame"]
     seeds = derive_seeds(cfg.master_seed, np.array([[_S_CHANNEL], [_S_NOISE], [_S_JITTER]]),
                          repeat, device_idx, receiver_idx, np.arange(n_frames))
     # a static link's channel needs frame 0's seed, not a state per frame
-    states = generator_states(seeds if per_frame_channel else seeds[1:])
+    states = generator_states(seeds if per_frame else seeds[1:])
     by_stream = [states[i : i + n_frames] for i in range(0, len(states), n_frames)]
-    channel, noise, jitter = by_stream if per_frame_channel else [None, *by_stream]
+    channel, noise, jitter = by_stream if per_frame else [None, *by_stream]
     rng = np.random.default_rng(0)  # every draw comes after a state is set
-    link_channel = None if per_frame_channel else _draw_channel(cfg, snr_db, int(seeds[0, 0]))
+    link_channel = None if per_frame else _draw_channel(cfg, snr_db, int(seeds[0, 0]))
     for first in range(0, n_frames, BLOCK_ROWS):
         rows = slice(first, first + BLOCK_ROWS)
-        chan = (_draw_channel(cfg, snr_db, _seated(rng, channel[rows])) if per_frame_channel
+        chan = (_draw_channel(cfg, snr_db, _seated(rng, channel[rows])) if per_frame
                 else link_channel)
         yield first, _receive(sent, rx, chan, _seated(rng, noise[rows]),
                               _seated(rng, jitter[rows]))[0]
@@ -765,15 +760,14 @@ def map_ordered(fn, items):
         pool.shutdown(cancel_futures=True)
 
 
-def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeatures:
+def _link_task(cfg, snr_db, repeat, csv, link) -> LinkFeatures:
     """One (device, receiver) link through the frame engine; `link` is
     (sent, rx profile, device index, receiver index, device id, model).
     With `csv` the link's rows are also formatted for the feature CSVs
     (trial `repeat * frames_per_device + frame`), here in the worker;
     without it no row is formatted."""
     sent, rx, di, rj, device_id, model = link
-    blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device,
-                          per_frame_channel)
+    blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device)
     out = _link_features(cfg, blocks, model, rx.device_id, device_id)
     if csv:
         trials = (repeat * cfg.frames_per_device + out.frames).tolist()
@@ -785,14 +779,14 @@ def _link_task(cfg, snr_db, repeat, per_frame_channel, csv, link) -> LinkFeature
 
 
 def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-               per_frame_channel, write_rows=None) -> dict:
+               write_rows=None) -> dict:
     """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
     links are independent, so they run on every usable CPU. With
     `write_rows` (`data_io.feature_tables`) each link's feature CSV rows are
     formatted in its worker and written as the link arrives."""
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
-    task = partial(_link_task, cfg, snr_db, repeat, per_frame_channel, write_rows is not None)
+    task = partial(_link_task, cfg, snr_db, repeat, write_rows is not None)
     results = map_ordered(task, [
         (sent_devices[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
         for di, dev, rj, rx in grid])
@@ -869,7 +863,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     table (`data_io.feature_tables`)."""
     devices, receivers, reference = _profiles(cfg)
     sent_devices, sent_ref = _transmit_all(devices, reference)
-    per_frame_channel = _channel_per_frame(cfg)
     cells_acc = {}
     drop_acc = {}
     model_info = {}
@@ -878,7 +871,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
             for rep in range(cfg.repeats):
                 models = _capture_models(cfg, receivers, sent_ref, rep, snr)
                 links = _run_links(cfg, devices, receivers, sent_devices, models, snr, rep,
-                                   per_frame_channel, write_rows)
+                                   write_rows)
                 for key, link in links.items():
                     drop_acc.setdefault((snr,) + key, []).append(
                         link.dropped / cfg.frames_per_device)
@@ -916,6 +909,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     )
 
 
+def _pair_means(values: np.ndarray, receivers: np.ndarray) -> dict:
+    """Mean plain and mean-centered cosine over the pairs of rows of
+    `values` (unit-energy feature vectors), split by whether the rows'
+    `receivers` differ; a population with no pair is None. Each comes from
+    a Gram matrix's strict upper triangle. A row whose centered norm is 0
+    has centered cosine 0 with every row."""
+    centered = values - values.mean(axis=1, keepdims=True)
+    norm = np.linalg.norm(centered, axis=1, keepdims=True)
+    centered = np.divide(centered, norm, out=np.zeros_like(centered), where=norm > 0)
+    grams = {"plain": values @ values.T, "centered": centered @ centered.T}
+    i, j = np.triu_indices(len(values), 1)
+    same = receivers[i] == receivers[j]
+    return {pop: {kind: float(np.mean(g[i[pairs], j[pairs]])) if pairs.any() else None
+                  for kind, g in grams.items()}
+            for pop, pairs in (("cross_receiver", ~same), ("trial_to_trial", same))}
+
+
 def run_feature_stability(cfg: ExperimentConfig) -> dict:
     """Per-device, per-extractor similarity statistics.
 
@@ -926,60 +936,36 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
     (same receiver, different frames); each carries the plain cosine and
     the mean-centered cosine. Plain cosine of nonnegative unit vectors is
     dominated by the shared flat component, so the centered variant is the
-    discriminative stability measure.
+    discriminative stability measure. A mean over devices that no device
+    has a value for is None.
     """
+    cfg = replace(cfg, channel=cfg.channel | {"per_frame": True})
     devices, receivers, reference = _profiles(cfg)
     sent_devices, sent_ref = _transmit_all(devices, reference)
     snr = cfg.snr_db[0]
     models = _capture_models(cfg, receivers, sent_ref, 0, snr)
-    links = _run_links(cfg, devices, receivers, sent_devices, models, snr, 0,
-                       per_frame_channel=True)
+    links = _run_links(cfg, devices, receivers, sent_devices, models, snr, 0)
     out = {"snr_db": snr, "scenario": cfg.channel["scenario"], "devices": {}}
     for dev in devices:
-        per_rx = {rx.device_id: links[(dev.device_id, rx.device_id)].features
-                  for rx in receivers}
-        drops = sum(links[(dev.device_id, rx.device_id)].dropped for rx in receivers)
-        tags = {t for feats in per_rx.values() for t, fv in feats.items() if len(fv.values)}
+        per_rx = [links[(dev.device_id, rx.device_id)] for rx in receivers]
+        tags = {t for link in per_rx for t, fv in link.features.items() if len(fv.values)}
         dev_stats = {}
         for tag in sorted(tags):
-            flat = [(rx_id, v) for rx_id, feats in per_rx.items() for v in feats[tag].values]
-            cross_p, cross_c, same_p, same_c = [], [], [], []
-            for i in range(len(flat)):
-                for j in range(i + 1, len(flat)):
-                    p = cosine_similarity(flat[i][1], flat[j][1])
-                    c = centered_cosine_similarity(flat[i][1], flat[j][1])
-                    if flat[i][0] == flat[j][0]:
-                        same_p.append(p)
-                        same_c.append(c)
-                    else:
-                        cross_p.append(p)
-                        cross_c.append(c)
-            dev_stats[tag] = {
-                "cross_receiver": {
-                    "plain": float(np.mean(cross_p)) if cross_p else None,
-                    "centered": float(np.mean(cross_c)) if cross_c else None,
-                },
-                "trial_to_trial": {
-                    "plain": float(np.mean(same_p)) if same_p else None,
-                    "centered": float(np.mean(same_c)) if same_c else None,
-                },
-            }
-        out["devices"][dev.device_id] = {"stats": dev_stats, "drops": drops}
+            blocks = [link.features[tag].values for link in per_rx]
+            rx_labels = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+            dev_stats[tag] = _pair_means(np.concatenate(blocks), rx_labels)
+        out["devices"][dev.device_id] = {"stats": dev_stats,
+                                         "drops": sum(link.dropped for link in per_rx)}
+
+    def mean(tag, pop, kind):
+        vals = [d["stats"][tag][pop][kind] for d in out["devices"].values()
+                if tag in d["stats"] and d["stats"][tag][pop][kind] is not None]
+        return float(np.mean(vals)) if vals else None
+
     tags = sorted({t for d in out["devices"].values() for t in d["stats"]})
-    out["mean"] = {
-        tag: {
-            pop: {
-                kind: float(np.mean([
-                    d["stats"][tag][pop][kind]
-                    for d in out["devices"].values()
-                    if d["stats"].get(tag, {}).get(pop, {}).get(kind) is not None
-                ]))
-                for kind in ("plain", "centered")
-            }
-            for pop in ("cross_receiver", "trial_to_trial")
-        }
-        for tag in tags
-    }
+    out["mean"] = {tag: {pop: {kind: mean(tag, pop, kind) for kind in ("plain", "centered")}
+                         for pop in ("cross_receiver", "trial_to_trial")}
+                   for tag in tags}
     return out
 
 

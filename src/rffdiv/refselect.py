@@ -168,10 +168,15 @@ def lowpass_reconstruct(csi_amplitude: np.ndarray) -> np.ndarray:
 def eta_lf(csi_amplitude: np.ndarray, device_id: str = "") -> RefScore:
     """Low-frequency energy ratio of the unit-energy-normalized amplitude."""
     x = np.asarray(csi_amplitude, dtype=np.float64)
-    energy = float(np.sum(x**2))
-    if energy == 0.0 or not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x)):
         raise DegenerateInputError("zero-energy or non-finite input")
-    xn = x / np.sqrt(energy)
+    # scale by the peak before squaring, so tiny inputs do not square into
+    # subnormals (which breaks scale invariance) and huge ones do not overflow
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    if peak == 0.0:
+        raise DegenerateInputError("zero-energy or non-finite input")
+    x = x / peak
+    xn = x / np.sqrt(float(np.sum(x**2)))
     low = lowpass_reconstruct(xn)
     e_after = float(np.sum(low**2))
     return RefScore(device_id=device_id, eta_lf=e_after, energy_before=1.0, energy_after=e_after)

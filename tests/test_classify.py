@@ -209,6 +209,22 @@ def test_batched_scoring_equals_per_row_count(rng):
         cl.evaluate_fused(models, [(stf[1], ltf[1])])  # a block of no rows
 
 
+def test_scoring_another_feature_table_is_eval_error(rng):
+    classes = [f"dev{i}" for i in range(3)]
+    hl = cl.SoftmaxModel(rng.normal(size=(3, 52)), np.zeros(3), classes, "HL")
+    stf_model = cl.SoftmaxModel(rng.normal(size=(3, 12)), np.zeros(3), classes, "RD_STF")
+    ltf = _random_pool(rng, classes, 52, Extractor.RD_LTF, [4, 3])
+    stf = _random_pool(rng, classes, 12, Extractor.RD_STF, [4, 3])
+    hl_pool = _random_pool(rng, classes, 52, Extractor.HL, [4, 3])
+    with pytest.raises(cl.EvalError, match="trained on HL features cannot score RD_LTF"):
+        cl.evaluate(hl, ltf)
+    with pytest.raises(cl.EvalError, match="trained on HL features cannot score RD_LTF"):
+        cl.evaluate(hl, hl_pool[:1] + ltf[1:])  # one block of another table is enough
+    with pytest.raises(cl.EvalError, match="trained on HL features cannot score RD_LTF"):
+        cl.evaluate_fused((stf_model, hl), list(zip(stf, ltf)))
+    assert 0.0 <= cl.evaluate_fused((stf_model, hl), list(zip(stf, hl_pool))) <= 1.0
+
+
 def test_random_labels_near_chance(rng):
     n_classes = 10
     feats = []

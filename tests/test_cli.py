@@ -371,6 +371,21 @@ def test_bad_input_file_is_config_error(tmp_path, capsys, command, contents):
     _assert_config_error(argv, capsys)
 
 
+@pytest.mark.parametrize("trained, scored", [("HL", "RD_LTF"), ("DV", "RD_STF")])
+def test_eval_of_another_extractors_table_is_config_error(tmp_path, capsys, trained, scored):
+    # each pair shares a width, so only the tables' extractors tell them apart
+    rng = np.random.default_rng(0)
+    width = 52 if trained == "HL" else 12
+    train_csv, test_csv, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "m.json"
+    _write_table(train_csv, trained, rng.random((8, width)) + 0.1)
+    _write_table(test_csv, scored, rng.random((8, width)) + 0.1)
+    assert main(["train", "--features", str(train_csv), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--features", str(test_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and trained in err and scored in err, err
+
+
 def _assert_rewrites_same(out_dir: Path):
     """Every feature CSV in `out_dir` is what `write_features` writes for
     the rows read back from it."""

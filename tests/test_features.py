@@ -116,7 +116,7 @@ def test_hl_distinct_tilts_are_distinguishable(flat_identity):
         dev = imp.linear_profile("dev", [1.0], band_tilt=mk(db))
         spectra = chain_spectra(dev, RXS[0], flat_identity)
         feats.append(ft.extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF]))
-    cos = ft.cosine_similarity(feats[0], feats[1])
+    cos = feats[0].values @ feats[1].values
     assert cos < 0.999
 
 
@@ -172,9 +172,7 @@ def test_noise_degradation_monotone():
             except (pp.NotDetectedError, pp.SyncFailedError):
                 continue
             feats.append(ft.extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF]))
-        pair_sims = [
-            ft.cosine_similarity(a, b) for a, b in itertools.combinations(feats, 2)
-        ]
+        pair_sims = [a.values @ b.values for a, b in itertools.combinations(feats, 2)]
         sims.append(np.mean(pair_sims))
     assert sims[0] >= sims[1] >= sims[2]
 
@@ -194,9 +192,12 @@ def test_stability_ordering_hl_vs_dv_smoke():
             continue
         hl.append(ft.extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF]))
         dv.append(ft.extract_dv(spectra[Field.LSTF], spectra[Field.LLTF]))
-    mean_c = lambda fs: np.mean([
-        ft.centered_cosine_similarity(a, b) for a, b in itertools.combinations(fs, 2)
-    ])
+
+    def mean_c(fs):  # mean cosine of every pair after removing each vector's tone mean
+        c = np.array([f.values - f.values.mean() for f in fs])
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        return np.mean([a @ b for a, b in itertools.combinations(c, 2)])
+
     assert mean_c(hl) > mean_c(dv)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,106 @@ def test_feature_stability_reports_both_metrics():
     assert -1.0 <= hl["cross_receiver"]["centered"] <= 1.0
 
 
+def _pair_loop_means(per_rx):
+    """The stability statistics from a loop over every pair of vectors: the
+    reference for the Gram matrices of `hz._pair_means`. `per_rx` holds
+    (receiver id, 2-D feature values) pairs."""
+    flat = [(rx_id, v) for rx_id, values in per_rx for v in values]
+    pops = {"cross_receiver": ([], []), "trial_to_trial": ([], [])}
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            a, b = flat[i][1], flat[j][1]
+            ca, cb = a - a.mean(), b - b.mean()
+            na, nb = np.linalg.norm(ca), np.linalg.norm(cb)
+            plain, centered = pops["trial_to_trial" if flat[i][0] == flat[j][0]
+                                   else "cross_receiver"]
+            plain.append(float(np.dot(a, b)))
+            centered.append(0.0 if na == 0.0 or nb == 0.0 else float(np.dot(ca, cb) / (na * nb)))
+    return {pop: {kind: float(np.mean(x)) if x else None
+                  for kind, x in (("plain", plain), ("centered", centered))}
+            for pop, (plain, centered) in pops.items()}
+
+
+def _assert_stats_close(got, want):
+    for pop in ("cross_receiver", "trial_to_trial"):
+        for kind in ("plain", "centered"):
+            g, w = got[pop][kind], want[pop][kind]
+            assert (g is None) == (w is None), (pop, kind, g, w)
+            assert g is None or abs(g - w) < 1e-12, (pop, kind, g, w)
+
+
+@pytest.mark.parametrize("channel, extractors, reference", [
+    ("flat", ["RD", "DV"], {"id": "ref", "seed": 55}),
+    ("los", ["HL", "DV"], None),
+])
+def test_feature_stability_matches_pair_loops(monkeypatch, channel, extractors, reference):
+    cfg = hz.load_config(_base_doc(
+        devices={"count": 2, "base_seed": 100, "field_distinct": True},
+        receivers={"count": 3, "base_seed": 900},
+        extractors=extractors, reference_device=reference, channel={"scenario": channel},
+        snr_db=20.0, frames_per_device=6, repeats=1,
+    ))
+    seen = []
+    run_links = hz._run_links
+
+    def recording(cfg, *args):
+        seen.append((cfg, run_links(cfg, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hz, "_run_links", recording)
+    stats = hz.run_feature_stability(cfg)
+    (run_cfg, links), = seen
+    assert hz._channel_params(run_cfg)["per_frame"]  # a trial redraws the channel
+    assert not hz._channel_params(cfg)["per_frame"]
+    devices, receivers, _ = hz._profiles(cfg)
+    per_device = {}
+    for dev in devices:
+        for tag, got in stats["devices"][dev.device_id]["stats"].items():
+            want = _pair_loop_means([(rx.device_id, links[(dev.device_id, rx.device_id)]
+                                      .features[tag].values) for rx in receivers])
+            _assert_stats_close(got, want)
+            per_device.setdefault(tag, []).append(want)
+    assert sorted(per_device) == sorted(stats["mean"])
+    for tag, wants in per_device.items():
+        mean = {pop: {kind: float(np.mean([w[pop][kind] for w in wants]))
+                      for kind in ("plain", "centered")}
+                for pop in ("cross_receiver", "trial_to_trial")}
+        _assert_stats_close(stats["mean"][tag], mean)
+
+
+def test_pair_means_zero_norm_row_and_missing_population():
+    rng = np.random.default_rng(5)
+    values = np.abs(rng.normal(size=(5, 12))) + 0.1
+    values /= np.linalg.norm(values, axis=1, keepdims=True)
+    values[2] = 0.25  # a constant whose mean is exact: its centered norm is 0
+    # one receiver (no cross pair), three, and five (no same-receiver pair)
+    for receivers in ([0, 0, 0, 0, 0], [0, 1, 1, 0, 2], [0, 1, 2, 3, 4]):
+        receivers = np.array(receivers)
+        got = hz._pair_means(values, receivers)
+        want = _pair_loop_means([(rx, v[None]) for rx, v in zip(receivers, values)])
+        _assert_stats_close(got, want)
+    # the flat row's centered cosine with each row is 0
+    assert hz._pair_means(values[1:3], np.array([0, 1]))["cross_receiver"]["centered"] == 0.0
+    assert hz._pair_means(values[:1], np.zeros(1, int)) == {
+        pop: {"plain": None, "centered": None} for pop in ("cross_receiver", "trial_to_trial")}
+
+
+def test_feature_stability_one_receiver_means_are_none():
+    cfg = hz.load_config(_base_doc(
+        devices={"count": 2, "base_seed": 100, "field_distinct": True},
+        receivers={"count": 1}, train_receivers=["rx00"], test_receivers=["rx00"],
+        extractors=["HL"], reference_device=None, channel={"scenario": "los"},
+        snr_db=30.0, frames_per_device=6, repeats=1,
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = hz.run_feature_stability(cfg)
+    for dev in stats["devices"].values():
+        assert dev["stats"]["HL"]["cross_receiver"] == {"plain": None, "centered": None}
+    assert stats["mean"]["HL"]["cross_receiver"] == {"plain": None, "centered": None}
+    assert 0.9 < stats["mean"]["HL"]["trial_to_trial"]["plain"] <= 1.0
+
+
 def _pair_with_r(rng, n, rho):
     """(x, y) whose sample correlation is `rho`: y mixes centred x with a
     centred draw orthogonal to it."""
@@ -242,15 +343,15 @@ def test_mobile_scenario_redraws_channel_per_frame():
     doc = _base_doc(extractors=["HL"], reference_device=None, frames_per_device=6,
                     repeats=1, channel={"scenario": "mobile"})
     cfg = hz.load_config(doc)
-    assert hz._channel_per_frame(cfg)
+    assert hz._channel_params(cfg)["per_frame"]
     report = hz.run_experiment(cfg)  # per-frame redraw path end to end
     assert report.cells and 0.0 <= report.cells[0]["mean_accuracy"] <= 1.0
     static = hz.load_config(_base_doc(extractors=["HL"], reference_device=None,
                                       channel={"scenario": "nlos"}))
-    assert not hz._channel_per_frame(static)
+    assert not hz._channel_params(static)["per_frame"]
     overridden = hz.load_config(_base_doc(extractors=["HL"], reference_device=None,
                                           channel={"scenario": "nlos", "per_frame": True}))
-    assert hz._channel_per_frame(overridden)
+    assert hz._channel_params(overridden)["per_frame"]
 
 
 def test_explicit_profile_entries_roundtrip_and_run():

@@ -11,8 +11,10 @@ from conftest import HTMF_FRAME, acquire, build_capture
 
 import rffdiv
 from rffdiv import channel as ch
+from rffdiv import harness as hz
 from rffdiv import impairments as imp
 from rffdiv import preprocess as pp
+from rffdiv.features import Field, extract_hl, field_spectrum
 from rffdiv.signals import ComplexSignal
 
 
@@ -224,3 +226,38 @@ def test_detection_config_validation():
         pp.DetectionConfig(window_w=8, threshold_t=1.0)
     with pytest.raises(ValueError):
         pp.DetectionConfig(window_w=80, threshold_t=0.0)
+
+
+_TX = imp.sample_profile(11, imp.Role.TRANSMITTER, field_distinct=True, device_id="dev")
+
+
+def _synced_hl(chan, seed):
+    """Sync error in samples (against the simulator's true frame start) and
+    HL vector of one noise-free frame through an identity receiver."""
+    capture, start = hz.simulate_capture(_TX, imp.identity_profile(), chan, seed, seed)
+    compensated, sync, _ = acquire(capture)
+    spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f)
+               for f in (Field.LLTF, Field.HTLTF)}
+    hl = extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF])
+    return sync.frame_start_n1 - start, hl.values
+
+
+_LATE_TAP = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3 (first-path sync): in nlos, sync locks onto a later "
+                        "channel tap, and 24 of these 40 frames sync 1-6 samples late")
+
+
+@pytest.mark.parametrize("scenario", ["los", "corridor", pytest.param("nlos", marks=_LATE_TAP)])
+def test_selective_channel_sync_meets_ground_truth(scenario):
+    # a frame that syncs at its true start has the flat channel's HL vector
+    _, flat = _synced_hl(ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=1.0 + 0j), 0)
+    preset = {k: v for k, v in hz.SCENARIOS[scenario].items() if k not in ("kind", "per_frame")}
+    wrong = []
+    for seed in range(40, 80):
+        chan = ch.sample_channel(ch.ChannelKind.SELECTIVE, np.inf, seed, **preset)
+        error, hl = _synced_hl(chan, seed)
+        distance = np.abs(hl - flat).max()
+        if error != 0 or distance > 1e-6:
+            wrong.append((seed, error, round(float(distance), 3)))
+    assert not wrong, f"{len(wrong)} of 40 frames: (seed, sync error, HL distance) {wrong}"
+

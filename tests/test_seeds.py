@@ -100,7 +100,7 @@ def test_frame_blocks_match_numpy_seeded_frames(monkeypatch, block_rows, scenari
     sent = hz._transmit(devices[1])
     expected = _reference_link(cfg, sent, receivers[0], 20.0, 2, 1, 0, 20, per_frame)
     firsts, got = [], []
-    for first, frames in hz.frame_blocks(cfg, sent, receivers[0], 20.0, 2, 1, 0, 20, per_frame):
+    for first, frames in hz.frame_blocks(cfg, sent, receivers[0], 20.0, 2, 1, 0, 20):
         assert len(frames.lengths) == min(block_rows, 20 - first)
         firsts.append(first)
         got += [frames.samples[i, :n] for i, n in enumerate(frames.lengths)]
