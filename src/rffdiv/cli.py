@@ -25,7 +25,7 @@ from . import classify as cl
 from . import data_io, harness
 from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError
-from .refselect import EmptyCandidatesError, eta_lf
+from .refselect import eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
 from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
@@ -141,13 +141,11 @@ class _Step:
     """One lock-step block: row i is a segment of capture `captures[i]`.
     `frame_index[i]` is the index the row's frame gets in its capture, or
     -1 when the segment held no detected frame or one walked again from
-    the next segment; `acquired` marks the rows whose frame was acquired,
-    and `spectra` are the block's field spectra (their `drops` leave only
-    those rows live)."""
+    the next segment; `spectra` are the block's field spectra, whose `drops`
+    leave live the rows whose frame was acquired."""
 
     captures: list
     frame_index: np.ndarray
-    acquired: np.ndarray
     spectra: dict
 
 
@@ -158,47 +156,51 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     Each step acquires the current segment of every row as one block,
     then advances each row by its own outcome, so a row sees exactly the
     segments it would see walked alone. Yields a `_Step` per block; with
-    `until_acquired` a file is walked only up to its first acquired frame."""
+    `until_acquired` a file is walked only up to its first acquired frame.
+    The readers are closed when the walk ends."""
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
     frame_end = max(WINDOWS[name].start_index - 1 + FFT_SIZE
                     for f in fields for name in FIELD_WINDOWS[f])
-    pos = [0] * len(readers)
-    count = [0] * len(readers)
-    active = [i for i, r in enumerate(readers) if MIN_SEGMENT <= len(r)]
-    # 16 rows of 1100 samples are 275 KiB, over the 256 KiB from which numpy
-    # elides temporaries and reorders a complex product (see
-    # preprocess.apply_cfo); the stages take only magnitudes of the full
-    # width and multiply complex values on the 384-sample span or narrower.
-    while active:
-        lengths = np.array([min(SEGMENT_LEN, len(readers[i]) - pos[i]) for i in active])
-        block = np.zeros((len(active), int(lengths.max())), dtype=np.complex128)
-        for row, i in enumerate(active):
-            block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
-        frames = Frames(block, lengths)
-        compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
-        n1 = sync.frame_start_n1
-        more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
-        frames.drops.drop(n1 + frame_end > lengths, WindowBoundsError,
-                          "frame runs past its segment")
-        spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
-        acquired = frames.drops.live
-        frame_index = np.full(len(active), -1)
-        for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
-            if isinstance(exc, NotDetectedError):
-                pos[i] += quiet_skip
-                continue
-            if isinstance(exc, WindowBoundsError) and more[row]:
-                pos[i] += max(int(n1[row]) - rewalk_lead, 1)
-                continue
-            frame_index[row] = count[i]
-            count[i] += 1
-            pos[i] += FAILED_SKIP if exc else int(n1[row]) + FRAME_ADVANCE
-        yield _Step(active, frame_index, acquired, spectra)
-        active = [i for row, i in enumerate(active)
-                  if pos[i] + MIN_SEGMENT <= len(readers[i])
-                  and not (until_acquired and acquired[row])]
+    with ExitStack() as stack:
+        for reader in readers:
+            stack.enter_context(reader)
+        pos = [0] * len(readers)
+        count = [0] * len(readers)
+        active = [i for i, r in enumerate(readers) if MIN_SEGMENT <= len(r)]
+        # 16 rows of 1100 samples are 275 KiB, over the 256 KiB from which numpy
+        # elides temporaries and reorders a complex product (see
+        # preprocess.apply_cfo); the stages take only magnitudes of the full
+        # width and multiply complex values on the 384-sample span or narrower.
+        while active:
+            lengths = np.array([min(SEGMENT_LEN, len(readers[i]) - pos[i]) for i in active])
+            block = np.zeros((len(active), int(lengths.max())), dtype=np.complex128)
+            for row, i in enumerate(active):
+                block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
+            frames = Frames(block, lengths)
+            compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
+            n1 = sync.frame_start_n1
+            more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
+            frames.drops.drop(n1 + frame_end > lengths, WindowBoundsError,
+                              "frame runs past its segment")
+            spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
+            acquired = frames.drops.live
+            frame_index = np.full(len(active), -1)
+            for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
+                if isinstance(exc, NotDetectedError):
+                    pos[i] += quiet_skip
+                    continue
+                if isinstance(exc, WindowBoundsError) and more[row]:
+                    pos[i] += max(int(n1[row]) - rewalk_lead, 1)
+                    continue
+                frame_index[row] = count[i]
+                count[i] += 1
+                pos[i] += FAILED_SKIP if exc else int(n1[row]) + FRAME_ADVANCE
+            yield _Step(active, frame_index, spectra)
+            active = [i for row, i in enumerate(active)
+                      if pos[i] + MIN_SEGMENT <= len(readers[i])
+                      and not (until_acquired and acquired[row])]
 
 
 def _load_manifest(path_arg) -> tuple[dict, Path]:
@@ -209,64 +211,41 @@ def _load_manifest(path_arg) -> tuple[dict, Path]:
         raise harness.ConfigError(f"manifest not found: {man_path}")
     doc = _load_json(man_path)
     try:
-        return harness._read(harness._MANIFEST, doc, "manifest"), man_path.parent
+        manifest = harness._read(harness._MANIFEST, doc, "manifest")
+        harness._distinct([str(Path(c["path"])) for c in manifest["captures"]], "captures")
+        return manifest, man_path.parent
     except harness.ConfigError as exc:
         raise harness.ConfigError(f"{man_path}: {exc}") from exc
 
 
 def _lockstep_groups(captures, readers: dict, role: str) -> list:
-    """Manifest indices of the `role` captures in lock-step groups: one
-    receiver per group (so the group shares one reference model), at most
-    `harness.BLOCK_ROWS` captures each."""
-    by_rx = {}
-    for i in readers:
-        if captures[i]["role"] == role:
-            by_rx.setdefault(captures[i]["receiver"], []).append(i)
-    return [idx[k : k + harness.BLOCK_ROWS] for idx in by_rx.values()
-            for k in range(0, len(idx), harness.BLOCK_ROWS)]
+    """Manifest indices of the `role` captures in manifest order, cut into
+    lock-step groups of at most `harness.BLOCK_ROWS` captures: one group
+    per usable CPU where that leaves fewer."""
+    idx = [i for i in readers if captures[i]["role"] == role]
+    size = max(1, min(harness.BLOCK_ROWS, -(-len(idx) // harness.usable_cpus())))
+    return [idx[k : k + size] for k in range(0, len(idx), size)]
 
 
-def _walk_group(group, readers, detection, fields, until_acquired=False):
-    """`_walk_captures` over the captures `group` (manifest indices) with
-    their `readers`: yields each step with the manifest index of each row."""
-    with ExitStack() as stack:
-        for reader in readers:
-            stack.enter_context(reader)
-        for step in _walk_captures(readers, detection, fields, until_acquired):
-            yield [group[c] for c in step.captures], step
-
-
-def _extract_group(manifest, detection, extractors, fields, models, job) -> tuple[dict, int]:
-    """Features by `extractors` of one lock-step group of device captures;
-    `job` is (group, readers) as `_walk_group` takes them. Returns {tag:
-    {manifest index: (row count, the capture's feature CSV rows in frame
-    order)}}, formatted here in the worker, and the number of frames
-    dropped."""
+def _extract_group(manifest, detection, extractors, fields, models, job) -> list:
+    """The `harness.LinkFeatures` of each capture of a lock-step group of
+    device captures (`job`: manifest indices, readers), each row divided by
+    its own receiver's model (`models`). The worker formats the CSV rows
+    (trial: frame index) and drops the feature blocks, which extract only writes."""
     group, readers = job
-    rx_id = manifest["captures"][group[0]]["receiver"]
-    rows_of = {}  # tag -> manifest index -> [(frame index, values)]
-    dropped = 0
-    for rows, step in _walk_group(group, readers, detection, fields):
-        n_acquired = int(np.count_nonzero(step.acquired))
-        dropped += int(np.count_nonzero(step.frame_index >= 0)) - n_acquired
-        try:
-            feats = harness._extract_all(step.spectra, extractors, models.get(rx_id), rx_id, None)
-        except harness.PipelineError:
-            dropped += n_acquired
-            continue
-        live = step.spectra[fields[0]].drops.live
-        dropped += n_acquired - int(np.count_nonzero(live))
-        for tag, fv in feats.items():
-            keep = live[fv.rows]
-            for row, values in zip(fv.rows[keep], fv.values[keep]):
-                rows_of.setdefault(tag, {}).setdefault(rows[row], []).append(
-                    (int(step.frame_index[row]), values))
-    captures = manifest["captures"]
-    return {tag: {i: (len(r), data_io.format_feature_rows(
-                      tag, captures[i]["device"], captures[i]["receiver"], manifest["scenario"],
-                      [fi for fi, _ in r], manifest["snr_db"], [v for _, v in r]))
-                  for i, r in by_capture.items()}
-            for tag, by_capture in rows_of.items()}, dropped
+    captures = [manifest["captures"][i] for i in group]
+
+    def blocks():
+        for step in _walk_captures(readers, detection, fields):
+            rx_ids = [captures[c]["receiver"] for c in step.captures]
+            feats = harness._extract_all(step.spectra, extractors,
+                                         [models.get(rx) for rx in rx_ids], rx_ids, None)
+            yield np.array(step.captures), step.frame_index, feats, step.spectra[fields[0]].drops
+    links = harness._link_records(blocks(), len(group))
+    for cap, link in zip(captures, links):
+        link.format_csv(cap["device"], cap["receiver"], manifest["scenario"], manifest["snr_db"])
+        link.features = {}
+    return links
 
 
 def cmd_extract(args) -> int:
@@ -281,38 +260,33 @@ def cmd_extract(args) -> int:
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
                for i, cap in enumerate(captures) if cap["role"] in roles}
-    models = {}
-    if use_rd:
-        model_spectra = {}
-        for group in _lockstep_groups(captures, readers, "reference"):
-            for rows, step in _walk_group(group, [readers[i] for i in group], detection, fields,
-                                          until_acquired=True):
-                for row in np.flatnonzero(step.acquired):
-                    model_spectra[rows[row]] = {f: FieldSpectrum(f, s.bins[row])
-                                                for f, s in step.spectra.items()}
-        for i in sorted(model_spectra):  # manifest order: a later capture of a receiver wins
-            models[captures[i]["receiver"]] = harness.ModelCapture(
-                captures[i]["receiver"], model_spectra[i], 1)
-    # the device groups are independent, so they run on every usable CPU
+    model_spectra = {}  # none without RD: no reference capture has a reader
+    for group in _lockstep_groups(captures, readers, "reference"):
+        for step in _walk_captures([readers[i] for i in group], detection, fields,
+                                   until_acquired=True):
+            for row in np.flatnonzero(step.spectra[fields[0]].drops.live):
+                model_spectra[group[step.captures[row]]] = {f: FieldSpectrum(f, s.bins[row])
+                                                            for f, s in step.spectra.items()}
+    # in manifest order, so a later capture of a receiver wins
+    models = {captures[i]["receiver"]: harness.ModelCapture(captures[i]["receiver"], spectra, 1)
+              for i, spectra in sorted(model_spectra.items())}
+    # the device groups are independent, so they run on every usable CPU; each
+    # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
-    rows = {}  # tag -> manifest index -> (row count, CSV rows in frame order)
-    dropped = 0
-    for group_rows, group_dropped in harness.map_ordered(task, [
-            (group, [readers[i] for i in group])
-            for group in _lockstep_groups(captures, readers, "device")]):
-        for tag, by_capture in group_rows.items():
-            rows.setdefault(tag, {}).update(by_capture)
-        dropped += group_dropped
-    if not rows:
+    out = Path(args.out_dir)
+    n_rows = dropped = 0
+    with data_io.feature_tables(out) as write_rows:
+        for links in harness.map_ordered(task, [
+                (group, [readers[i] for i in group])
+                for group in _lockstep_groups(captures, readers, "device")]):
+            for link in links:
+                write_rows(link.csv)
+                n_rows += len(link.frames) * len(link.csv)  # every table has the same rows
+                dropped += link.dropped
+    if not n_rows:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE
-    out = Path(args.out_dir)
-    with data_io.feature_tables(out) as write_rows:
-        for i in range(len(captures)):  # manifest order
-            write_rows({tag: by_capture[i][1] for tag, by_capture in rows.items()
-                        if i in by_capture})
-    print(f"wrote {sum(n for c in rows.values() for n, _ in c.values())} feature rows "
-          f"({dropped} frames dropped) to {out}")
+    print(f"wrote {n_rows} feature rows ({dropped} frames dropped) to {out}")
     return EXIT_OK
 
 
@@ -330,16 +304,19 @@ def cmd_select_ref(args) -> int:
         cells = line.split(",")
         try:
             amp = np.array([float(c) for c in cells[1:]])
+            if (amp < 0).any():
+                raise ValueError("CSI amplitudes must be nonnegative")
+            if cells[0] in {s.device_id for s in scores}:
+                raise ValueError("device listed twice")
             scores.append(eta_lf(amp, device_id=cells[0]))
-        except (ValueError, EmptyCandidatesError) as exc:
+        except ValueError as exc:
             raise harness.ConfigError(f"{args.csi}: bad row {cells[0]!r}: {exc}") from exc
     if not scores:
         raise harness.ConfigError(f"{args.csi}: no candidate rows")
     scores.sort(key=lambda s: -s.eta_lf)
-    out_lines = ["device,eta_lf,energy_before,energy_after"]
-    for s in scores:
-        out_lines.append(f"{s.device_id},{s.eta_lf:.12g},{s.energy_before:.12g},{s.energy_after:.12g}")
-    text = "\n".join(out_lines) + "\n"
+    text = "".join(["device,eta_lf,energy_before,energy_after\n"] + [
+        f"{s.device_id},{s.eta_lf:.12g},{s.energy_before:.12g},{s.energy_after:.12g}\n"
+        for s in scores])
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")

@@ -175,7 +175,7 @@ def format_feature_rows(extractor: str, device: str, receiver: str, channel_scen
     values = np.asarray(values, dtype=np.float64)
     prefix = ",".join([extractor, device, receiver, channel_scenario]).replace("%", "%%")
     # same text as format(v, ".17g"), one call per row
-    row_fmt = f"{prefix},%d,{_fmt(snr_db)},{','.join(['%.17g'] * values.shape[1])}\n"
+    row_fmt = f"{prefix},%d,{float(snr_db):.17g},{','.join(['%.17g'] * values.shape[1])}\n"
     return "".join([row_fmt % (trial, *row) for trial, row in zip(trials, values.tolist())])
 
 
@@ -254,10 +254,6 @@ def write_features(path, table: FeatureTable) -> None:
                                           table.snr_db[i], row[None]))
     with open(path, "w") as fh:
         fh.writelines(chunks)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def read_features(path) -> FeatureTable:

@@ -67,8 +67,8 @@ from .preprocess import (
     synchronize_and_compensate,
 )
 from .refselect import eta_lf
-from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import PreambleFormat, PreambleSpec, generate_preamble
+from .signals import SAMPLE_RATE, ComplexSignal, Drops, Frames
+from .waveform import FFT_SIZE, PreambleFormat, PreambleSpec, generate_preamble
 
 
 class ConfigError(ValueError):
@@ -77,6 +77,10 @@ class ConfigError(ValueError):
 
 class PipelineError(RuntimeError):
     pass
+
+
+class MissingModelError(PipelineError):
+    """A frame's receiver has no reference model to divide it by."""
 
 
 # Channel parameter presets behind the scenario labels. Static scenarios
@@ -407,7 +411,10 @@ def load_config(doc) -> ExperimentConfig:
     test = top.setdefault("test_receivers", rx_ids)
     if len(top["devices"]) < 2:
         raise ConfigError("need at least two devices")
-    ids = {r for t in train for r in ([t] if isinstance(t, str) else t)} | set(test)
+    train_sets = [[t] if isinstance(t, str) else t for t in train]
+    _distinct(["+".join(sorted(set(t))) for t in train_sets], "train_receivers")
+    _distinct(test, "test_receivers")
+    ids = {r for t in train_sets for r in t} | set(test)
     if ids - set(rx_ids):
         raise ConfigError(f"train or test receivers {sorted(ids - set(rx_ids))} not in receivers")
     if _needs_reference(top["extractors"]) and top["reference_device"] is None:
@@ -417,13 +424,23 @@ def load_config(doc) -> ExperimentConfig:
                                      detection_multiplier=det["threshold_multiplier"]))
 
 
+def _distinct(values, what: str) -> None:
+    """Raise a ConfigError naming the first of `values` that repeats."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"{what}: {repeated[0]!r} appears more than once")
+
+
 def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
-    """`cfg`, once its profiles build: an impairment that `DeviceProfile`
-    rejects is a ConfigError."""
+    """`cfg`, once its ids are distinct (a device's from the reference's
+    too) and its profiles build: an impairment that `DeviceProfile` rejects
+    is a ConfigError."""
     try:
-        _profiles(cfg)
+        devices, receivers, reference = _profiles(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad impairment: {exc}") from exc
+    _distinct([p.device_id for p in devices + [reference] if p], "devices and reference_device")
+    _distinct([p.device_id for p in receivers], "receivers")
     return cfg
 
 
@@ -618,20 +635,26 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
     )
 
 
-def _extract_all(spectra: dict, extractors, model: ModelCapture | None,
-                 rx_id: str, device_id: str) -> dict[str, FeatureVector]:
+def _extract_all(spectra: dict, extractors, models: list, rx_ids: list,
+                 device_id: str | None) -> dict[str, FeatureVector]:
+    """The feature blocks of `spectra` by `extractors`. Reference division
+    divides row i by `models[i]`, the reference model captured through the
+    row's receiver `rx_ids[i]` (one entry of each serves every row); a row
+    whose receiver has no model (None) is dropped with `MissingModelError`."""
     out = {}
     if _needs_reference(extractors):
-        if model is None:
-            raise PipelineError("reference-division extraction without a model capture")
-        # structural isolation: the model must have been captured through
-        # the receiver whose frames it divides
-        if model.receiver_id != rx_id:
-            raise PipelineError(
-                f"model captured through {model.receiver_id} cannot divide frames from {rx_id}"
-            )
-        out["RD_STF"] = extract_rd(spectra[Field.LSTF], model.spectra[Field.LSTF], device_id)
-        out["RD_LTF"] = extract_rd(spectra[Field.LLTF], model.spectra[Field.LLTF], device_id)
+        # structural isolation: a model must have been captured through the
+        # receiver whose frames it divides
+        for model, rx_id in zip(models, rx_ids):
+            if model is not None and model.receiver_id != rx_id:
+                raise PipelineError(f"model captured through {model.receiver_id} "
+                                    f"cannot divide frames from {rx_id}")
+        drops = spectra[Field.LSTF].drops or Drops(1, single=True)
+        drops.drop(np.array([m is None for m in models]), MissingModelError,
+                   lambda i: f"no reference model captured through {rx_ids[i % len(rx_ids)]}")
+        for tag, f in (("RD_STF", Field.LSTF), ("RD_LTF", Field.LLTF)):
+            model_rows = [np.zeros(FFT_SIZE) if m is None else m.spectra[f].bins for m in models]
+            out[tag] = extract_rd(spectra[f], FieldSpectrum(f, np.array(model_rows)), device_id)
     if "HL" in extractors:
         out["HL"] = extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF], device_id)
     if "DV" in extractors:
@@ -647,13 +670,7 @@ class ExperimentReport:
     model_info: dict
 
     def to_json_doc(self) -> dict:
-        return {
-            "format_version": 1,
-            "config": self.config,
-            "cells": self.cells,
-            "drop_rates": self.drop_rates,
-            "model_info": self.model_info,
-        }
+        return {"format_version": 1, **asdict(self)}
 
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
@@ -676,8 +693,8 @@ class LinkFeatures:
     """One (device, receiver) link's fingerprints: the indices of the frames
     that yielded them, one block FeatureVector per tag whose rows follow
     `frames`, and the dropped frames counted by cause. `csv` holds, per
-    tag, the link's feature CSV rows (`data_io.format_feature_rows`) when
-    the run writes feature tables, until the tables' writer takes them."""
+    tag, the link's feature CSV rows (`format_csv`) when the run writes
+    feature tables, until the tables' writer takes them."""
 
     frames: np.ndarray
     features: dict
@@ -688,27 +705,46 @@ class LinkFeatures:
     def dropped(self) -> int:
         return sum(self.drops.values())
 
+    def format_csv(self, device_id, rx_id, scenario, snr_db, first_trial=0) -> None:
+        """Fill `csv`; a frame's trial is `first_trial` plus its index."""
+        trials = (first_trial + self.frames).tolist()
+        self.csv = {tag: data_io.format_feature_rows(tag, device_id, rx_id, scenario, trials,
+                                                     snr_db, fv.values)
+                    for tag, fv in self.features.items()}
+
+
+def _link_records(blocks, n_links: int) -> list[LinkFeatures]:
+    """The LinkFeatures of `n_links` links whose frames arrive in blocks
+    that may mix links. `blocks` yields, per block, each row's link and
+    frame index (-1: the row holds no frame), the block's features
+    (`_extract_all`) and its drops; a link's frames arrive in frame order."""
+    kept = [[np.zeros(0, dtype=np.int64)] for _ in range(n_links)]
+    values, drops, last = [{} for _ in kept], [Counter() for _ in kept], {}
+    for link_of, frame_of, feats, block_drops in blocks:
+        live = block_drops.live
+        for row in np.flatnonzero((frame_of >= 0) & ~live):
+            drops[link_of[row]][type(block_drops.errors[row]).__name__] += 1
+        for k in set(link_of.tolist()):  # np.unique would import numpy.ma
+            mine = live & (link_of == k)
+            kept[k].append(frame_of[mine])
+            for tag, fv in feats.items():
+                values[k].setdefault(tag, []).append(fv.values[mine[fv.rows]])
+                last[tag] = fv
+    return [LinkFeatures(np.concatenate(frames),
+                         {tag: replace(last[tag], values=np.concatenate(v), rows=None)
+                          for tag, v in by_tag.items()}, dict(causes))
+            for frames, by_tag, causes in zip(kept, values, drops)]
+
 
 def _link_features(cfg, blocks, model: ModelCapture | None, rx_id: str,
                    device_id: str) -> LinkFeatures:
     """Run acquisition and extraction over a link's blocks (`frame_blocks`)."""
     fields = _needed_fields(cfg.extractors)
-    kept, values, last = [], {}, {}
-    drops: dict[str, int] = {}
-    for first, frames in blocks:
-        feats = _extract_all(acquire_spectra(frames, cfg, fields), cfg.extractors, model,
-                             rx_id, device_id)
-        live = frames.drops.live
-        kept.append(first + np.flatnonzero(live))
-        for tag, fv in feats.items():
-            values.setdefault(tag, []).append(fv.values[live[fv.rows]])
-            last[tag] = fv
-        for exc in frames.drops.errors:
-            if exc is not None:
-                drops[type(exc).__name__] = drops.get(type(exc).__name__, 0) + 1
-    features = {tag: replace(last[tag], values=np.concatenate(v), rows=None)
-                for tag, v in values.items()}
-    return LinkFeatures(np.concatenate(kept), features, drops)
+    return _link_records(((np.zeros(len(frames.lengths), dtype=np.int64),
+                           first + np.arange(len(frames.lengths)),
+                           _extract_all(acquire_spectra(frames, cfg, fields), cfg.extractors,
+                                        [model], [rx_id], device_id), frames.drops)
+                          for first, frames in blocks), 1)[0]
 
 
 def _transmit_all(devices, reference) -> tuple[list, np.ndarray | None]:
@@ -770,11 +806,8 @@ def _link_task(cfg, snr_db, repeat, csv, link) -> LinkFeatures:
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device)
     out = _link_features(cfg, blocks, model, rx.device_id, device_id)
     if csv:
-        trials = (repeat * cfg.frames_per_device + out.frames).tolist()
-        scenario = cfg.channel["scenario"]
-        out.csv = {tag: data_io.format_feature_rows(tag, device_id, rx.device_id, scenario,
-                                                    trials, snr_db, fv.values)
-                   for tag, fv in out.features.items()}
+        out.format_csv(device_id, rx.device_id, cfg.channel["scenario"], snr_db,
+                       repeat * cfg.frames_per_device)
     return out
 
 
@@ -1014,6 +1047,7 @@ def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
     cands = _entities("cand", candidates, "candidates")
     if len(cands) < 3:
         raise ConfigError("reference sweep needs at least 3 candidates")
+    _distinct([c["id"] for c in cands], "candidates")
     # every candidate's profiles are checked before the first run
     configs = [_checked(replace(cfg, reference_device=c, extractors=["RD"])) for c in cands]
     rows = []

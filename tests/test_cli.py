@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import rffdiv
-from rffdiv import data_io
+from rffdiv import cli, data_io
+from rffdiv import harness as hz
 from rffdiv.cli import main
 
 
@@ -150,6 +151,20 @@ def test_bench_seed_override_changes_report(config_path, tmp_path):
     assert main(["bench", "--config", str(config_path), "--out-dir", str(b),
                  "--seed", "12"]) == 0
     assert (a / "report.json").read_bytes() != (b / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([("bad", -np.ones(16)), ("ok", np.ones(16))], "'bad'"),
+    ([("a", np.ones(16)), ("b", np.linspace(1, 2, 16)), ("a", np.full(16, 2.0))], "'a'"),
+])
+def test_select_ref_rejects_negative_amplitudes_and_repeated_ids(tmp_path, capsys, rows, bad):
+    lines = ["device," + ",".join(f"v{i}" for i in range(16))]
+    lines += [name + "," + ",".join(f"{v:g}" for v in amp) for name, amp in rows]
+    csi = tmp_path / "csi.csv"
+    csi.write_text("\n".join(lines) + "\n")
+    assert main(["select-ref", "--csi", str(csi)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {csi}: bad row {bad}"), err
 
 
 def test_select_ref_ranks_smoothest_first(tmp_path):
@@ -442,3 +457,59 @@ def test_failed_extract_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path):
         main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)])
     assert calls[1] == ["DV", "HL", "RD_LTF", "RD_STF"]  # every table was open
     assert list(out.rglob("features_*")) == []
+
+
+def test_extract_manifest_listing_a_capture_twice_is_config_error(sim_dir, tmp_path, capsys):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    doc["captures"].insert(1, dict(doc["captures"][0]))
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["extract", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{doc['captures'][0]['path']!r}" in err
+    assert not (tmp_path / "f").exists()
+
+
+def test_extract_writes_each_group_before_taking_the_next(monkeypatch, sim_dir, tmp_path):
+    events = []
+    real_map, real_append = hz.map_ordered, data_io.append_feature_rows
+
+    def map_ordered(fn, items):
+        for k, result in enumerate(real_map(fn, items)):
+            events.append(f"take {k}")
+            yield result
+
+    def append(out, tables, rows):
+        events.append("write")
+        real_append(out, tables, rows)
+
+    monkeypatch.setattr(hz, "map_ordered", map_ordered)
+    monkeypatch.setattr(data_io, "append_feature_rows", append)
+    monkeypatch.setattr(hz, "BLOCK_ROWS", 2)  # groups of two captures on any machine
+    assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(tmp_path / "f")]) == 0
+    manifest = json.loads((sim_dir / "manifest.json").read_text())["captures"]
+    readers = dict.fromkeys(range(len(manifest)))
+    groups = cli._lockstep_groups(manifest, readers, "device")
+    assert len(groups) > 1
+    # one write per capture of group k, before group k + 1 is taken
+    assert events == [e for k, g in enumerate(groups) for e in [f"take {k}"] + ["write"] * len(g)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_extract_group_that_raises_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path, cpus):
+    """Group 0's rows are already in the tables when group 1 raises."""
+    real = cli._walk_captures
+    first = json.loads((sim_dir / "manifest.json").read_text())["captures"][0]["path"]
+
+    def walk(readers, detection, fields, until_acquired=False):
+        if readers[0].path.name != first and not until_acquired:  # a later device group
+            raise hz.PipelineError("injected")
+        return real(readers, detection, fields, until_acquired)
+
+    monkeypatch.setattr(cli, "_walk_captures", walk)
+    monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hz, "BLOCK_ROWS", 2)
+    out = tmp_path / "feat"
+    assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)]) == 3
+    assert out.exists() and list(out.rglob("features_*")) == []

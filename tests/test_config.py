@@ -142,3 +142,30 @@ def test_snr_db_range(snr_db, ok):
     else:
         with pytest.raises(hz.ConfigError, match="at least -300 and at most 300, or \\+inf"):
             hz.load_config(_small_doc(snr_db=snr_db))
+
+
+@pytest.mark.parametrize("keys, repeated", [
+    ({"receivers": [{"id": "x", "seed": 900}, {"id": "x", "seed": 901}],
+      "train_receivers": ["x"]}, "'x'"),
+    ({"receivers": [{"id": "y", "seed": 900}], "test_receivers": ["y", "y"]}, "'y'"),
+    # the reference's id defaults to "ref"
+    ({"devices": [{"id": "ref", "seed": 100}, {"id": "d1", "seed": 101}],
+      "reference_device": {"seed": 55}}, "'ref'"),
+    ({"devices": [{"id": "d", "seed": 100}, {"id": "d", "seed": 101}]}, "'d'"),
+    ({"receivers": {"count": 2, "base_seed": 900}, "train_receivers": ["rx00", "rx00"]},
+     "'rx00'"),
+    ({"receivers": {"count": 2, "base_seed": 900},
+      "train_receivers": [["rx00", "rx01"], ["rx01", "rx00"]]}, "'rx00+rx01'"),
+])
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+def test_repeated_id_is_config_error(monkeypatch, tmp_path, capsys, keys, repeated, command):
+    def no_link(*args, **kwargs):
+        raise AssertionError("a link ran")
+
+    monkeypatch.setattr(hz, "frame_blocks", no_link)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_doc(**keys)))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{repeated} appears more than once" in err, err
+    assert not (tmp_path / "out").exists()

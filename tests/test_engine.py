@@ -43,7 +43,7 @@ def _doc(scenario, **overrides):
 def _one_row(cfg, spectra_fn, model, rx_id, dev_id):
     """Drop cause (or None) and features of one frame, one call at a time."""
     try:
-        feats = hz._extract_all(spectra_fn(), cfg.extractors, model, rx_id, dev_id)
+        feats = hz._extract_all(spectra_fn(), cfg.extractors, [model], [rx_id], dev_id)
     except _DROP_ERRORS as exc:
         return type(exc).__name__, None
     return None, feats
@@ -120,8 +120,8 @@ def test_block_records_each_rows_first_failure():
     for i, r in enumerate(rows):
         block[i, : r.size] = r
     frames = Frames(block, lengths)
-    feats = hz._extract_all(hz.acquire_spectra(frames, cfg, fields), cfg.extractors, model,
-                            "rx00", "dev00")
+    feats = hz._extract_all(hz.acquire_spectra(frames, cfg, fields), cfg.extractors, [model],
+                            ["rx00"], "dev00")
     causes = [None if e is None else type(e).__name__ for e in frames.drops.errors]
     expected = []
     for r in rows:

@@ -8,8 +8,9 @@ import pytest
 from rffdiv import data_io
 from rffdiv import harness as hz
 from rffdiv import preprocess as pp
-from rffdiv.cli import _walk_captures
-from rffdiv.features import Field, field_spectrum
+from rffdiv.cli import _extract_group, _walk_captures
+from rffdiv.features import (DegenerateDenominatorError, DegenerateModelError, Field,
+                             FieldSpectrum, field_spectrum)
 from rffdiv.signals import ComplexSignal
 from rffdiv.waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
 
@@ -104,7 +105,7 @@ def _lockstep(paths, until_acquired=False):
                     skipped += 1
                     continue
                 spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
-                           if step.acquired[row] else None)
+                           if step.spectra[FIELDS[0]].drops.live[row] else None)
                 out[paths[reader_idx]].append((int(step.frame_index[row]), spectra))
     finally:
         for r in readers:
@@ -207,3 +208,102 @@ def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
     got, _ = _lockstep([good, cut])
     _assert_same(got[cut], _reference(cut))
     assert [s is None for _, s in got[cut]] == [True]
+
+
+EXTRACTORS = list(hz.EXTRACTORS)
+
+
+def _model(path, rx_id):
+    """The reference model of receiver `rx_id`: the first frame acquired in
+    `path`."""
+    spectra = next(s for _, s in _reference(path) if s is not None)
+    return hz.ModelCapture(rx_id, {f: FieldSpectrum(f, bins) for f, bins in spectra.items()}, 1)
+
+
+def _extract(paths, receivers, models):
+    """`_extract_group` over the device captures `paths`, one lock-step
+    group, capture k through receiver `receivers[k]`."""
+    manifest = {"scenario": "flat", "snr_db": 30.0, "captures": [
+        {"path": str(p), "device": f"dev{k % 2}", "receiver": rx, "role": "device"}
+        for k, (p, rx) in enumerate(zip(paths, receivers))]}
+    readers = [data_io.IqReader(p) for p in paths]
+    return _extract_group(manifest, DETECTION, EXTRACTORS, hz._needed_fields(EXTRACTORS), models,
+                          (list(range(len(paths))), readers))
+
+
+def _extract_one(path, model, rx_id):
+    """Reference: `path` walked alone (`_walk_one`), each frame divided by
+    `model` one frame at a time. Returns the frame indices that yield
+    features, their values per tag, and the frames walked but dropped."""
+    kept, values, walked = [], {}, 0
+    for idx, spectra in _walk_one(data_io.read_iq(path), DETECTION, FIELDS):
+        walked += 1
+        if spectra is None:
+            continue
+        try:
+            feats = hz._extract_all(spectra, EXTRACTORS, [model], [rx_id], None)
+        except (DegenerateModelError, DegenerateDenominatorError, hz.MissingModelError):
+            continue
+        kept.append(idx)
+        for tag, fv in feats.items():
+            values.setdefault(tag, []).append(fv.values)
+    return kept, values, walked - len(kept)
+
+
+@pytest.fixture
+def mixed(frames, tmp_path):
+    """Six device captures whose receivers alternate between rxA and rxB
+    (one has a frame that fails sync), and a model of each receiver."""
+    f, _ = frames
+    paths = [_write(tmp_path, f"cap{k}", f[3 * k : 3 * k + 2 + k % 2]) for k in range(5)]
+    paths.append(_write(tmp_path, "fail", [f[15], _quiet(f, 300), _tone(f, 700),
+                                           _quiet(f, 440), f[16]]))
+    models = {rx: _model(_write(tmp_path, f"ref_{rx}", [f[20 + k]]), rx)
+              for k, rx in enumerate(("rxA", "rxB"))}
+    return paths, ["rxA", "rxB"] * 3, models
+
+
+def test_mixed_receiver_group_divides_each_row_by_its_own_model(mixed):
+    paths, receivers, models = mixed
+    links = _extract(paths, receivers, models)
+    assert len(links) == len(paths)
+    for k, (path, rx, link) in enumerate(zip(paths, receivers, links)):
+        kept, values, dropped = _extract_one(path, models[rx], rx)
+        assert link.frames.tolist() == kept
+        assert link.dropped == dropped
+        assert link.features == {}  # formatted in the worker; only the text goes back
+        assert set(link.csv) == set(values) == {"RD_STF", "RD_LTF", "HL", "DV"}
+        for tag, rows in values.items():
+            assert link.csv[tag] == data_io.format_feature_rows(tag, f"dev{k % 2}", rx, "flat",
+                                                                kept, 30.0, rows), tag
+    assert links[-1].drops == {"SyncFailedError": 1}
+    # rxA's model would give the rxB capture other values
+    kept, values, _ = _extract_one(paths[1], models["rxA"], "rxA")
+    assert kept == links[1].frames.tolist()
+    assert links[1].csv["RD_LTF"] != data_io.format_feature_rows(
+        "RD_LTF", "dev1", "rxB", "flat", kept, 30.0, values["RD_LTF"])
+
+
+def test_receiver_without_a_model_loses_its_rows_in_every_table(mixed):
+    paths, receivers, models = mixed
+    only_a = {"rxA": models["rxA"]}
+    links = _extract(paths, receivers, only_a)
+    for path, rx, link in zip(paths, receivers, links):
+        kept, _, dropped = _extract_one(path, only_a.get(rx), rx)
+        # the frames walked less the rows written: the drop total of a whole-group drop
+        assert link.dropped == dropped == len(_reference(path)) - len(kept)
+        if rx == "rxB":
+            assert kept == [] and link.frames.size == 0
+            assert link.csv == dict.fromkeys(["RD_STF", "RD_LTF", "HL", "DV"], "")
+            acquired = sum(s is not None for _, s in _reference(path))
+            assert link.drops["MissingModelError"] == acquired > 0
+        else:
+            assert link.frames.tolist() == kept != []
+            assert "MissingModelError" not in link.drops
+
+
+def test_row_whose_model_came_through_another_receiver_raises(mixed):
+    paths, receivers, models = mixed
+    wired = {"rxA": models["rxA"], "rxB": models["rxA"]}
+    with pytest.raises(hz.PipelineError, match="captured through rxA cannot divide frames from rxB"):
+        _extract(paths, receivers, wired)

@@ -100,7 +100,7 @@ def test_model_capture_structural_isolation():
     with pytest.raises(hz.PipelineError):
         hz._extract_all(
             {f: s for f, s in models[receivers[0].device_id].spectra.items()},
-            ["RD"], swapped[receivers[0].device_id], receivers[0].device_id, "dev00",
+            ["RD"], [swapped[receivers[0].device_id]], [receivers[0].device_id], "dev00",
         )
 
 
@@ -283,6 +283,20 @@ def test_reference_sweep_checks_every_candidate_before_running(monkeypatch):
                                    repeats=1, extractors=["RD"]))
     candidates = [{"seed": 1}, {"seed": 2}, {"seed": 3, "fir_taps": [[0.1, 0], [1, 0]]}]
     with pytest.raises(hz.ConfigError, match="first FIR tap must dominate"):
+        hz.run_reference_sweep(cfg, candidates)
+    assert runs == []
+
+
+@pytest.mark.parametrize("candidates, repeated", [
+    ([{"id": "a", "seed": 1}, {"id": "b", "seed": 2}, {"id": "a", "seed": 3}], "'a'"),
+    ([{"id": "dev01", "seed": 1}, {"seed": 2}, {"seed": 3}], "'dev01'"),  # a device's id
+])
+def test_reference_sweep_rejects_repeated_ids(monkeypatch, candidates, repeated):
+    runs = []
+    monkeypatch.setattr(hz, "run_experiment", lambda cfg: runs.append(cfg))
+    cfg = hz.load_config(_base_doc(devices={"count": 2, "base_seed": 100}, frames_per_device=4,
+                                   repeats=1, extractors=["RD"]))
+    with pytest.raises(hz.ConfigError, match=f"{repeated} appears more than once"):
         hz.run_reference_sweep(cfg, candidates)
     assert runs == []
 

@@ -61,13 +61,26 @@ def test_bench_passes_check_bench(bench_run, config, tmp_path):
 
 
 def test_extract_passes_check_extract(bench_run, config, tmp_path, capsys):
-    sim, feat = tmp_path / "sim", tmp_path / "feat"
+    """Also without rx01's reference capture: rx01's frames are dropped from
+    every table, which must still agree on their row count."""
+    sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config), "--out-dir", str(sim)]) == 0
-    capsys.readouterr()
-    assert main(["extract", "--manifest", str(sim), "--out-dir", str(feat)]) == 0
-    step = bench_run.Step(args=[], wall_s=0.0, rss_mb=0.0, exit_code=0,
-                          stdout=capsys.readouterr().out, last_error="")
-    op = bench_run.Op("extract", 3 * 2 * DOC["frames_per_device"])
-    bench_run.check_extract(op, step, feat)
-    assert op.problems == []
-    assert 0 < op.yielded <= op.frames
+    manifest = json.loads((sim / "manifest.json").read_text())
+    no_ref = tmp_path / "no_ref"
+    no_ref.mkdir()
+    (no_ref / "manifest.json").write_text(json.dumps(manifest | {"captures": [
+        c | {"path": str(sim / c["path"])} for c in manifest["captures"]
+        if (c["role"], c["receiver"]) != ("reference", "rx01")]}))
+    frames = 3 * 2 * DOC["frames_per_device"]
+    for manifest_dir in (sim, no_ref):
+        feat = manifest_dir / "feat"
+        capsys.readouterr()
+        assert main(["extract", "--manifest", str(manifest_dir), "--out-dir", str(feat)]) == 0
+        step = bench_run.Step(args=[], wall_s=0.0, rss_mb=0.0, exit_code=0,
+                              stdout=capsys.readouterr().out, last_error="")
+        op = bench_run.Op("extract", frames)
+        bench_run.check_extract(op, step, feat)
+        assert op.problems == []
+        assert 0 < op.yielded <= op.frames
+    # rx01's frames are dropped or were never detected
+    assert op.notes["reported_dropped"] + op.notes["unaccounted_frames"] >= frames // 2
