@@ -27,7 +27,7 @@ from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError
 from .refselect import eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import FFT_SIZE, FIELD_WINDOWS, WINDOWS, WindowBoundsError
+from .waveform import WindowBoundsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,6 +42,25 @@ def _load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise harness.ConfigError(f"{path}: expected a JSON object")
     return doc
+
+
+def _out_dir(path) -> Path:
+    """`path` as an output directory, checked before any work: its nearest
+    existing part must be a directory (the rest is made when written)."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise harness.ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
+
+
+def _out_file(path) -> Path:
+    """`path` as an output file, checked before any work."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise harness.ConfigError(f"output file {out}: " + (
+            "is a directory" if out.is_dir() else f"{out.parent} is not a directory"))
+    return out
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -65,7 +84,7 @@ def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
-    out = Path(args.out_dir)
+    out = _out_dir(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     devices, receivers, reference = harness._profiles(cfg)
     snr = cfg.snr_db[0]
@@ -113,12 +132,13 @@ def cmd_simulate(args) -> int:
 #    by FAILED_SKIP;
 #  - a frame acquired at start n1: by n1 + FRAME_ADVANCE;
 #  - a frame acquired so late that a field window the walk reads runs past
-#    the segment, in a file that holds more samples: by n1 less two
-#    detection windows (at least 1 sample). The frame takes no index there;
-#    the next segment's noise-floor window is quiet and the segment holds
-#    the whole frame, which is walked again. A frame that the capture's
-#    end cuts off is dropped as a `WindowBoundsError`, like a failed
-#    acquisition: it takes an index and the walk moves on by FAILED_SKIP.
+#    the segment (the field spectra drop it as a `WindowBoundsError`), in a
+#    file that holds more samples: by n1 less two detection windows (at
+#    least 1 sample). The frame takes no index there; the next segment's
+#    noise-floor window is quiet and the segment holds the whole frame,
+#    which is walked again. A frame that the capture's end cuts off stays
+#    dropped, like a failed acquisition: it takes an index and the walk
+#    moves on by FAILED_SKIP.
 # Samples per segment: more than one simulated frame capture (a lead gap of
 # at most 296 samples, the 400-sample preamble and a 120-sample tail make
 # 816), so a segment that starts in the quiet gap before a frame holds the
@@ -161,8 +181,6 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
-    frame_end = max(WINDOWS[name].start_index - 1 + FFT_SIZE
-                    for f in fields for name in FIELD_WINDOWS[f])
     with ExitStack() as stack:
         for reader in readers:
             stack.enter_context(reader)
@@ -182,8 +200,6 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
             compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
             n1 = sync.frame_start_n1
             more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
-            frames.drops.drop(n1 + frame_end > lengths, WindowBoundsError,
-                              "frame runs past its segment")
             spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
             acquired = frames.drops.live
             frame_index = np.full(len(active), -1)
@@ -249,6 +265,7 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> list
 
 
 def cmd_extract(args) -> int:
+    out = _out_dir(args.out_dir)
     manifest, base = _load_manifest(args.manifest)
     captures = manifest["captures"]
     extractors = [args.extractor] if args.extractor else list(harness.EXTRACTORS)
@@ -273,7 +290,6 @@ def cmd_extract(args) -> int:
     # the device groups are independent, so they run on every usable CPU; each
     # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
-    out = Path(args.out_dir)
     n_rows = dropped = 0
     with data_io.feature_tables(out) as write_rows:
         for links in harness.map_ordered(task, [
@@ -291,6 +307,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_select_ref(args) -> int:
+    out = args.out and _out_file(args.out)
     try:
         lines = Path(args.csi).read_text().splitlines()
     except (OSError, ValueError) as exc:
@@ -317,14 +334,15 @@ def cmd_select_ref(args) -> int:
     text = "".join(["device,eta_lf,energy_before,energy_after\n"] + [
         f"{s.device_id},{s.eta_lf:.12g},{s.energy_before:.12g},{s.energy_after:.12g}\n"
         for s in scores])
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        out.write_text(text)
     print(text, end="")
     print(f"selected reference: {scores[0].device_id}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    out = _out_file(args.out)
     table = data_io.read_features(args.features)
     if not len(table):
         raise harness.ConfigError(f"{args.features}: empty feature table")
@@ -336,13 +354,14 @@ def cmd_train(args) -> int:
         model = cl.train(table.feature_vectors(), cfg)
     except cl.TrainError as exc:
         raise harness.ConfigError(str(exc)) from exc
-    cl.save_model(model, args.out, cfg)
+    cl.save_model(model, out, cfg)
     print(f"trained {model.trained_on} model on {len(table)} rows "
           f"({len(model.classes)} classes) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    out = args.out_dir and _out_dir(args.out_dir)
     model = cl.load_model(args.model)
     table = data_io.read_features(args.features)
     if not len(table):
@@ -355,8 +374,7 @@ def cmd_eval(args) -> int:
         "model": str(args.model), "features": str(args.features),
         "extractor": model.trained_on, "n_test": len(table), "accuracy": acc,
     }
-    if args.out_dir:
-        out = Path(args.out_dir)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "eval.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))
@@ -365,8 +383,9 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
-    report = harness.run_experiment(cfg, args.out_dir)
-    harness.write_report(report, args.out_dir)
+    out = _out_dir(args.out_dir)
+    report = harness.run_experiment(cfg, out)
+    harness.write_report(report, out)
     for cell in report.cells:
         print(f"snr={cell['snr_db']:g} {cell['extractor']:6s} "
               f"train={cell['train']} test={cell['test']} "

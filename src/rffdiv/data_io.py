@@ -35,6 +35,14 @@ class IoError(ValueError):
     """Malformed file; the message carries the offending location."""
 
 
+def _regular_file(path) -> Path:
+    """`path` as a Path; `IoError` unless it names a regular file."""
+    path = Path(path)
+    if not path.is_file():
+        raise IoError(f"{path}: {'a directory' if path.is_dir() else 'no such file'}")
+    return path
+
+
 def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
@@ -90,9 +98,7 @@ class IqReader:
     """
 
     def __init__(self, path):
-        path = Path(path)
-        if not path.exists():
-            raise IoError(f"{path}: no such file")
+        path = _regular_file(path)
         sidecar = _sidecar_path(path)
         if not sidecar.exists():
             raise IoError(f"{path}: missing sidecar {sidecar.name}")
@@ -261,9 +267,7 @@ def read_features(path) -> FeatureTable:
     and the cells, each row's values are checked: a value that is NaN,
     infinite or negative, or a row whose energy is zero (or overflows),
     raises `IoError` naming the row."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"{path}: no such file")
+    path = _regular_file(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise IoError(f"{path}: empty file (missing header)")

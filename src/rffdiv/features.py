@@ -147,7 +147,8 @@ class FeatureVector:
 def field_spectrum(signal: ComplexSignal | Frames, n1, field: Field) -> FieldSpectrum:
     """Average the field's repeated 64-sample windows and FFT.
 
-    Propagates window bounds errors (e.g. asking for the HT field of a
+    A row whose window leaves its capture is dropped with
+    `WindowBoundsError` (one capture raises it: e.g. the HT field of a
     non-HT frame that ends at 320 samples).
     """
     frames = Frames.of(signal)

@@ -37,6 +37,7 @@ import json
 import math
 import operator
 import os
+import pickle
 from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -68,7 +69,7 @@ from .preprocess import (
 )
 from .refselect import eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Drops, Frames
-from .waveform import FFT_SIZE, PreambleFormat, PreambleSpec, generate_preamble
+from .waveform import FFT_SIZE, PreambleFormat, PreambleSpec, WindowBoundsError, generate_preamble
 
 
 class ConfigError(ValueError):
@@ -597,7 +598,14 @@ def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fiel
     """Detection through field spectra, for a block; one capture (the
     tests' one-frame reference) raises its drop error instead."""
     compensated, sync, _ = _acquire(capture, cfg.detection_window, cfg.detection_multiplier)
-    return {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+    spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+    # A frame whose field window leaves its capture still stops the run, with
+    # the first such row's error; ROADMAP item 2 deletes these lines and keeps
+    # the drop.
+    for exc in compensated.drops.errors:
+        if isinstance(exc, WindowBoundsError):
+            raise exc
+    return spectra
 
 
 @dataclass
@@ -767,13 +775,20 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _call_pickled(call: bytes):
+    """`fn(item)` for a pickled (fn, item) pair."""
+    fn, item = pickle.loads(call)
+    return fn(item)
+
+
 def map_ordered(fn, items):
     """`map(fn, items)` over a pool of forked worker processes, one per
     usable CPU and at most one per item; yields the results in input order.
-    `fn` and the items must pickle. With one worker this is the built-in
-    `map`, in this process. A failing item raises its own exception (the
-    earliest failing item's, as the built-in `map` would) and cancels the
-    items not yet started."""
+    `fn` and the items must pickle: the first item that does not raises its
+    pickling error before any worker starts. With one worker this is the
+    built-in `map`, in this process. A failing item raises its own exception
+    (the earliest failing item's, as the built-in `map` would) and cancels
+    the items not yet started."""
     items = list(items)
     workers = min(usable_cpus(), len(items))
     if workers <= 1:
@@ -782,13 +797,16 @@ def map_ordered(fn, items):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # Pickled here, once per call: the executor, left to pickle two calls that
+    # do not pickle, hangs in its shutdown with its workers running.
+    calls = [pickle.dumps((fn, item)) for item in items]
     # fork, not spawn: a spawned worker would import numpy and rffdiv again
     # (about 0.2 s, a quarter of a bench's link work). From Python 3.11 the
     # executor forks every worker at the first submit, before it starts a
     # thread of its own.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = deque(pool.submit(fn, item) for item in items)
+        futures = deque(pool.submit(_call_pickled, call) for call in calls)
         while futures:
             # a yielded future is dropped: it would hold its result to the end
             yield futures.popleft().result()

@@ -191,18 +191,14 @@ def extract_window(signal: ComplexSignal | Frames, frame_start, window: SymbolWi
     """The 64 samples a window addresses, given the frame's 0-based start
     (for a block of frames, one start per row and one window per row).
 
-    Sample order is preserved; raises `WindowBoundsError` naming the window
-    when the addressed range falls outside the signal (in a block, the first
-    live row's).
+    Sample order is preserved. A row whose addressed range falls outside
+    its signal is dropped (one capture raises) with `WindowBoundsError`
+    naming the window.
     """
     frames = Frames.of(signal)
     start = frames.per_row(frame_start) + (window.start_index - 1)
     stop = start + FFT_SIZE
-    outside = ((start < 0) | (stop > frames.lengths)) & frames.drops.live
-    if np.count_nonzero(outside):
-        i = int(np.argmax(outside))
-        raise WindowBoundsError(
-            f"window {window.name} spans samples [{start[i]}, {stop[i]}) outside "
-            f"signal of length {frames.lengths[i]}"
-        )
+    frames.drops.drop((start < 0) | (stop > frames.lengths), WindowBoundsError, lambda i: (
+        f"window {window.name} spans samples [{start[i]}, {stop[i]}) outside "
+        f"signal of length {frames.lengths[i]}"))
     return frames.drops.result(frames.gather(start, FFT_SIZE))

@@ -513,3 +513,58 @@ def test_extract_group_that_raises_leaves_no_feature_table(monkeypatch, sim_dir,
     out = tmp_path / "feat"
     assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)]) == 3
     assert out.exists() and list(out.rglob("features_*")) == []
+
+
+def _untouched(*args, **kwargs):
+    raise AssertionError("a capture was simulated or read, or a model trained")
+
+
+@pytest.mark.parametrize("command", ["bench", "simulate", "extract", "eval"])
+@pytest.mark.parametrize("below", [False, True])
+def test_output_directory_that_cannot_be_made_is_config_error(
+        monkeypatch, config_path, sim_dir, tmp_path, capsys, command, below):
+    """Checked before any capture is simulated or read, and nothing is made."""
+    monkeypatch.setattr(hz, "_receive", _untouched)
+    monkeypatch.setattr(data_io.IqReader, "__init__", _untouched)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    argv = {"bench": ["bench", "--config", str(config_path)],
+            "simulate": ["simulate", "--config", str(config_path)],
+            "extract": ["extract", "--manifest", str(sim_dir)],
+            "eval": ["eval", "--model", str(tmp_path / "m.json"),
+                     "--features", str(tmp_path / "t.csv")]}[command]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert f"config error: output directory {out}: {blocker} is not a directory" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("command", ["train", "select-ref"])
+@pytest.mark.parametrize("kind", ["directory", "in a missing directory"])
+def test_output_file_that_cannot_be_written_is_config_error(monkeypatch, tmp_path, capsys,
+                                                            command, kind):
+    monkeypatch.setattr(rffdiv.classify, "train", _untouched)
+    features, csi = tmp_path / "hl.csv", tmp_path / "csi.csv"
+    _write_table(features, "HL", np.random.default_rng(0).random((8, 52)) + 0.1)
+    csi.write_text("device,v0,v1,v2,v3\na,1,2,3,2\nb,1,1,1,1\n")
+    out = tmp_path / "d"
+    out.mkdir()
+    out = out if kind == "directory" else tmp_path / "none" / "out.json"
+    argv = (["train", "--features", str(features), "--out", str(out)] if command == "train"
+            else ["select-ref", "--csi", str(csi), "--out", str(out)])
+    assert main(argv) == 2
+    assert f"config error: output file {out}: " in capsys.readouterr().err
+    assert not (tmp_path / "none").exists() and list((tmp_path / "d").iterdir()) == []
+
+
+def test_extract_capture_path_that_is_a_directory_is_io_error(sim_dir, tmp_path, capsys):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    cap = next(c for c in doc["captures"] if c["role"] == "device")
+    (tmp_path / "cap.iq").mkdir()
+    (tmp_path / "cap.json").write_text((sim_dir / cap["path"]).with_suffix(".json").read_text())
+    doc["captures"] = [{**cap, "path": "cap.iq"}]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["extract", "--manifest", str(tmp_path), "--extractor", "HL",
+                 "--out-dir", str(tmp_path / "f")]) == 3
+    assert f"pipeline error: {tmp_path / 'cap.iq'}: a directory" in capsys.readouterr().err

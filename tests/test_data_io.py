@@ -213,3 +213,15 @@ def test_feature_vectors_follow_device_runs():
     # each row at unit energy, bit for bit as one vector over its own norm
     assert np.array_equal(rows, [v / np.linalg.norm(v) for v in table.values])
     assert all(fv.extractor.value == "HL" and fv.tone_indices.size == 52 for fv in vectors)
+
+
+def test_directory_in_place_of_a_file_is_io_error(tmp_path):
+    (tmp_path / "x.iq").mkdir()
+    (tmp_path / "x.json").write_text(json.dumps({"sample_rate": 20e6}))
+    (tmp_path / "t.csv").mkdir()
+    with pytest.raises(IoError, match="x.iq: a directory"):
+        data_io.IqReader(tmp_path / "x.iq")
+    with pytest.raises(IoError, match="x.iq: a directory"):
+        data_io.read_iq(tmp_path / "x.iq")
+    with pytest.raises(IoError, match="t.csv: a directory"):
+        data_io.read_features(tmp_path / "t.csv")

@@ -250,3 +250,26 @@ def test_run_paths_hand_the_stages_only_blocks(monkeypatch, tmp_path):
     assert main(["extract", "--manifest", str(tmp_path / "iq"),
                  "--out-dir", str(tmp_path / "features")]) == 0
     assert kinds == {"Frames"}
+
+
+def test_block_drops_only_the_row_whose_window_leaves_its_capture():
+    cfg = hz.load_config(_doc("flat", snr_db=float("inf")))
+    fields = (Field.HTLTF, Field.LLTF)
+    rx = imp.sample_profile(900, imp.Role.RECEIVER)
+    flat = ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=1.0 + 0j)
+    rows = [hz.simulate_capture(imp.identity_profile(), rx, flat, seed, seed + 1)[0].samples
+            for seed in (1, 3, 5)]
+    rows[1] = rows[1][: rows[1].size - 200]  # the HT long training field runs past the end
+    block = np.zeros((3, max(r.size for r in rows)), dtype=complex)
+    for i, r in enumerate(rows):
+        block[i, : r.size] = r
+    frames = Frames(block, [r.size for r in rows])
+    compensated, sync, _ = hz._acquire(frames, cfg.detection_window, cfg.detection_multiplier)
+    spectra = {f: ft.field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+    assert frames.drops.live.tolist() == [True, False, True]
+    assert isinstance(frames.drops.errors[1], WindowBoundsError)
+    assert "window HTLTF1" in str(frames.drops.errors[1])
+    for i in (0, 2):
+        one = hz.acquire_spectra(ComplexSignal(rows[i]), cfg, fields)
+        for f in fields:
+            assert np.array_equal(spectra[f].bins[i], one[f].bins), (i, f)

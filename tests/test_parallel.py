@@ -4,6 +4,7 @@ worker or two give the same bytes and raise the same errors."""
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -219,3 +220,35 @@ def test_import_loads_no_process_pool():
                           env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
+
+
+_UNPICKLABLE = """
+import multiprocessing, pickle
+from rffdiv import harness
+harness.usable_cpus = lambda: 2
+try:
+    list(harness.map_ordered({call}))
+except pickle.PicklingError:
+    print("raised", multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize("call", ["lambda x: x, [1, 2, 3]", "len, [[lambda: 0]] * 3"])
+def test_ordered_map_of_calls_that_do_not_pickle_raises_and_leaves_no_process(call):
+    src = str(Path(rffdiv.__file__).resolve().parents[1])
+    # its own process group, so that every process it starts can be found
+    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE.format(call=call)],
+                            stdout=subprocess.PIPE, text=True, start_new_session=True,
+                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    try:
+        out, _ = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        out = "timed out"
+    left = True
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        left = False
+    proc.wait()
+    assert out.strip() == "raised []"
+    assert not left, "a process of the call was left running"

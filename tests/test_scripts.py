@@ -1,6 +1,8 @@
 """The demo scripts run as shipped. `scripts/receiver_invariance_demo.py`
 is also the one caller outside tests of the stages' one-capture API."""
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -36,3 +38,29 @@ def test_snr_stability_sweep_prints_its_table():
     for row in rows:
         values = [float(x) for x in row.split()[3:]]
         assert len(values) == 4 and all(-1.0 <= v <= 1.0 for v in values), row
+
+
+def test_byte_check_finds_a_tree_the_same_as_itself(monkeypatch, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("byte_check", ROOT / "scripts" / "byte_check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "master_seed": 3, "devices": {"count": 2, "base_seed": 100},
+        "receivers": {"count": 2, "base_seed": 900}, "extractors": ["HL"],
+        "channel": {"scenario": "flat"}, "snr_db": 30.0, "frames_per_device": 4,
+        "train_receivers": ["rx00"], "test_receivers": ["rx01"],
+        "classifier": {"epochs": 5, "seed": 3},
+    }))
+    monkeypatch.setattr(check, "OPS", {
+        "bench": check._bench(str(config)),
+        "simulate+extract": check._simulate_extract(str(config), extractors=("HL",)),
+    })
+    assert check.main([str(ROOT / "src")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("exit 0;") == 3 and "features_hl.csv" in out, out
+    assert out.endswith("2 of 2 cases the same as the baseline\n")
+    # each field of a record is compared
+    one = {"runs": [(0, "", "wrote {out}\n")], "files": {"report.json": "aa"}}
+    other = {"runs": [(1, "Error", "wrote {out}\n")], "files": {"r.csv": "bb"}}
+    assert len(check.differences(one, other)) == 4
