@@ -7,10 +7,10 @@ of the parent commit: `git archive HEAD~1 | tar -x -C /tmp/parent` gives
 `/tmp/parent/src`.
 
 Each case of `OPS` runs its commands in order, `{out}` standing for a
-fresh directory of its own, once with each tree's package on PYTHONPATH.
-Both run from this tree's root, so they read the same configs. Per
-command it prints the exit code and the last stderr line, and per case
-the sha256 of every file the case wrote. Stdout is compared with the
+fresh, empty directory of its own, once with each tree's package on
+PYTHONPATH. Both run from this tree's root, so they read the same configs.
+Per command it prints the exit code and the last stderr line, and per
+case the sha256 of every file the case wrote. Stdout is compared with the
 case directory written as `{out}`. Exits 1 on any difference from the
 baseline, 0 when every case is the same.
 """
@@ -53,6 +53,8 @@ OPS = {
        for seed in (1, 2, 3)},
     "simulate+extract mobile seed 1 15 dB": _simulate_extract(
         _MOBILE, "--seed", "1", "--snr-db", "15", extractors=(None,)),
+    "select-ref candidates": [["select-ref", "--csi", "configs/csi_candidates.csv",
+                               "--out", "{out}/ranked.csv"]],
 }
 
 
@@ -63,6 +65,7 @@ def run_case(src: Path, commands) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out")
+        Path(out).mkdir()
         runs = []
         for args in commands:
             proc = subprocess.run([sys.executable, "-m", "rffdiv.cli",

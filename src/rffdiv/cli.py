@@ -27,7 +27,7 @@ from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError
 from .refselect import eta_lf
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import WindowBoundsError
+from .waveform import FRAME_LEN, WindowBoundsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,9 +85,12 @@ def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
 def cmd_simulate(args) -> int:
     cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
     out = _out_dir(args.out_dir)
+    if len(cfg.snr_db) > 1:
+        raise harness.ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; simulate writes "
+                                  "one (pick it with --snr-db)")
+    snr = cfg.snr_db[0]
     out.mkdir(parents=True, exist_ok=True)
     devices, receivers, reference = harness._profiles(cfg)
-    snr = cfg.snr_db[0]
     entries, captures = [], []
     roster = [(d, "device", di) for di, d in enumerate(devices)]
     if reference is not None:
@@ -151,9 +154,9 @@ MIN_SEGMENT = 500
 # past it by a noise window and a frame span (80 + FRAME_ADVANCE) and
 # looks again.
 FAILED_SKIP = 500
-# The 400-sample HT-MF preamble plus 20 samples: the next segment starts in
-# the quiet tail after the frame, where its noise-floor window belongs.
-FRAME_ADVANCE = 420
+# The HT-MF preamble plus 20 samples: the next segment starts in the quiet
+# tail after the frame, where its noise-floor window belongs.
+FRAME_ADVANCE = FRAME_LEN + 20
 
 
 @dataclass(frozen=True)

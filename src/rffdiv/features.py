@@ -40,7 +40,6 @@ import numpy as np
 from .signals import ComplexSignal, Drops, Frames
 from .waveform import (
     FIELD_WINDOWS,
-    WINDOWS,
     Field,
     extract_window,
     ideal_symbol_spectrum,
@@ -152,7 +151,7 @@ def field_spectrum(signal: ComplexSignal | Frames, n1, field: Field) -> FieldSpe
     non-HT frame that ends at 320 samples).
     """
     frames = Frames.of(signal)
-    windows = [extract_window(frames, n1, WINDOWS[name]) for name in FIELD_WINDOWS[field]]
+    windows = [extract_window(frames, n1, name) for name in FIELD_WINDOWS[field]]
     bins = np.fft.fft(np.mean(windows, axis=0))
     drops = None if frames.drops.single else frames.drops
     return FieldSpectrum(field=field, bins=bins, drops=drops)

@@ -337,7 +337,8 @@ _DETECTION = {
     "metric": (_is("magnitude".__eq__, "'magnitude'"), "magnitude"),
 }
 # A capture that a manifest lists: its IQ file, transmitter, receiver and role.
-_CAPTURE = {**dict.fromkeys(("path", "device", "receiver", "role"), (_text, _NEEDED)),
+_CAPTURE = {**dict.fromkeys(("path", "device", "receiver"), (_text, _NEEDED)),
+            "role": (_is(("device", "reference").__contains__, "'device' or 'reference'"), _NEEDED),
             "frames": (_number(integer=True, lo=1), _OPEN)}
 # A capture manifest, as `rffdiv simulate` writes it.
 _MANIFEST = {

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import FFT_SIZE
+from .waveform import FFT_SIZE, FRAME_LEN, HTLTF_START, WINDOWS
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,16 @@ def _tilt_gain(tilt: np.ndarray) -> np.ndarray:
 
 
 def _apply_htltf_tilt(x: np.ndarray, tilt: np.ndarray) -> np.ndarray:
-    """Filter the HT-LTF field (last 80 samples of a 400-sample HT-MF
-    frame) with the tilt, circularly over its 64-sample symbol, and rebuild
-    the 16-sample cyclic prefix so the field stays internally cyclic."""
-    if x.size < 400:
+    """Filter the HT-LTF field (the end of an HT-MF frame) with the tilt,
+    circularly over its symbol, and rebuild the cyclic prefix so the field
+    stays internally cyclic."""
+    if x.size < FRAME_LEN:
         return x
     out = x.copy()
-    sym = np.fft.ifft(np.fft.fft(x[336:400]) * _tilt_gain(tilt))
-    out[336:400] = sym
-    out[320:336] = sym[48:]
+    sym_start = WINDOWS["HTLTF1"]
+    sym = np.fft.ifft(np.fft.fft(x[sym_start:FRAME_LEN]) * _tilt_gain(tilt))
+    out[sym_start:FRAME_LEN] = sym
+    out[HTLTF_START:sym_start] = sym[HTLTF_START - sym_start:]
     return out
 
 

@@ -6,8 +6,8 @@ so a helper derives one from the capture's leading (signal-free) window.
 
 Synchronization correlates the capture against the locally generated pair
 of 64-sample long training symbols (128 samples) and takes the magnitude
-peak; the long training field start follows 32 samples earlier (its cyclic
-prefix), and the frame start 160 samples before that.
+peak, which marks the first long symbol; the frame starts that symbol's
+window offset (`waveform.WINDOWS`) earlier.
 
 The coarse frequency estimate uses the lag-16 autocorrelation across the
 eight repeated short training symbols; its unambiguous range at 20 Msps is
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import SAMPLE_RATE, ComplexSignal, Frames
-from .waveform import lltf_sync_template
+from .waveform import FRAME_LEN, WINDOWS, lltf_sync_template
 
 
 class NotDetectedError(RuntimeError):
@@ -77,14 +77,14 @@ class CfoEstimate:
     total_hz: float | np.ndarray
 
 
-# Offset of the correlation template (the bare double symbol) from the frame
-# start: 160 samples of short training plus the 32-sample cyclic prefix.
-_TEMPLATE_OFFSET = 192
-_LLTF_FIELD_OFFSET = 160
-# The frame samples [16, 400) hold every field window and both fine-estimate
-# symbols; acquisition derotates only these.
-_SPAN_START = 16
-_SPAN_LEN = 384
+# The correlation template (the bare double long symbol) starts at the
+# frame's first L-LTF window.
+_TEMPLATE_OFFSET = WINDOWS["LLTF1"]
+# The frame samples from the first window to the frame's end hold every
+# field window and both fine-estimate symbols; acquisition derotates only
+# these.
+_SPAN_START = WINDOWS["LSTF1"]
+_SPAN_LEN = FRAME_LEN - _SPAN_START
 # Sync searches this many offsets from the detection point, and fails when
 # the correlation peak is below this multiple of the search median.
 _SEARCH_LEN = 400
@@ -128,12 +128,13 @@ def detect_signal(y: ComplexSignal | Frames, cfg: DetectionConfig) -> int | np.n
 def _row_medians(block: np.ndarray) -> np.ndarray:
     """`np.median(block, axis=1)` with the same arithmetic (the middle value,
     or the mean of the two middle values; NaN for a row holding a NaN),
-    without the NaN check through which `np.median` imports `numpy.ma`."""
+    without the NaN check through which `np.median` imports `numpy.ma`.
+    The `+ 0.0` gives a zero the sign that `np.mean`'s sum gives it."""
     width = block.shape[1]
     half = width // 2
     odd = width % 2
     part = np.partition(block, [half, width - 1] if odd else [half - 1, half, width - 1], axis=1)
-    mid = np.mean(part[:, half - 1 + odd : half + 1], axis=1)
+    mid = part[:, half] + 0.0 if odd else (part[:, half - 1] + part[:, half] + 0.0) / 2
     last = part[:, -1]  # NaN sorts last
     return np.where(np.isnan(last), last, mid)
 
@@ -163,12 +164,12 @@ def synchronize(y: ComplexSignal | Frames, n0) -> SyncResult:
             failed[i] = (f"correlation peak {peak:.3g} below {_PEAK_FLOOR_RATIO}x the "
                          f"search floor {floor:.3g}")
             continue
-        k0[i] = n0[i] + peak_k - 32  # back up over the long training cyclic prefix
+        k0[i] = n0[i] + peak_k
     bad = np.zeros(k0.size, dtype=bool)
     bad[list(failed)] = True
     frames.drops.drop(bad, SyncFailedError, failed.get)
     k0 = frames.drops.result(k0)
-    return SyncResult(frame_start_n1=k0 - _LLTF_FIELD_OFFSET)
+    return SyncResult(frame_start_n1=k0 - _TEMPLATE_OFFSET)
 
 
 def _lag_autocorr(frames: Frames, start, lag: int, count: int) -> np.ndarray:
@@ -228,8 +229,8 @@ def compensate_cfo(y: ComplexSignal | Frames, f_hat) -> ComplexSignal | Frames:
 def synchronize_and_compensate(y: ComplexSignal | Frames,
                                cfg: DetectionConfig) -> tuple[Frames, SyncResult, CfoEstimate]:
     """Full acquisition: detect, synchronize, coarse-then-fine CFO. Returns
-    the compensated frame samples [n1 + 16, n1 + 400) (every field window
-    lies there) as a block with the sync and CFO results."""
+    the compensated frame samples from the first field window to the
+    frame's end as a block with the sync and CFO results."""
     frames = Frames.of(y)
     n0 = detect_signal(frames, cfg)
     sync = synchronize(frames, n0)

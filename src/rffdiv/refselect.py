@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 # db4 scaling coefficients from the standard spectral factorization,
-# rounded once to float64. Validated on import against the filter-bank
-# identities rather than trusted blindly.
+# rounded once to float64 (the tests check their filter-bank identities).
 DB4_SCALING = np.array([
     0.2303778133088965,
     0.7148465705529157,
@@ -53,10 +52,6 @@ class DegenerateInputError(ValueError):
     """Zero-energy input has no meaningful score."""
 
 
-class EmptyCandidatesError(ValueError):
-    """Reference selection needs at least one candidate."""
-
-
 @dataclass(frozen=True)
 class RefScore:
     device_id: str
@@ -65,70 +60,21 @@ class RefScore:
     energy_after: float
 
 
-def _validate_filters() -> None:
-    g = DB4_SCALING
-    if abs(g.sum() - np.sqrt(2.0)) > 1e-12:
-        raise AssertionError("db4 coefficients fail sum = sqrt(2)")
-    if abs(np.dot(g, g) - 1.0) > 1e-12:
-        raise AssertionError("db4 coefficients fail unit energy")
-    for k in (1, 2, 3):
-        if abs(np.dot(g[: -2 * k], g[2 * k :])) > 1e-12:
-            raise AssertionError(f"db4 coefficients fail double-shift orthogonality k={k}")
-
-
-_validate_filters()
-
-# The db4 analysis (decomposition) and synthesis (reconstruction) filters.
+# The db4 synthesis (reconstruction) filters: the scaling filter and its
+# quadrature mirror.
 _REC_LO = DB4_SCALING
-_DEC_LO = _REC_LO[::-1]
-_DEC_HI = ((-1.0) ** (np.arange(_REC_LO.size) + 1)) * _REC_LO
-_REC_HI = _DEC_HI[::-1]
-
-
-def _extend_symmetric(x: np.ndarray, pad: int) -> np.ndarray:
-    left = x[:pad][::-1]
-    right = x[-pad:][::-1]
-    return np.concatenate([left, x, right])
-
-
-def dwt_level(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis level: symmetric extension by L-1, valid convolution,
-    downsample on the odd phase. Output length floor((n + L - 1)/2)."""
-    ext = _extend_symmetric(np.asarray(x, dtype=np.float64), _DEC_LO.size - 1)
-    ca = np.convolve(ext, _DEC_LO, mode="valid")[1::2]
-    cd = np.convolve(ext, _DEC_HI, mode="valid")[1::2]
-    return ca, cd
+_REC_HI = (((-1.0) ** (np.arange(_REC_LO.size) + 1)) * _REC_LO)[::-1]
 
 
 def idwt_level(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
-    """One synthesis level: upsample, filter, sum, trim L-2 from the left.
-    Exactly inverts `dwt_level` for matching lengths."""
+    """One synthesis level: upsample, filter, sum, trim L-2 from the left
+    (the inverse of an analysis level on the symmetric extension)."""
     up_a = np.zeros(2 * ca.size)
     up_a[::2] = ca
     up_d = np.zeros(2 * cd.size)
     up_d[::2] = cd
     rec = np.convolve(up_a, _REC_LO) + np.convolve(up_d, _REC_HI)
     return rec[_REC_LO.size - 2 : _REC_LO.size - 2 + out_len]
-
-
-def wavedec(x: np.ndarray):
-    """Four-level analysis: (approximation, [detail_deepest..detail_first],
-    [input length per level])."""
-    a = np.asarray(x, dtype=np.float64)
-    details, lengths = [], []
-    for _ in range(LEVELS):
-        lengths.append(a.size)
-        a, d = dwt_level(a)
-        details.append(d)
-    return a, details[::-1], lengths[::-1]
-
-
-def waverec(approx: np.ndarray, details, lengths) -> np.ndarray:
-    """Inverse of `wavedec`: perfect reconstruction to rounding error."""
-    a = approx
-    for d, n in zip(details, lengths):
-        a = idwt_level(a, d, n)
-    return a
 
 
 @lru_cache(maxsize=8)
@@ -180,18 +126,3 @@ def eta_lf(csi_amplitude: np.ndarray, device_id: str = "") -> RefScore:
     low = lowpass_reconstruct(xn)
     e_after = float(np.sum(low**2))
     return RefScore(device_id=device_id, eta_lf=e_after, energy_before=1.0, energy_after=e_after)
-
-
-def select_reference(candidates) -> str:
-    """Argmax of the score over (device_id, csi_amplitude) pairs; ties keep
-    the first occurrence."""
-    best_id, best = None, -1.0
-    n = 0
-    for device_id, csi in candidates:
-        n += 1
-        score = eta_lf(csi, device_id).eta_lf
-        if score > best:
-            best_id, best = device_id, score
-    if n == 0:
-        raise EmptyCandidatesError("no candidate reference devices given")
-    return best_id

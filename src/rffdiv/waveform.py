@@ -46,33 +46,15 @@ class PreambleSpec:
 
     format: PreambleFormat
 
-    @property
-    def length(self) -> int:
-        return 400 if self.format is PreambleFormat.HTMF else 320
 
-
-@dataclass(frozen=True)
-class SymbolWindow:
-    """An `FFT_SIZE`-sample FFT window inside the frame.
-
-    `start_index` is 1-based and frame-relative, matching the usual frame
-    structure narration (e.g. the first short-training window covers the
-    17th through 80th samples). `extract_window` does the 0-based math.
-    """
-
-    name: str
-    start_index: int
-
-
-# Frame-relative window registry. The long training field starts at frame
-# sample 161 (1-based), the HT long training field at sample 321.
-WINDOWS = {
-    "LSTF1": SymbolWindow("LSTF1", 17),
-    "LSTF2": SymbolWindow("LSTF2", 81),
-    "LLTF1": SymbolWindow("LLTF1", 160 + 33),
-    "LLTF2": SymbolWindow("LLTF2", 160 + 97),
-    "HTLTF1": SymbolWindow("HTLTF1", 320 + 17),
-}
+# The HT-MF frame layout in 0-based frame samples: the HT-LTF field starts
+# at HTLTF_START and the frame ends at FRAME_LEN. WINDOWS gives the first
+# sample of each `FFT_SIZE`-sample window: the L-STF windows skip its first
+# 16-sample symbol, and each long field's windows follow its cyclic prefix
+# (32 samples in the L-LTF from 160, 16 in the HT-LTF).
+HTLTF_START = 320
+FRAME_LEN = 400
+WINDOWS = {"LSTF1": 16, "LSTF2": 80, "LLTF1": 192, "LLTF2": 256, "HTLTF1": 336}
 
 # Windows averaged per field before the FFT (repeated symbols combine to
 # reduce noise; the HT-LTF has a single usable window).
@@ -187,18 +169,18 @@ class WindowBoundsError(IndexError):
     """A symbol window does not fit inside the signal."""
 
 
-def extract_window(signal: ComplexSignal | Frames, frame_start, window: SymbolWindow) -> np.ndarray:
-    """The 64 samples a window addresses, given the frame's 0-based start
-    (for a block of frames, one start per row and one window per row).
+def extract_window(signal: ComplexSignal | Frames, frame_start, window: str) -> np.ndarray:
+    """The 64 samples of the window named `window` (a `WINDOWS` key), given
+    the frame's 0-based start (for a block of frames, one start per row).
 
     Sample order is preserved. A row whose addressed range falls outside
     its signal is dropped (one capture raises) with `WindowBoundsError`
     naming the window.
     """
     frames = Frames.of(signal)
-    start = frames.per_row(frame_start) + (window.start_index - 1)
+    start = frames.per_row(frame_start) + WINDOWS[window]
     stop = start + FFT_SIZE
     frames.drops.drop((start < 0) | (stop > frames.lengths), WindowBoundsError, lambda i: (
-        f"window {window.name} spans samples [{start[i]}, {stop[i]}) outside "
+        f"window {window} spans samples [{start[i]}, {stop[i]}) outside "
         f"signal of length {frames.lengths[i]}"))
     return frames.drops.result(frames.gather(start, FFT_SIZE))

@@ -10,7 +10,7 @@ from rffdiv import channel as ch
 from rffdiv import impairments as imp
 from rffdiv.features import Field
 from rffdiv.signals import ComplexSignal
-from rffdiv.waveform import WINDOWS, extract_window, occupied_tones, tone_to_bin
+from rffdiv.waveform import extract_window, occupied_tones, tone_to_bin
 
 
 def test_flat_identity_noiseless_is_identity(flat_identity):
@@ -33,8 +33,8 @@ def test_selective_matches_tap_dft_on_occupied_tones():
     )
     padded = ComplexSignal(np.concatenate([NONHT_FRAME.samples, np.zeros(16, complex)]))
     out = ch.apply_channel(chan, padded)
-    w_in = extract_window(NONHT_FRAME, 0, WINDOWS["LLTF1"])
-    w_out = extract_window(out, 0, WINDOWS["LLTF1"])
+    w_in = extract_window(NONHT_FRAME, 0, "LLTF1")
+    w_out = extract_window(out, 0, "LLTF1")
     occ = tone_to_bin(occupied_tones(Field.LLTF))
     measured = np.fft.fft(w_out)[occ] / np.fft.fft(w_in)[occ]
     expected = dft_of_taps(taps, [0, 1, 2])[occ]

@@ -568,3 +568,33 @@ def test_extract_capture_path_that_is_a_directory_is_io_error(sim_dir, tmp_path,
     assert main(["extract", "--manifest", str(tmp_path), "--extractor", "HL",
                  "--out-dir", str(tmp_path / "f")]) == 3
     assert f"pipeline error: {tmp_path / 'cap.iq'}: a directory" in capsys.readouterr().err
+
+
+def test_simulate_of_an_snr_list_is_config_error(monkeypatch, config_path, tmp_path, capsys):
+    """`simulate` writes one SNR: a list is refused before any capture is
+    simulated or the output directory made, unless --snr-db picks one."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(json.loads(config_path.read_text()) | {"snr_db": [20, 30]}))
+    with monkeypatch.context() as m:
+        m.setattr(hz, "_receive", _untouched)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: snr_db ") and not (tmp_path / "a").exists()
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "b"),
+                 "--snr-db", "20"]) == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["snr_db"] == 20.0
+
+
+def test_extract_capture_of_an_unknown_role_is_config_error(monkeypatch, sim_dir, tmp_path,
+                                                            capsys):
+    monkeypatch.setattr(data_io.IqReader, "__init__", _untouched)
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    doc["captures"][1]["role"] = "devcie"
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["extract", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path / 'manifest.json'}: ")
+    assert "captures[1].role" in err and "'devcie'" in err
+    assert not (tmp_path / "f").exists()

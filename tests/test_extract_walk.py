@@ -30,7 +30,7 @@ def _walk_one(signal, detection, fields):
     idx = 0
     segment_len = 1100
     n = len(signal)
-    frame_end = max(WINDOWS[name].start_index - 1 + FFT_SIZE
+    frame_end = max(WINDOWS[name] + FFT_SIZE
                     for f in fields for name in FIELD_WINDOWS[f])
     while pos + 500 <= n:
         seg = ComplexSignal(signal.samples[pos : pos + segment_len])

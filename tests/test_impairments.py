@@ -7,7 +7,7 @@ from oracles import dft_of_taps
 from rffdiv import channel as ch
 from rffdiv import impairments as imp
 from rffdiv.features import Field, extract_hl
-from rffdiv.waveform import WINDOWS, extract_window, occupied_tones, tone_to_bin
+from rffdiv.waveform import extract_window, occupied_tones, tone_to_bin
 
 
 def test_identity_profile_is_identity():
@@ -57,8 +57,8 @@ def test_two_tap_fir_matches_dft_oracle():
     taps = np.array([1.0, 0.05j])
     p = imp.DeviceProfile("t", fir_taps=taps)
     out = imp.apply_transmitter(p, NONHT_FRAME)
-    w_in = extract_window(NONHT_FRAME, 0, WINDOWS["LLTF1"])
-    w_out = extract_window(out, 0, WINDOWS["LLTF1"])
+    w_in = extract_window(NONHT_FRAME, 0, "LLTF1")
+    w_out = extract_window(out, 0, "LLTF1")
     occ = tone_to_bin(occupied_tones(Field.LLTF))
     measured = np.fft.fft(w_out)[occ] / np.fft.fft(w_in)[occ]
     expected = dft_of_taps(taps, [0, 1])[occ]

@@ -80,7 +80,7 @@ def test_dc_bin_zero_for_all_fields():
 
 def test_lltf1_fft_proportional_to_ideal_spectrum():
     sig = generate_preamble(PreambleSpec(PreambleFormat.NONHT))
-    seg = extract_window(sig, 0, wf.WINDOWS["LLTF1"])
+    seg = extract_window(sig, 0, "LLTF1")
     spec = np.fft.fft(seg)
     ideal = ideal_symbol_spectrum(Field.LLTF)
     occ = tone_to_bin(occupied_tones(Field.LLTF))
@@ -92,23 +92,23 @@ def test_lltf1_fft_proportional_to_ideal_spectrum():
 
 def test_extract_window_lltf_halves_identical():
     sig = generate_preamble(PreambleSpec(PreambleFormat.NONHT))
-    w1 = extract_window(sig, 0, wf.WINDOWS["LLTF1"])
-    w2 = extract_window(sig, 0, wf.WINDOWS["LLTF2"])
+    w1 = extract_window(sig, 0, "LLTF1")
+    w2 = extract_window(sig, 0, "LLTF2")
     assert np.array_equal(w1, w2)
 
 
 def test_extract_window_bounds_error_names_window():
     sig = generate_preamble(PreambleSpec(PreambleFormat.NONHT))
     with pytest.raises(WindowBoundsError, match="HTLTF1"):
-        extract_window(sig, 0, wf.WINDOWS["HTLTF1"])
+        extract_window(sig, 0, "HTLTF1")
     with pytest.raises(WindowBoundsError, match="LSTF1"):
-        extract_window(sig, 5000, wf.WINDOWS["LSTF1"])
+        extract_window(sig, 5000, "LSTF1")
 
 
 def test_lstf_window_periodic_at_lag_16():
     # autocorrelation of the generated short-training window peaks at lag 16
     sig = generate_preamble(PreambleSpec(PreambleFormat.NONHT))
-    seg = extract_window(sig, 0, wf.WINDOWS["LSTF1"])
+    seg = extract_window(sig, 0, "LSTF1")
     lag16 = np.vdot(seg[:-16], seg[16:])
     energy = np.vdot(seg[:-16], seg[:-16])
     assert abs(lag16 / energy - 1.0) < 1e-12
@@ -125,3 +125,23 @@ def test_sync_template_is_the_double_long_symbol():
     assert tpl.shape == (128,)
     frame = generate_preamble(PreambleSpec(PreambleFormat.NONHT)).samples
     assert np.allclose(tpl, frame[192:320])
+
+
+def test_window_table_matches_the_generated_frame():
+    x = generate_preamble(PreambleSpec(PreambleFormat.HTMF)).samples
+    assert x.size == wf.FRAME_LEN
+    fields = {"LSTF": (0, 160), "LLTF": (160, wf.HTLTF_START),
+              "HTLTF": (wf.HTLTF_START, wf.FRAME_LEN)}
+    win = {name: x[start : start + wf.FFT_SIZE] for name, start in wf.WINDOWS.items()}
+    for name, start in wf.WINDOWS.items():
+        lo, hi = fields[name[:-1]]
+        assert lo <= start and start + wf.FFT_SIZE <= hi, name
+    # a long field opens with a cyclic prefix, its symbol's tail, and the
+    # field's first window follows it
+    for name, cp in (("LLTF1", 32), ("HTLTF1", 16)):
+        start = wf.WINDOWS[name]
+        assert start - cp == fields[name[:-1]][0], name
+        assert np.array_equal(x[start - cp : start], win[name][-cp:]), name
+    assert np.array_equal(win["LLTF1"], win["LLTF2"])
+    for name in ("LSTF1", "LSTF2"):
+        assert np.array_equal(win[name][16:], win[name][:-16]), name
