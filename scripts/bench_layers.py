@@ -10,7 +10,10 @@ two trees alternate which goes first in each repeat, and each figure is
 the median over the repeats (every run is kept under `runs`).
 
 Fields, per tree:
-- `import_s`: `import rffdiv` in a fresh interpreter;
+- `import_s`: `import rffdiv.harness` in a fresh interpreter: the modules
+  a `bench` run loads. `import rffdiv` alone loads only `rffdiv.signals`,
+  so timing it would no longer compare with the figures of trees whose
+  package init loaded every submodule;
 - `wall_s`: `rffdiv bench --config configs/bench_default.json`, run
   in-process with the stage timers below installed (`frames`: the frames
   it simulates). The timers see only calls made in their own process, so
@@ -155,7 +158,7 @@ def worker_wall() -> dict:
 
 def worker_import() -> dict:
     t0 = time.perf_counter()
-    import rffdiv  # noqa: F401
+    import rffdiv.harness  # noqa: F401
     return {"import_s": time.perf_counter() - t0}
 
 

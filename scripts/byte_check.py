@@ -55,6 +55,12 @@ OPS = {
         _MOBILE, "--seed", "1", "--snr-db", "15", extractors=(None,)),
     "select-ref candidates": [["select-ref", "--csi", "configs/csi_candidates.csv",
                                "--out", "{out}/ranked.csv"]],
+    "simulate+extract+train+eval default seed 1": _simulate_extract(
+        _DEFAULT, "--seed", "1", extractors=("HL",)) + [
+        ["train", "--features", "{out}/HL/features_hl.csv", "--out", "{out}/hl.json"],
+        # no --out-dir: eval.json holds the case directory's path; stdout holds the
+        # same document and is compared with that path normalized
+        ["eval", "--model", "{out}/hl.json", "--features", "{out}/HL/features_hl.csv"]],
 }
 
 

@@ -7,6 +7,10 @@ feature table, `eval` scores a model against a table, and `bench` runs a
 whole experiment config end to end.
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline error.
+
+Each command loads only the modules it runs: `harness` and the simulator
+behind it load inside `simulate`, `extract` and `bench`, so `train`,
+`eval` and `select-ref` read their inputs without them.
 """
 
 from __future__ import annotations
@@ -22,26 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import classify as cl
-from . import data_io, harness
+from . import config, data_io
 from .features import FieldSpectrum, field_spectrum
 from .preprocess import NotDetectedError
-from .refselect import eta_lf
-from .signals import SAMPLE_RATE, ComplexSignal, Frames
+from .signals import ComplexSignal, Frames
 from .waveform import FRAME_LEN, WindowBoundsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
-
-
-def _load_json(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise harness.ConfigError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise harness.ConfigError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _out_dir(path) -> Path:
@@ -50,7 +43,7 @@ def _out_dir(path) -> Path:
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
-        raise harness.ConfigError(f"output directory {out}: {existing} is not a directory")
+        raise config.ConfigError(f"output directory {out}: {existing} is not a directory")
     return out
 
 
@@ -58,7 +51,7 @@ def _out_file(path) -> Path:
     """`path` as an output file, checked before any work."""
     out = Path(path)
     if out.is_dir() or not out.parent.is_dir():
-        raise harness.ConfigError(f"output file {out}: " + (
+        raise config.ConfigError(f"output file {out}: " + (
             "is a directory" if out.is_dir() else f"{out.parent} is not a directory"))
     return out
 
@@ -75,6 +68,7 @@ def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
     """Simulate one capture file's frames and write its `.iq` and sidecar;
     `capture` is (sent, rx profile, transmitter index, receiver index,
     frames, file name)."""
+    from . import harness
     sent, rx, di, rj, n_frames, name = capture
     blocks = harness.frame_blocks(cfg, sent, rx, snr_db, 0, di, rj, n_frames)
     segments = [frames.samples[i, :n] for _, frames in blocks
@@ -83,11 +77,12 @@ def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
+    from . import harness
+    cfg = harness.load_config(_apply_overrides(config._load_json(args.config), args))
     out = _out_dir(args.out_dir)
     if len(cfg.snr_db) > 1:
-        raise harness.ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; simulate writes "
-                                  "one (pick it with --snr-db)")
+        raise config.ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; simulate writes "
+                                 "one (pick it with --snr-db)")
     snr = cfg.snr_db[0]
     out.mkdir(parents=True, exist_ok=True)
     devices, receivers, reference = harness._profiles(cfg)
@@ -110,17 +105,7 @@ def cmd_simulate(args) -> int:
     task = partial(_write_capture, cfg, out, snr)
     for _ in harness.map_ordered(task, captures):
         pass
-    manifest = {
-        "format_version": 1,
-        "scenario": cfg.channel["scenario"],
-        "snr_db": snr,
-        "sample_rate": SAMPLE_RATE,
-        # `metric` is kept until manifest format 2 (ROADMAP item 6)
-        "detection": {"window_w": cfg.detection_window,
-                      "threshold_multiplier": cfg.detection_multiplier, "metric": "magnitude"},
-        "captures": entries,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    config._write_manifest(out, cfg, snr, entries)
     print(f"wrote {len(entries)} captures to {out}")
     return EXIT_OK
 
@@ -181,6 +166,7 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     segments it would see walked alone. Yields a `_Step` per block; with
     `until_acquired` a file is walked only up to its first acquired frame.
     The readers are closed when the walk ends."""
+    from . import harness
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
@@ -222,25 +208,11 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
                       and not (until_acquired and acquired[row])]
 
 
-def _load_manifest(path_arg) -> tuple[dict, Path]:
-    man_path = Path(path_arg)
-    if man_path.is_dir():
-        man_path = man_path / "manifest.json"
-    if not man_path.exists():
-        raise harness.ConfigError(f"manifest not found: {man_path}")
-    doc = _load_json(man_path)
-    try:
-        manifest = harness._read(harness._MANIFEST, doc, "manifest")
-        harness._distinct([str(Path(c["path"])) for c in manifest["captures"]], "captures")
-        return manifest, man_path.parent
-    except harness.ConfigError as exc:
-        raise harness.ConfigError(f"{man_path}: {exc}") from exc
-
-
 def _lockstep_groups(captures, readers: dict, role: str) -> list:
     """Manifest indices of the `role` captures in manifest order, cut into
     lock-step groups of at most `harness.BLOCK_ROWS` captures: one group
     per usable CPU where that leaves fewer."""
+    from . import harness
     idx = [i for i in readers if captures[i]["role"] == role]
     size = max(1, min(harness.BLOCK_ROWS, -(-len(idx) // harness.usable_cpus())))
     return [idx[k : k + size] for k in range(0, len(idx), size)]
@@ -251,6 +223,7 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> list
     device captures (`job`: manifest indices, readers), each row divided by
     its own receiver's model (`models`). The worker formats the CSV rows
     (trial: frame index) and drops the feature blocks, which extract only writes."""
+    from . import harness
     group, readers = job
     captures = [manifest["captures"][i] for i in group]
 
@@ -268,13 +241,14 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> list
 
 
 def cmd_extract(args) -> int:
+    from . import harness
     out = _out_dir(args.out_dir)
-    manifest, base = _load_manifest(args.manifest)
+    manifest, base = config._load_manifest(args.manifest)
     captures = manifest["captures"]
-    extractors = [args.extractor] if args.extractor else list(harness.EXTRACTORS)
+    extractors = [args.extractor] if args.extractor else list(config.EXTRACTORS)
     use_rd = harness._needs_reference(extractors)
     if use_rd and not any(c["role"] == "reference" for c in captures):
-        raise harness.ConfigError("reference-division extraction needs reference captures")
+        raise config.ConfigError("reference-division extraction needs reference captures")
     detection = (manifest["detection"]["window_w"], manifest["detection"]["threshold_multiplier"])
     fields = harness._needed_fields(extractors)
     roles = ("device", "reference") if use_rd else ("device",)
@@ -310,13 +284,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_select_ref(args) -> int:
+    from .refselect import eta_lf
     out = args.out and _out_file(args.out)
     try:
         lines = Path(args.csi).read_text().splitlines()
     except (OSError, ValueError) as exc:
-        raise harness.ConfigError(f"cannot read {args.csi}: {exc}") from exc
+        raise config.ConfigError(f"cannot read {args.csi}: {exc}") from exc
     if not lines or not lines[0].startswith("device"):
-        raise harness.ConfigError(f"{args.csi}: expected header 'device,v0,...'")
+        raise config.ConfigError(f"{args.csi}: expected header 'device,v0,...'")
     scores = []
     for line in lines[1:]:
         if not line:
@@ -330,9 +305,9 @@ def cmd_select_ref(args) -> int:
                 raise ValueError("device listed twice")
             scores.append(eta_lf(amp, device_id=cells[0]))
         except ValueError as exc:
-            raise harness.ConfigError(f"{args.csi}: bad row {cells[0]!r}: {exc}") from exc
+            raise config.ConfigError(f"{args.csi}: bad row {cells[0]!r}: {exc}") from exc
     if not scores:
-        raise harness.ConfigError(f"{args.csi}: no candidate rows")
+        raise config.ConfigError(f"{args.csi}: no candidate rows")
     scores.sort(key=lambda s: -s.eta_lf)
     text = "".join(["device,eta_lf,energy_before,energy_after\n"] + [
         f"{s.device_id},{s.eta_lf:.12g},{s.energy_before:.12g},{s.energy_after:.12g}\n"
@@ -348,15 +323,15 @@ def cmd_train(args) -> int:
     out = _out_file(args.out)
     table = data_io.read_features(args.features)
     if not len(table):
-        raise harness.ConfigError(f"{args.features}: empty feature table")
-    doc = _load_json(args.config) if args.config else {}
+        raise config.ConfigError(f"{args.features}: empty feature table")
+    doc = config._load_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = harness._train_config(doc, "training config")
+    cfg = config._train_config(doc, "training config")
     try:
         model = cl.train(table.feature_vectors(), cfg)
     except cl.TrainError as exc:
-        raise harness.ConfigError(str(exc)) from exc
+        raise config.ConfigError(str(exc)) from exc
     cl.save_model(model, out, cfg)
     print(f"trained {model.trained_on} model on {len(table)} rows "
           f"({len(model.classes)} classes) -> {args.out}")
@@ -368,11 +343,11 @@ def cmd_eval(args) -> int:
     model = cl.load_model(args.model)
     table = data_io.read_features(args.features)
     if not len(table):
-        raise harness.ConfigError(f"{args.features}: empty feature table")
+        raise config.ConfigError(f"{args.features}: empty feature table")
     try:
         acc = cl.evaluate(model, table.feature_vectors())
     except (cl.EvalError, cl.PredictError) as exc:
-        raise harness.ConfigError(str(exc)) from exc
+        raise config.ConfigError(str(exc)) from exc
     doc = {
         "model": str(args.model), "features": str(args.features),
         "extractor": model.trained_on, "n_test": len(table), "accuracy": acc,
@@ -385,7 +360,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = harness.load_config(_apply_overrides(_load_json(args.config), args))
+    from . import harness
+    cfg = harness.load_config(_apply_overrides(config._load_json(args.config), args))
     out = _out_dir(args.out_dir)
     report = harness.run_experiment(cfg, out)
     harness.write_report(report, out)
@@ -412,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extract", help="extract feature tables from IQ captures")
     ext.add_argument("--manifest", required=True, help="manifest.json or its directory")
     ext.add_argument("--out-dir", required=True)
-    ext.add_argument("--extractor", choices=harness.EXTRACTORS)
+    ext.add_argument("--extractor", choices=config.EXTRACTORS)
     ext.set_defaults(func=cmd_extract)
 
     sel = sub.add_parser("select-ref", help="rank candidate reference devices by eta_LF")
@@ -438,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--out-dir", required=True)
     be.add_argument("--seed", type=int)
     be.add_argument("--snr-db", type=float)
-    be.add_argument("--extractor", choices=harness.EXTRACTORS)
+    be.add_argument("--extractor", choices=config.EXTRACTORS)
     be.set_defaults(func=cmd_bench)
     return p
 
@@ -451,10 +427,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (harness.ConfigError, cl.TrainError, cl.ModelFileError) as exc:
+    except (config.ConfigError, cl.TrainError, cl.ModelFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (harness.PipelineError, data_io.IoError) as exc:
+    except (config.PipelineError, data_io.IoError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -40,7 +40,7 @@ import os
 import pickle
 from collections import Counter, deque
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -49,6 +49,7 @@ import numpy as np
 from . import classify as cl
 from . import data_io
 from .channel import ChannelKind, ChannelRealization, apply_channel, sample_channel
+from .config import _TOP, SCENARIOS, ConfigError, PipelineError, _distinct, _entities, _read
 from .features import (
     DIVISIONS,
     FeatureVector,
@@ -61,40 +62,15 @@ from .features import (
     tables_of,
 )
 from .impairments import DeviceProfile, Role, apply_receiver, apply_transmitter, sample_profile
-from .preprocess import (
-    MIN_WINDOW_W,
-    DetectionConfig,
-    noise_floor_threshold,
-    synchronize_and_compensate,
-)
+from .preprocess import DetectionConfig, noise_floor_threshold, synchronize_and_compensate
 from .refselect import eta_lf
-from .signals import SAMPLE_RATE, ComplexSignal, Drops, Frames
+from .signals import ComplexSignal, Drops, Frames
 from .waveform import FFT_SIZE, PreambleFormat, PreambleSpec, WindowBoundsError, generate_preamble
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class PipelineError(RuntimeError):
-    pass
 
 
 class MissingModelError(PipelineError):
     """A frame's receiver has no reference model to divide it by."""
 
-
-# Channel parameter presets behind the scenario labels. Static scenarios
-# hold one realization per (device, receiver) link for a whole repeat;
-# "mobile" redraws per frame.
-SCENARIOS = {
-    "flat": {"kind": "flat"},
-    "los": {"kind": "selective", "n_taps": 4, "decay": 0.8, "rice_k_db": 10.0},
-    "nlos": {"kind": "selective", "n_taps": 8, "decay": 3.0, "rice_k_db": None},
-    "mobile": {"kind": "selective", "n_taps": 8, "decay": 3.0, "rice_k_db": None,
-               "per_frame": True},
-    "corridor": {"kind": "selective", "n_taps": 6, "decay": 1.5, "rice_k_db": 5.0},
-}
 
 # Stream tags for the seed scheme.
 _S_CHANNEL = 1
@@ -107,11 +83,6 @@ LEAD_PAD = 256
 TAIL_PAD = 120
 MAX_JITTER = 40
 MODEL_CAPTURE_ATTEMPTS = 8
-# The largest SNR magnitude in dB that a config or manifest may give (or
-# +inf, no noise): the channel's 10 ** (snr_db / 10) leaves the float range
-# near +-3083 dB.
-SNR_LIMIT_DB = 300.0
-
 
 # numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe) over a pool of
 # four 32-bit words, and the PCG64 multiplier (pcg64.h).
@@ -234,179 +205,14 @@ class ExperimentConfig:
     detection_multiplier: float
 
 
-# The config schema: one table per config object, each row a key's check
-# (type and range) and default. A check takes a value and its place in the
-# config and returns the value in its type, or raises ConfigError. Defaults
-# are written as in a config and checked too; an _OPEN key that the config
-# leaves out stays out, for the code that reads the object to fill in.
-_NEEDED, _OPEN = object(), object()
-
-
-def _is(test, wanted: str):
-    def check(v, what):
-        if not test(v):
-            raise ConfigError(f"{what} must be {wanted}, got {v!r}")
-        return v
-    return check
-
-
-def _number(integer=False, lo=-math.inf, above=False, inf=False, hi=math.inf):
-    """A number at least `lo` (above it with `above`) and at most `hi`: an
-    int (a whole float too) when `integer`, else a float, finite unless
-    `inf` admits +inf."""
-    def ok(v):
-        try:
-            return (not isinstance(v, bool) and isinstance(v, (int, float))
-                    and (float(v).is_integer() if integer else math.isfinite(v) or inf and v > 0)
-                    and (v > lo if above else v >= lo) and (v <= hi or inf and v == math.inf))
-        except OverflowError:  # an integer too large for a float
-            return False
-    check = _is(ok, ("an integer" if integer else "a finite number")
-                + f" {'above' if above else 'at least'} {lo:g}" * (lo > -math.inf)
-                + f" and at most {hi:g}" * (hi < math.inf) + ", or +inf" * inf)
-    return lambda v, what: (int if integer else float)(check(v, what))
-
-
-def _list_of(item, scalar=None):
-    """A non-empty list of `item` values, or with `scalar` a non-list value."""
-    many = _is(lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "a non-empty list")
-    return lambda v, what: (scalar(v, what) if scalar and not isinstance(v, (list, tuple))
-                            else [item(x, f"{what}[{i}]") for i, x in enumerate(many(v, what))])
-
-
-def _or_null(check):
-    return lambda v, what: None if v is None else check(v, what)
-
-
-_object = _is(lambda v: isinstance(v, dict), "a JSON object")
-_text = _is(lambda v: isinstance(v, str), "a string")
-_flag = _is(lambda v: isinstance(v, bool), "true or false")
-_real, _seed = _number(), _number(integer=True, lo=0)
-_snr = _number(lo=-SNR_LIMIT_DB, hi=SNR_LIMIT_DB, inf=True)
-_complex = _list_of(_real, scalar=_real)  # a number, or [re, im]
-
-
-def _read(table: dict, obj, what: str) -> dict:
-    """`obj`, the config's JSON object `what`, checked against `table`."""
-    unknown = [key for key in _object(obj, what) if key not in table]
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {what}")
-    out = {}
-    for key, (check, default) in table.items():
-        if key not in obj and default is _NEEDED:
-            raise ConfigError(f"{what} needs {key!r}")
-        if key in obj or default is not _OPEN:
-            out[key] = check(obj.get(key, default), f"{what}.{key}")
-    return out
-
-
-# A device, receiver, reference or sweep candidate, echoed as written; the
-# impairments after `field_distinct` override the seed's draw within ranges
-# that `DeviceProfile` checks.
-_ENTITY = {
-    "id": (_text, _OPEN),  # <prefix><list position:02d>; "ref" for the reference
-    "seed": (_seed, _OPEN),  # 0, for an entry that gives impairments instead
-    "field_distinct": (_flag, _OPEN),  # true for a device, false for a receiver or reference
-    "dc_offset": (_complex, _OPEN),
-    "iq_gain_imbalance": (_real, _OPEN),
-    "iq_phase_imbalance": (_real, _OPEN),
-    "fir_taps": (_list_of(_complex), _OPEN),
-    "pa_coeffs": (_list_of(_complex), _OPEN),
-    "cfo_hz": (_real, _OPEN),
-    "band_tilt": (_or_null(_list_of(_real)), _OPEN),
-}
-# A device or receiver list as {count, base_seed}: entry i is <prefix><i:02d>.
-_SHORTHAND = {
-    "count": (_number(integer=True, lo=1), _NEEDED),
-    "base_seed": (_seed, 0),
-    "field_distinct": (_flag, False),
-}
-# Echoed as written; a key left out takes the scenario preset's value.
-_CHANNEL = {
-    "scenario": (_is(SCENARIOS.__contains__, f"one of {', '.join(SCENARIOS)}"), _NEEDED),
-    "n_taps": (_number(integer=True, lo=1), _OPEN),
-    "decay": (_number(lo=0, above=True), _OPEN),
-    "rice_k_db": (_or_null(_real), _OPEN),
-    "per_frame": (_flag, _OPEN),
-}
-# Also a capture manifest's detection. The detector always sums magnitudes;
-# `metric` stays for the files that carry it (report format 2 drops it).
-_DETECTION = {
-    "window_w": (_number(integer=True, lo=MIN_WINDOW_W), 80),
-    "threshold_multiplier": (_number(lo=0, above=True), 6.0),
-    "metric": (_is("magnitude".__eq__, "'magnitude'"), "magnitude"),
-}
-# A capture that a manifest lists: its IQ file, transmitter, receiver and role.
-_CAPTURE = {**dict.fromkeys(("path", "device", "receiver"), (_text, _NEEDED)),
-            "role": (_is(("device", "reference").__contains__, "'device' or 'reference'"), _NEEDED),
-            "frames": (_number(integer=True, lo=1), _OPEN)}
-# A capture manifest, as `rffdiv simulate` writes it.
-_MANIFEST = {
-    "format_version": (_is(lambda v: v == 1 and not isinstance(v, bool), "1"), 1),
-    "scenario": (_text, "unknown"),
-    "snr_db": (_snr, 0.0),
-    "sample_rate": (_is(lambda v: v == SAMPLE_RATE, f"{SAMPLE_RATE:g}"), SAMPLE_RATE),
-    "detection": (partial(_read, _DETECTION), {}),
-    "captures": (_list_of(partial(_read, _CAPTURE)), _NEEDED),
-}
-
-
-def _entity(v, what: str) -> dict:
-    entry = _read(_ENTITY, v, what)
-    if "seed" not in entry and entry.keys() <= {"id", "field_distinct"}:
-        raise ConfigError(f"{what} needs a seed or explicit impairments")
-    return entry
-
-
-def _entities(prefix: str, v, what: str) -> list:
-    """A list of entity entries, or the shorthand, with seeds base_seed + i."""
-    if isinstance(v, dict):
-        short = _read(_SHORTHAND, v, what)
-        return [{"id": f"{prefix}{i:02d}", "seed": short["base_seed"] + i,
-                 "field_distinct": short["field_distinct"]} for i in range(short["count"])]
-    return [{"id": f"{prefix}{i:02d}"} | e for i, e in enumerate(_list_of(_entity)(v, what))]
-
-
-# The classifier object: `classify.TrainConfig`'s fields, an int field read
-# as every integer key is (a whole float too); `TrainConfig` checks ranges.
-_CLASSIFIER = {f.name: (_number(integer=f.type == "int"), f.default)
-               for f in fields(cl.TrainConfig)}
-
-
-def _train_config(v, what: str) -> cl.TrainConfig:
-    values = _read(_CLASSIFIER, v, what)
-    try:
-        return cl.TrainConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-EXTRACTORS = tuple(dict.fromkeys(div.extractor for div in DIVISIONS.values()))
-_TOP = {
-    "master_seed": (_seed, _NEEDED),
-    "devices": (partial(_entities, "dev"), _NEEDED),
-    "receivers": (partial(_entities, "rx"), _NEEDED),
-    "reference_device": (_or_null(_entity), None),
-    "extractors": (_list_of(_is(EXTRACTORS.__contains__, "RD, HL or DV")), list(EXTRACTORS)),
-    # an entry is a receiver id, or a list of them that trains as one set
-    "train_receivers": (_list_of(_list_of(_text, scalar=_text)), _OPEN),  # the first receiver
-    "test_receivers": (_list_of(_text), _OPEN),  # every receiver
-    "snr_db": (_list_of(_snr, scalar=lambda v, what: [_snr(v, what)]), 30.0),
-    "channel": (partial(_read, _CHANNEL), {"scenario": "flat"}),
-    "frames_per_device": (_number(integer=True, lo=2), 200),
-    "repeats": (_number(integer=True, lo=1), 5),
-    "classifier": (_train_config, {}),
-    "detection": (partial(_read, _DETECTION), {}),
-}
-
-
 def _needs_reference(extractors) -> bool:
     return any(div.by_model for div in tables_of(extractors).values())
 
 
 def load_config(doc) -> ExperimentConfig:
-    """The experiment config of a config document, read through the tables
-    above and the rules that tie keys together, before anything runs."""
+    """The experiment config of a config document, read through the schema
+    tables (`config._TOP`) and the rules that tie keys together, before
+    anything runs."""
     top = _read(_TOP, doc, "config")
     rx_ids = [r["id"] for r in top["receivers"]]
     train = top.setdefault("train_receivers", rx_ids[:1])
@@ -424,13 +230,6 @@ def load_config(doc) -> ExperimentConfig:
     det = top.pop("detection")
     return _checked(ExperimentConfig(**top, detection_window=det["window_w"],
                                      detection_multiplier=det["threshold_multiplier"]))
-
-
-def _distinct(values, what: str) -> None:
-    """Raise a ConfigError naming the first of `values` that repeats."""
-    repeated = [v for v, n in Counter(values).items() if n > 1]
-    if repeated:
-        raise ConfigError(f"{what}: {repeated[0]!r} appears more than once")
 
 
 def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -989,8 +788,12 @@ def run_feature_stability(cfg: ExperimentConfig) -> dict:
     the mean-centered cosine. Plain cosine of nonnegative unit vectors is
     dominated by the shared flat component, so the centered variant is the
     discriminative stability measure. A mean over devices that no device
-    has a value for is None.
+    has a value for is None. The config gives one SNR: a list of more is a
+    ConfigError.
     """
+    if len(cfg.snr_db) > 1:
+        raise ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; the feature-stability "
+                          "statistics take one")
     cfg = replace(cfg, channel=cfg.channel | {"per_frame": True})
     devices, receivers, reference = _profiles(cfg)
     sent_devices, sent_ref = _transmit_all(devices, reference)

@@ -52,19 +52,6 @@ def _filters(g):
     return g[::-1], ((-1.0) ** (k + 1)) * g, g, (((-1.0) ** (k + 1)) * g)[::-1]
 
 
-def dwt_sym(x, g):
-    """One symmetric-extension analysis level via upfirdn."""
-    dec_lo, dec_hi, _, _ = _filters(g)
-    pad = g.size - 1
-    ext = np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
-    full_lo = upfirdn(dec_lo, ext)
-    full_hi = upfirdn(dec_hi, ext)
-    # valid range of the full convolution, odd phase
-    lo = full_lo[g.size - 1 : g.size - 1 + x.size + g.size - 1][1::2]
-    hi = full_hi[g.size - 1 : g.size - 1 + x.size + g.size - 1][1::2]
-    return lo, hi
-
-
 def idwt_sym(ca, cd, g, out_len):
     _, _, rec_lo, rec_hi = _filters(g)
     rec = upfirdn(rec_lo, ca, up=2) + upfirdn(rec_hi, cd, up=2)

@@ -131,6 +131,39 @@ def test_train_loads_no_numpy_ma(tmp_path):
     assert proc.stdout.decode().splitlines()[-1] == "0 False"
 
 
+def _loaded_modules(code: str) -> list:
+    """[result, the rffdiv modules loaded] after a fresh interpreter runs
+    `code`, which sets `result`."""
+    code = ("import json, sys\n" + code + "\nprint(json.dumps([result, sorted(m for m in "
+            "sys.modules if m == 'rffdiv' or m.startswith('rffdiv.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def test_import_loads_only_signals():
+    assert _loaded_modules("import rffdiv; result = 0") == [0, ["rffdiv", "rffdiv.signals"]]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "select-ref"])
+def test_command_loads_no_simulator(tmp_path, command):
+    features, model, csi = tmp_path / "hl.csv", tmp_path / "m.json", tmp_path / "csi.csv"
+    values = np.random.default_rng(0).random((8, 52))
+    _write_table(features, "HL", values / np.linalg.norm(values, axis=1, keepdims=True))
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 0
+    csi.write_text("device," + ",".join(f"v{i}" for i in range(16)) + "\n"
+                   + "".join(name + ",1" * 16 + "\n" for name in ("A", "B")))
+    argv = {"train": ["train", "--features", str(features), "--out", str(tmp_path / "m2.json")],
+            "eval": ["eval", "--model", str(model), "--features", str(features)],
+            "select-ref": ["select-ref", "--csi", str(csi)]}[command]
+    code, loaded = _loaded_modules(f"from rffdiv.cli import main; result = main({argv!r})")
+    assert code == 0
+    simulator = {"rffdiv.harness", "rffdiv.channel", "rffdiv.impairments"}
+    if command != "select-ref":
+        simulator.add("rffdiv.refselect")
+    assert simulator.isdisjoint(loaded), loaded
+
+
 def test_bench_deterministic_across_processes(config_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, hashseed in ((a, "0"), (b, "7")):

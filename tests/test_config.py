@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from rffdiv import classify as cl
+from rffdiv import config as cf
 from rffdiv import harness as hz
-from rffdiv.cli import _apply_overrides, _load_manifest, main
+from rffdiv.cli import _apply_overrides, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,7 +62,7 @@ def test_reference_sweep_demo_docs_load(monkeypatch):
         pass
 
     def sweep(cfg, candidates):
-        raise Loaded(cfg, hz._entities("cand", candidates, "candidates"))
+        raise Loaded(cfg, cf._entities("cand", candidates, "candidates"))
 
     monkeypatch.setattr(hz, "run_reference_sweep", sweep)
     with pytest.raises(Loaded) as info:
@@ -78,8 +79,8 @@ def test_simulate_manifest_loads(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 0
-    manifest, _ = _load_manifest(tmp_path / "sim")
-    detection = hz._read(hz._DETECTION, manifest["detection"], "manifest detection")
+    manifest, _ = cf._load_manifest(tmp_path / "sim")
+    detection = cf._read(cf._DETECTION, manifest["detection"], "manifest detection")
     assert detection == {"window_w": 64, "threshold_multiplier": 5.0, "metric": "magnitude"}
     assert {c["role"] for c in manifest["captures"]} == {"device", "reference"}
     # the top level loads to what simulate wrote
@@ -108,11 +109,11 @@ def _readme_tables() -> dict:
 
 def test_readme_names_every_config_key():
     assert _readme_tables() == {
-        "Top-level key": set(hz._TOP),
-        "Entity key": set(hz._ENTITY),
-        "Shorthand key": set(hz._SHORTHAND),
-        "`channel` key": set(hz._CHANNEL),
-        "`detection` key": set(hz._DETECTION),
+        "Top-level key": set(cf._TOP),
+        "Entity key": set(cf._ENTITY),
+        "Shorthand key": set(cf._SHORTHAND),
+        "`channel` key": set(cf._CHANNEL),
+        "`detection` key": set(cf._DETECTION),
         "`classifier` key": {f.name for f in dataclasses.fields(cl.TrainConfig)},
     }
 

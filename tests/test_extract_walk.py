@@ -5,6 +5,7 @@ time, gives."""
 import numpy as np
 import pytest
 
+from rffdiv import config as cf
 from rffdiv import data_io
 from rffdiv import harness as hz
 from rffdiv import preprocess as pp
@@ -210,7 +211,7 @@ def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
     assert [s is None for _, s in got[cut]] == [True]
 
 
-EXTRACTORS = list(hz.EXTRACTORS)
+EXTRACTORS = list(cf.EXTRACTORS)
 
 
 def _model(path, rx_id):

@@ -229,6 +229,17 @@ def test_feature_stability_one_receiver_means_are_none():
     assert 0.9 < stats["mean"]["HL"]["trial_to_trial"]["plain"] <= 1.0
 
 
+def test_feature_stability_of_an_snr_list_is_config_error(monkeypatch):
+    def no_link(*args, **kwargs):
+        raise AssertionError("a link ran")
+
+    monkeypatch.setattr(hz, "_run_links", no_link)
+    cfg = hz.load_config(_base_doc(extractors=["HL"], reference_device=None, snr_db=[20, 30],
+                                   frames_per_device=4, repeats=1))
+    with pytest.raises(hz.ConfigError, match="snr_db lists 2 SNRs"):
+        hz.run_feature_stability(cfg)
+
+
 def _pair_with_r(rng, n, rho):
     """(x, y) whose sample correlation is `rho`: y mixes centred x with a
     centred draw orthogonal to it."""
