@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _DEFAULT = "configs/bench_default.json"
 _MOBILE = "perfbench/mobile_snr_sweep.json"
+# Two SNRs, a two-receiver train set, and one- and two-branch cells.
+_SWEEP = "configs/bench_sweep.json"
 
 
 def _bench(config, *flags):
@@ -46,6 +48,7 @@ def _simulate_extract(config, *flags, extractors=(None, "HL")):
 OPS = {
     "bench default": _bench(_DEFAULT),
     "bench default seed 7": _bench(_DEFAULT, "--seed", "7"),
+    "bench sweep": _bench(_SWEEP),
     **{f"bench mobile seed 1 {snr} dB": _bench(_MOBILE, "--seed", "1", "--snr-db", str(snr))
        for snr in (15, 20, 25, 30)},
     "bench mobile seed 2 15 dB": _bench(_MOBILE, "--seed", "2", "--snr-db", "15"),

@@ -7,8 +7,8 @@ deterministic and the gradients checkable. Training minimizes label-smoothed
 cross-entropy plus an L2 penalty on the weights by mini-batch gradient
 descent, holds out a stratified validation split, and keeps the epoch with
 the lowest validation loss. The two-branch protocol trains one model per
-preamble field and fuses at prediction time by summing the two softmax
-outputs and taking the argmax.
+preamble field and fuses by summing the branches' softmax outputs (of any
+number of branches; one batched scorer gives them) and taking the argmax.
 """
 
 from __future__ import annotations
@@ -232,82 +232,77 @@ def train(features, cfg: TrainConfig) -> SoftmaxModel:
                         input_mean=mean, input_scale=scale)
 
 
+def _scores(model: SoftmaxModel, blocks) -> np.ndarray:
+    """Softmax probabilities of every row of `blocks`, (rows, feature table
+    or None for a bare vector) pairs, stacked. A model scores only the table
+    it trained on. The product sums each row's terms in one order, so a row
+    scores the same bits alone as in any pool (a BLAS `@` does not: its
+    order depends on how many rows share the product)."""
+    for x, table in blocks:
+        if x.shape[1:] != (model.feature_dim,):
+            raise PredictError(f"feature dim {x.shape[1:]} != model dim {model.feature_dim}")
+        if table is not None and table.value != model.trained_on:
+            raise EvalError(f"a model trained on {model.trained_on} features cannot score "
+                            f"{table.value} features")
+    x = (np.concatenate([x for x, _ in blocks]) - model.input_mean) / model.input_scale
+    return _softmax(np.einsum("nd,cd->nc", x, model.weights) + model.bias)
+
+
+def _same_classes(models) -> None:
+    if any(m.classes != models[0].classes for m in models):
+        raise FuseError("branch models disagree on the class list")
+
+
 def predict_scores(model: SoftmaxModel, feature) -> np.ndarray:
-    """Softmax probabilities over the model's classes."""
+    """Softmax probabilities over the model's classes: the scorer on a
+    one-row batch."""
     v = feature.values if isinstance(feature, FeatureVector) else np.asarray(feature, float)
-    if v.shape != (model.feature_dim,):
-        raise PredictError(f"feature dim {v.shape} != model dim {model.feature_dim}")
-    v = (v - model.input_mean) / model.input_scale
-    return _softmax(model.weights @ v + model.bias)
+    return _scores(model, [(v[None], None)])[0]
 
 
 def fuse_and_classify(models, features) -> str:
-    """Sum the branch probability vectors and take the argmax; ties resolve
-    to the earliest class in the shared class order."""
-    m_a, m_b = models
-    if m_a.classes != m_b.classes:
-        raise FuseError("branch models disagree on the class list")
-    combined = predict_scores(m_a, features[0]) + predict_scores(m_b, features[1])
-    return m_a.classes[int(np.argmax(combined))]
+    """Sum the branch probability vectors (one feature per branch model) and
+    take the argmax; ties resolve to the earliest class in the shared class
+    order."""
+    _same_classes(models)
+    combined = sum(predict_scores(m, f) for m, f in zip(models, features, strict=True))
+    return models[0].classes[int(np.argmax(combined))]
 
 
 def classify(model: SoftmaxModel, feature) -> str:
     return model.classes[int(np.argmax(predict_scores(model, feature)))]
 
 
-def _rows(f: FeatureVector) -> np.ndarray:
-    return np.atleast_2d(f.values)
-
-
-def _pool_scores(model: SoftmaxModel, blocks) -> np.ndarray:
-    """Softmax probabilities of every row of `blocks`, (2-D rows, extractor)
-    pairs, stacked, from one product. A model scores only the feature table
-    it trained on."""
-    for x, table in blocks:
-        if x.shape[1] != model.feature_dim:
-            raise PredictError(f"feature dim ({x.shape[1]},) != model dim {model.feature_dim}")
-        if table.value != model.trained_on:
-            raise EvalError(f"a model trained on {model.trained_on} features cannot score "
-                            f"{table.value} features")
-    x = np.concatenate([x for x, _ in blocks])
-    return _softmax((x - model.input_mean) / model.input_scale @ model.weights.T + model.bias)
-
-
-def _accuracy(classes: list, scores: np.ndarray, labels: list) -> float:
-    """Fraction of rows whose argmax class (the earliest on ties) is their
-    label."""
-    hits = sum(classes[i] == label for i, label in zip(np.argmax(scores, axis=1).tolist(), labels))
-    return hits / len(labels)
+def _fused_accuracy(models, groups) -> float:
+    """Fraction of rows whose summed branch probabilities peak (at the
+    earliest class on ties) at their label. `groups` hold one labeled
+    FeatureVector per model, whose blocks pair up row by row; labels come
+    from the first branch's device_hint. One product per branch scores
+    them all."""
+    groups = [tuple(g) for g in groups]
+    rows = [min(len(np.atleast_2d(f.values)) for f in g) for g in groups]
+    labels = [g[0].device_hint for g, n in zip(groups, rows) for _ in range(n)]
+    if not labels:
+        raise EvalError("empty test set")
+    _same_classes(models)
+    combined = sum(_scores(m, [(np.atleast_2d(f.values)[:n], f.extractor)
+                               for f, n in zip(branch, rows)])
+                   for m, branch in zip(models, zip(*groups), strict=True))
+    picked = np.argmax(combined, axis=1).tolist()
+    return sum(models[0].classes[i] == label for i, label in zip(picked, labels)) / len(labels)
 
 
 def evaluate(model: SoftmaxModel, features) -> float:
     """Fraction of correctly classified labeled features (every row of a
-    block FeatureVector counts as one); one product scores them all."""
-    blocks = [((_rows(f), f.extractor), f.device_hint) for f in features]
-    labels = [label for (x, _), label in blocks for _ in range(len(x))]
-    if not labels:
-        raise EvalError("empty test set")
-    return _accuracy(model.classes, _pool_scores(model, [b for b, _ in blocks]), labels)
+    block FeatureVector counts as one)."""
+    return _fused_accuracy((model,), [(f,) for f in features])
 
 
-def evaluate_fused(models, feature_pairs) -> float:
-    """Accuracy of the two-branch fusion over (branch_a, branch_b) feature
-    pairs (blocks pair up row by row); labels come from the first branch's
-    device_hint. One product per branch scores them all."""
-    pairs = []
-    for fa, fb in feature_pairs:
-        xa, xb = _rows(fa), _rows(fb)
-        n = min(len(xa), len(xb))
-        pairs.append(((xa[:n], fa.extractor), (xb[:n], fb.extractor), fa.device_hint))
-    labels = [label for (xa, _), _, label in pairs for _ in range(len(xa))]
-    if not labels:
-        raise EvalError("empty test set")
-    m_a, m_b = models
-    if m_a.classes != m_b.classes:
-        raise FuseError("branch models disagree on the class list")
-    combined = (_pool_scores(m_a, [a for a, _, _ in pairs])
-                + _pool_scores(m_b, [b for _, b, _ in pairs]))
-    return _accuracy(m_a.classes, combined, labels)
+def evaluate_fused(models, feature_groups) -> float:
+    """Accuracy of the fusion of any number of branch models over feature
+    groups, one FeatureVector per branch (blocks pair up row by row);
+    labels come from the first branch's device_hint."""
+    return _fused_accuracy(models, feature_groups)
 
 
 MODEL_FORMAT_VERSION = 1

@@ -117,7 +117,8 @@ def cmd_simulate(args) -> int:
 #    consecutive segments overlap by a window and the samples after a
 #    segment's last whole window are scanned by the next one;
 #  - a frame detected but not acquired (sync or CFO estimation failed):
-#    by FAILED_SKIP;
+#    by a frame span (a detection window and FRAME_ADVANCE): the frame has
+#    no trusted start, so the walk moves past it and looks again;
 #  - a frame acquired at start n1: by n1 + FRAME_ADVANCE;
 #  - a frame acquired so late that a field window the walk reads runs past
 #    the segment (the field spectra drop it as a `WindowBoundsError`), in a
@@ -126,19 +127,15 @@ def cmd_simulate(args) -> int:
 #    noise-floor window is quiet and the segment holds the whole frame,
 #    which is walked again. A frame that the capture's end cuts off stays
 #    dropped, like a failed acquisition: it takes an index and the walk
-#    moves on by FAILED_SKIP.
+#    moves on by a frame span.
+# The walk ends when fewer than a frame span remain: they cannot hold a
+# noise window followed by a frame's FRAME_ADVANCE samples.
 # Samples per segment: more than one simulated frame capture (a lead gap of
 # at most 296 samples, the 400-sample preamble and a 120-sample tail make
 # 816), so a segment that starts in the quiet gap before a frame holds the
-# frame's whole preamble and sync search.
+# frame's whole preamble and sync search, and a frame span at the largest
+# detection window (`preprocess.MAX_WINDOW_W`).
 SEGMENT_LEN = 1100
-# The walk ends when fewer samples remain: they cannot hold a default
-# 80-sample noise window followed by a frame's FRAME_ADVANCE samples.
-MIN_SEGMENT = 500
-# A frame that failed acquisition has no trusted start, so the walk moves
-# past it by a noise window and a frame span (80 + FRAME_ADVANCE) and
-# looks again.
-FAILED_SKIP = 500
 # The HT-MF preamble plus 20 samples: the next segment starts in the quiet
 # tail after the frame, where its noise-floor window belongs.
 FRAME_ADVANCE = FRAME_LEN + 20
@@ -170,12 +167,13 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
     rewalk_lead = 2 * window_w
+    frame_span = window_w + FRAME_ADVANCE
     with ExitStack() as stack:
         for reader in readers:
             stack.enter_context(reader)
         pos = [0] * len(readers)
         count = [0] * len(readers)
-        active = [i for i, r in enumerate(readers) if MIN_SEGMENT <= len(r)]
+        active = [i for i, r in enumerate(readers) if frame_span <= len(r)]
         # 16 rows of 1100 samples are 275 KiB, over the 256 KiB from which numpy
         # elides temporaries and reorders a complex product (see
         # preprocess.apply_cfo); the stages take only magnitudes of the full
@@ -201,10 +199,10 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
                     continue
                 frame_index[row] = count[i]
                 count[i] += 1
-                pos[i] += FAILED_SKIP if exc else int(n1[row]) + FRAME_ADVANCE
+                pos[i] += frame_span if exc else int(n1[row]) + FRAME_ADVANCE
             yield _Step(active, frame_index, spectra)
             active = [i for row, i in enumerate(active)
-                      if pos[i] + MIN_SEGMENT <= len(readers[i])
+                      if pos[i] + frame_span <= len(readers[i])
                       and not (until_acquired and acquired[row])]
 
 

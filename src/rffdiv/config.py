@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import classify as cl
 from .features import DIVISIONS
-from .preprocess import MIN_WINDOW_W
+from .preprocess import MAX_WINDOW_W, MIN_WINDOW_W
 from .signals import SAMPLE_RATE
 
 
@@ -163,7 +163,7 @@ _CHANNEL = {
 # Also a capture manifest's detection. The detector always sums magnitudes;
 # `metric` stays for the files that carry it (report format 2 drops it).
 _DETECTION = {
-    "window_w": (_number(integer=True, lo=MIN_WINDOW_W), 80),
+    "window_w": (_number(integer=True, lo=MIN_WINDOW_W, hi=MAX_WINDOW_W), 80),
     "threshold_multiplier": (_number(lo=0, above=True), 6.0),
     "metric": (_is("magnitude".__eq__, "'magnitude'"), "magnitude"),
 }

@@ -222,6 +222,8 @@ def load_config(doc) -> ExperimentConfig:
     train_sets = [[t] if isinstance(t, str) else t for t in train]
     _distinct(["+".join(sorted(set(t))) for t in train_sets], "train_receivers")
     _distinct(test, "test_receivers")
+    _distinct(top["snr_db"], "snr_db")
+    _distinct(top["extractors"], "extractors")
     ids = {r for t in train_sets for r in t} | set(test)
     if ids - set(rx_ids):
         raise ConfigError(f"train or test receivers {sorted(ids - set(rx_ids))} not in receivers")
@@ -696,11 +698,8 @@ def _train_and_score(cfg, links) -> list:
     out = []
     for extractor, train_label, tags, test_pools in cells:
         branch = [next(models) for _ in tags]
-        if len(branch) == 2:
-            accs = [cl.evaluate_fused(tuple(branch), list(zip(*(pool[t] for t in tags))))
-                    for pool in test_pools]
-        else:
-            accs = [cl.evaluate(branch[0], pool[tags[0]]) for pool in test_pools]
+        accs = [cl.evaluate_fused(branch, list(zip(*(pool[t] for t in tags))))
+                for pool in test_pools]
         out.append((extractor, train_label, accs))
     return out
 

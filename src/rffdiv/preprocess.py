@@ -90,6 +90,9 @@ _SPAN_LEN = FRAME_LEN - _SPAN_START
 _SEARCH_LEN = 400
 _PEAK_FLOOR_RATIO = 3.0
 MIN_WINDOW_W = 16  # the shortest detection window, in samples
+# The longest: `extract`'s 1100-sample segment (`cli.SEGMENT_LEN`) holds a
+# noise window followed by a frame's 420 samples (`cli.FRAME_ADVANCE`).
+MAX_WINDOW_W = 680
 # Skip the first half short symbol so detection-edge transients stay out of
 # the autocorrelation sums.
 CFO_START_OFFSET = 8

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,3 +268,32 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="integer"):
             cl.TrainConfig(seed=seed)
     assert cl.TrainConfig(seed=np.int64(3)).seed == 3
+
+
+def test_per_vector_scores_are_the_batched_rows_bit_for_bit(rng):
+    """A vector scores the same bits alone as stacked in a pool, so the
+    per-vector predictions are exactly what the pool accuracies count."""
+    classes = [f"dev{i}" for i in range(10)]
+    for _ in range(200):
+        models = [cl.SoftmaxModel(rng.normal(size=(10, dim)), rng.normal(size=10), classes, name,
+                                  input_mean=rng.normal(size=dim) * 0.1,
+                                  input_scale=rng.random(dim) + 0.5)
+                  for dim, name in ((12, "RD_STF"), (52, "RD_LTF"))]
+        sizes = rng.integers(0, 9, size=3).tolist() + [1]
+        pools = [_random_pool(rng, classes, dim, table, sizes)
+                 for dim, table in ((12, Extractor.RD_STF), (52, Extractor.RD_LTF))]
+        rows = []
+        for model, pool in zip(models, pools):
+            scores = cl._scores(model, [(f.values, f.extractor) for f in pool])
+            vectors = np.concatenate([f.values for f in pool])
+            assert len(scores) == len(vectors) == sum(sizes)
+            for v, row in zip(vectors, scores):
+                assert np.array_equal(cl.predict_scores(model, v), row)
+            rows.append([replace(pool[0], values=v) for v in vectors])
+        # every row labeled with its per-vector prediction: the pools score 1
+        stf, ltf = rows
+        single = [replace(f, device_hint=cl.classify(models[0], f)) for f in stf]
+        assert cl.evaluate(models[0], single) == 1.0
+        fused = [(replace(a, device_hint=cl.fuse_and_classify(models, (a, b))), b)
+                 for a, b in zip(stf, ltf)]
+        assert cl.evaluate_fused(models, fused) == 1.0

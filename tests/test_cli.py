@@ -631,3 +631,30 @@ def test_extract_capture_of_an_unknown_role_is_config_error(monkeypatch, sim_dir
     assert err.startswith(f"config error: {tmp_path / 'manifest.json'}: ")
     assert "captures[1].role" in err and "'devcie'" in err
     assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("window_w, codes", [(680, (0, 3)), (1100, (2,)), (1200, (2,))])
+@pytest.mark.parametrize("command", ["bench", "extract"])
+def test_large_detection_window_ends_without_a_traceback(config_path, sim_dir, tmp_path,
+                                                         command, window_w, codes):
+    # past 680 a segment cannot hold a noise window and a frame: at 1100 the
+    # walk's no-detection step was 0 samples (extract never ended), at 1200
+    # detection took the argmax of no windows (exit 1)
+    if command == "bench":
+        doc = {**json.loads(config_path.read_text()), "detection": {"window_w": window_w}}
+        argv = ["bench", "--config", str(tmp_path / "cfg.json")]
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    else:
+        doc = json.loads((sim_dir / "manifest.json").read_text())
+        doc["detection"]["window_w"] = window_w
+        for cap in doc["captures"]:
+            cap["path"] = str(sim_dir / cap["path"])
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        argv = ["extract", "--manifest", str(tmp_path)]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rffdiv.cli", *argv, "--out-dir",
+                               str(tmp_path / "out")], capture_output=True, env=_child_env(),
+                              timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{command} at window_w {window_w} did not end in 60 s")
+    assert proc.returncode in codes, proc.stderr.decode()

@@ -170,3 +170,34 @@ def test_repeated_id_is_config_error(monkeypatch, tmp_path, capsys, keys, repeat
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{repeated} appears more than once" in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys, repeated", [
+    ({"snr_db": [30, 30]}, "snr_db: 30.0"),
+    ({"snr_db": [30, 20.0, 30.0]}, "snr_db: 30.0"),  # 30 and 30.0 are one SNR
+    ({"extractors": ["HL", "DV", "HL"]}, "extractors: 'HL'"),
+])
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+def test_repeated_snr_or_extractor_is_config_error(monkeypatch, tmp_path, capsys, keys,
+                                                   repeated, command):
+    # a repeated entry ran its cells twice, doubling their `repeats`
+    def no_link(*args, **kwargs):
+        raise AssertionError("a link ran")
+
+    monkeypatch.setattr(hz, "frame_blocks", no_link)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_doc(**keys)))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{repeated} appears more than once" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_window_w_bound_leaves_the_walk_a_frame_span():
+    from rffdiv import cli
+    from rffdiv.preprocess import MAX_WINDOW_W
+    # a segment holds a noise window at the largest window_w and a frame
+    assert cli.SEGMENT_LEN >= MAX_WINDOW_W + cli.FRAME_ADVANCE
+    assert cf._read(cf._DETECTION, {"window_w": MAX_WINDOW_W}, "d")["window_w"] == MAX_WINDOW_W
+    with pytest.raises(cf.ConfigError, match="at most 680"):
+        cf._read(cf._DETECTION, {"window_w": MAX_WINDOW_W + 1}, "d")

@@ -2,6 +2,8 @@
 file by file, that gives what walking each file alone, one frame at a
 time, gives."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from rffdiv import config as cf
 from rffdiv import data_io
 from rffdiv import harness as hz
 from rffdiv import preprocess as pp
-from rffdiv.cli import _extract_group, _walk_captures
+from rffdiv.cli import _extract_group, _walk_captures, main
 from rffdiv.features import (DegenerateDenominatorError, DegenerateModelError, Field,
                              FieldSpectrum, field_spectrum)
 from rffdiv.signals import ComplexSignal
@@ -308,3 +310,29 @@ def test_row_whose_model_came_through_another_receiver_raises(mixed):
     wired = {"rxA": models["rxA"], "rxB": models["rxA"]}
     with pytest.raises(hz.PipelineError, match="captured through rxA cannot divide frames from rxB"):
         _extract(paths, receivers, wired)
+
+
+def test_small_window_walks_a_short_file(tmp_path, capsys):
+    """A 480-sample capture holds a frame after 40 samples of lead: at
+    window_w 16 the walk needs only 16 + 420 samples, where a fixed
+    500-sample minimum left every such file unwalked and its frame
+    neither yielded nor dropped."""
+    cfg = hz.load_config({"master_seed": 5, "devices": {"count": 2, "base_seed": 100},
+                          "receivers": {"count": 1, "base_seed": 900}, "extractors": ["HL"]})
+    devices, receivers, _ = hz._profiles(cfg)
+    chan = hz._draw_channel(cfg, 30.0, 1)
+    captures = []
+    for k in range(4):
+        capture, start = hz.simulate_capture(devices[k % 2], receivers[0], chan, 10 + k, 20 + k)
+        name, cut = f"cap{k}.iq", capture.samples[start - 40 : start + 440]
+        data_io.write_iq(tmp_path / name, ComplexSignal(cut))
+        captures.append({"path": name, "device": devices[k % 2].device_id,
+                         "receiver": receivers[0].device_id, "role": "device", "frames": 1})
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "format_version": 1, "scenario": "flat", "snr_db": 30.0,
+        "detection": {"window_w": 16, "threshold_multiplier": 6.0}, "captures": captures}))
+    out = tmp_path / "feat"
+    assert main(["extract", "--manifest", str(tmp_path), "--extractor", "HL",
+                 "--out-dir", str(out)]) == 0
+    assert "wrote 4 feature rows (0 frames dropped)" in capsys.readouterr().out
+    assert len(data_io.read_features(out / "features_hl.csv")) == 4
