@@ -265,18 +265,32 @@ def cmd_extract(args) -> int:
     # the device groups are independent, so they run on every usable CPU; each
     # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
-    n_rows = dropped = 0
+    groups = _lockstep_groups(captures, readers, "device")
+    n_rows = dropped = listed = missed = 0
+    surplus = []  # captures with more frames than their manifest entry lists
     with data_io.feature_tables(out) as write_rows:
-        for links in harness.map_ordered(task, [
-                (group, [readers[i] for i in group])
-                for group in _lockstep_groups(captures, readers, "device")]):
-            for link in links:
+        for group, links in zip(groups, harness.map_ordered(
+                task, [(group, [readers[i] for i in group]) for group in groups])):
+            for i, link in zip(group, links):
                 write_rows(link.csv)
                 n_rows += len(link.frames) * len(link.csv)  # every table has the same rows
                 dropped += link.dropped
+                cap = captures[i]
+                if "frames" in cap:
+                    # a listed frame that took no index was never detected
+                    found = len(link.frames) + link.dropped
+                    listed += cap["frames"]
+                    missed += cap["frames"] - found
+                    if found > cap["frames"]:
+                        surplus.append(f"{cap['path']} holds {found} frames; "
+                                       f"the manifest lists {cap['frames']}")
     if not n_rows:
         print("no frames survived extraction", file=sys.stderr)
         return EXIT_PIPELINE
+    for line in surplus:
+        print(line)
+    if missed:
+        print(f"{missed} of {listed} frames listed in the manifest were never detected")
     print(f"wrote {n_rows} feature rows ({dropped} frames dropped) to {out}")
     return EXIT_OK
 

@@ -38,7 +38,8 @@ import math
 import operator
 import os
 import pickle
-from collections import Counter, deque
+import signal
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -577,43 +578,115 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _call_pickled(call: bytes):
-    """`fn(item)` for a pickled (fn, item) pair."""
-    fn, item = pickle.loads(call)
-    return fn(item)
+def _failure_record(exc: BaseException, index: int) -> bytes:
+    """The pickled (False, exc) of item `index`; an exception that does not
+    pickle, or does not unpickle, goes as a PipelineError with its type and
+    message."""
+    try:
+        record = pickle.dumps((False, exc))
+        pickle.loads(record)
+        return record
+    except Exception:
+        return pickle.dumps((False, PipelineError(
+            f"item {index} raised {type(exc).__name__}, which does not pickle: {exc}")))
+
+
+def _serve(calls, out, first: int, step: int) -> None:
+    """A worker's loop: runs `calls`, pickled (fn, item) pairs of items
+    first, first + step, ..., in order, and writes each outcome to the
+    binary file `out` as a record: its length (8 bytes, little-endian), then
+    the pickled (True, result) or (False, exception). Stops after its first
+    failure."""
+    for k, call in enumerate(calls):
+        try:
+            fn, item = pickle.loads(call)
+            record, ok = pickle.dumps((True, fn(item))), True
+        except BaseException as exc:  # sent to the parent, which raises it
+            record, ok = _failure_record(exc, first + k * step), False
+        out.write(len(record).to_bytes(8, "little"))
+        out.write(record)
+        out.flush()
+        if not ok:
+            return
+
+
+def _read_record(pipe) -> bytes | None:
+    """The next record of a worker's pipe (`_serve`), or None when the pipe
+    ends before a whole record."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    record = pipe.read(size)
+    return record if len(record) == size else None
 
 
 def map_ordered(fn, items):
-    """`map(fn, items)` over a pool of forked worker processes, one per
-    usable CPU and at most one per item; yields the results in input order.
-    `fn` and the items must pickle: the first item that does not raises its
-    pickling error before any worker starts. With one worker this is the
-    built-in `map`, in this process. A failing item raises its own exception
-    (the earliest failing item's, as the built-in `map` would) and cancels
-    the items not yet started."""
+    """`map(fn, items)` over forked worker processes, one per usable CPU and
+    at most one per item; yields the results in input order. With one
+    worker this is the built-in `map`, in this process.
+
+    `fn` and the items must pickle: every call is pickled before the first
+    fork, so one that does not raises its pickling error and starts no
+    process. Worker w of W runs items w, w + W, ... in that order and writes
+    each result to a pipe of its own (`_serve`); the parent reads item i
+    from worker i mod W, so results arrive in input order and a worker runs
+    at most a pipe buffer ahead. A failing item raises its own exception
+    (the earliest failing item's, as the built-in `map` would); a worker
+    that ends without an item's result raises a PipelineError naming the
+    item and its exit status. At that first failure, or when the generator
+    is closed early, the workers still running are killed; every worker is
+    reaped before the generator returns or raises. Forked, not spawned: a
+    spawned worker would import numpy and rffdiv again (about 0.2 s, a
+    quarter of a bench's link work)."""
     items = list(items)
     workers = min(usable_cpus(), len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Pickled here, once per call: the executor, left to pickle two calls that
-    # do not pickle, hangs in its shutdown with its workers running.
     calls = [pickle.dumps((fn, item)) for item in items]
-    # fork, not spawn: a spawned worker would import numpy and rffdiv again
-    # (about 0.2 s, a quarter of a bench's link work). From Python 3.11 the
-    # executor forks every worker at the first submit, before it starts a
-    # thread of its own.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pids, pipes, finished = [], [], False
     try:
-        futures = deque(pool.submit(_call_pickled, call) for call in calls)
-        while futures:
-            # a yielded future is dropped: it would hold its result to the end
-            yield futures.popleft().result()
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            pid = os.fork()
+            if pid == 0:  # the worker; it leaves only through os._exit
+                code = 1
+                try:
+                    for pipe in pipes:  # its own read end and its siblings'
+                        pipe.close()
+                    with os.fdopen(write_end, "wb") as out:
+                        _serve(calls[w::workers], out, w, workers)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            pids.append(pid)
+        del calls  # the workers hold their own
+        for i in range(len(items)):
+            w = i % workers
+            record = _read_record(pipes[w])
+            if record is None:
+                status = os.waitpid(pids[w], 0)[1]
+                pids[w] = None
+                raise PipelineError(f"worker {w} ended without the result of item {i} "
+                                    f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(record)
+            del record
+            if not ok:
+                raise value
+            yield value
+            del value  # else this frame holds it through the next read
+        finished = True
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            if pid is not None:
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _link_task(cfg, snr_db, repeat, csv, link) -> LinkFeatures:

@@ -104,13 +104,47 @@ def _rotate(x: np.ndarray, f_hz: float) -> np.ndarray:
     return x * phasor
 
 
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The power series `c` (constant term first) at `x`, in the Horner
+    order of `numpy.polynomial.polynomial.polyval`, so with its bits; numpy
+    would load `numpy.polynomial` for it."""
+    y = c[-1] + x * 0
+    for a in c[-2::-1]:
+        y = a + y * x
+    return y
+
+
+def _leg2poly(leg: np.ndarray) -> np.ndarray:
+    """The power series of a Legendre series whose last coefficient is not
+    0, by the recurrence of `numpy.polynomial.legendre.leg2poly` with its
+    operation order, so with its bits."""
+
+    def add(a, b):  # polyadd: the shorter series padded; polysub(a, b) is add(a, -b)
+        a, b = (a, b) if len(a) >= len(b) else (b, a)
+        out = a.copy()
+        out[: len(b)] += b
+        return out
+
+    def mulx(p):  # polymulx: the new constant term is p[0] * 0, a signed zero
+        return np.concatenate((p[:1] * 0, p))
+
+    c = np.array(leg, dtype=np.float64)
+    if len(c) < 3:
+        return c
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = (add(c[i - 2 : i - 1], -((c1 * (i - 1)) / i)),
+                  add(c0, (mulx(c1) * (2 * i - 1)) / i))
+    return add(c0, mulx(c1))
+
+
 def _tilt_gain(tilt: np.ndarray) -> np.ndarray:
     """Per-bin linear gain over the 64-point grid from dB polynomial in the
     normalized tone index t = k/32, k in [-32, 31]."""
     k = np.arange(FFT_SIZE)
     k_signed = np.where(k < FFT_SIZE // 2, k, k - FFT_SIZE)
     t = k_signed / (FFT_SIZE // 2)
-    db = np.polynomial.polynomial.polyval(t, tilt)
+    db = _polyval(t, tilt)
     return 10.0 ** (db / 20.0)
 
 
@@ -233,16 +267,16 @@ def sample_profile(
         deg = ranges["tilt_degree"]
         leg = np.zeros(deg + 1)
         leg[1:] = rng.standard_normal(deg) * 0.95 ** np.arange(deg)
-        coeffs = np.polynomial.legendre.leg2poly(leg)
+        coeffs = _leg2poly(leg)
         rms_lo, rms_hi = ranges["tilt_rms_db"]
         target = rng.uniform(rms_lo, rms_hi)
         t = np.arange(-32, 32) / 32.0
-        curve = np.polynomial.polynomial.polyval(t, coeffs)
+        curve = _polyval(t, coeffs)
         curve = curve - curve.mean()
         rms = float(np.sqrt(np.mean(curve**2)))
         if rms > 0:
             coeffs = coeffs * (target / rms)
-            coeffs[0] -= float(np.polynomial.polynomial.polyval(t, coeffs).mean())
+            coeffs[0] -= float(_polyval(t, coeffs).mean())
         tilt = coeffs
     if device_id is None:
         device_id = f"{role.lower()}-{rng_seed}"

@@ -504,6 +504,29 @@ def test_extract_manifest_listing_a_capture_twice_is_config_error(sim_dir, tmp_p
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("change, line", [
+    (1, "1 of 61 frames listed in the manifest were never detected"),
+    # more frames found than listed: the capture is named and the count not clamped
+    (-1, "-1 of 59 frames listed in the manifest were never detected"),
+])
+def test_extract_reports_listed_frames_never_detected(sim_dir, tmp_path, capsys, change, line):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    devices = [cap for cap in doc["captures"] if cap["role"] == "device"]
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(tmp_path / "a")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert len(summary) == 1 and summary[0].startswith("wrote ")  # every listed frame found
+    assert sum(cap["frames"] for cap in devices) == 60
+    devices[1]["frames"] += change
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["extract", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    named = [f"{devices[1]['path']} holds 10 frames; the manifest lists 9"] if change < 0 else []
+    assert lines[:-1] == named + [line]
+    assert lines[-1] == summary[0].replace(str(tmp_path / "a"), str(tmp_path / "b"))
+
+
 def test_extract_writes_each_group_before_taking_the_next(monkeypatch, sim_dir, tmp_path):
     events = []
     real_map, real_append = hz.map_ordered, data_io.append_feature_rows

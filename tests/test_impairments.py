@@ -134,3 +134,18 @@ def test_linear_profile_commutes_with_input_scaling():
 def test_default_ranges_keep_net_cfo_inside_sync_budget():
     worst = imp.TX_RANGES["cfo_hz"] + imp.RX_RANGES["cfo_hz"]
     assert worst < 90e3  # noiseless sync alias wins around 95 kHz net offset
+
+
+def test_power_series_helpers_match_numpy_polynomial_bits():
+    from numpy.polynomial import legendre, polynomial
+
+    rng = np.random.default_rng(27)
+    t = np.arange(-32, 32) / 32.0
+    for n in range(1000):
+        leg = np.zeros(7)
+        leg[1:] = rng.standard_normal(6) * 0.95 ** np.arange(6)
+        if n % 10 == 0:  # other lengths, and a nonzero constant term
+            leg = rng.standard_normal(1 + n % 9)
+        coeffs = imp._leg2poly(leg)
+        assert coeffs.tobytes() == legendre.leg2poly(leg).tobytes()
+        assert imp._polyval(t, coeffs).tobytes() == polynomial.polyval(t, coeffs).tobytes()

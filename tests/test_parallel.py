@@ -252,3 +252,120 @@ def test_ordered_map_of_calls_that_do_not_pickle_raises_and_leaves_no_process(ca
     proc.wait()
     assert out.strip() == "raised []"
     assert not left, "a process of the call was left running"
+
+
+_DIES = """
+import os
+from rffdiv import harness
+harness.usable_cpus = lambda: 2
+
+def exit_at_three(x):
+    if x == 3:
+        os._exit(3)
+    return x
+
+try:
+    list(harness.map_ordered(exit_at_three, range(6)))
+except harness.PipelineError as exc:
+    print(exc)
+"""
+
+
+def test_worker_that_dies_mid_item_raises_and_leaves_no_process():
+    """Item 3's call ends its worker with status 3: the parent raises at
+    item 3 instead of waiting for a record that never comes."""
+    src = str(Path(rffdiv.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _DIES], stdout=subprocess.PIPE, text=True,
+                            start_new_session=True,
+                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    try:
+        out, _ = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        out = "timed out"
+    left = True
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        left = False
+    proc.wait()
+    assert out.strip() == "worker 1 ended without the result of item 3 (exit status 3)"
+    assert not left, "a process of the call was left running"
+
+
+def test_early_close_leaves_no_child(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    results = hz.map_ordered(_slow_negative, [0, 1, 40, 40])  # the last two take 2 s each
+    assert next(results) == 0
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 1.0, "close waited for a running item"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, items", [(2, 5), (3, 2), (4, 7)])
+def test_ordered_map_forks_one_worker_per_cpu_or_item(monkeypatch, forks, cpus, items):
+    _with_cpus(monkeypatch, cpus)
+    assert list(hz.map_ordered(_slow_negative, [0] * items)) == [0] * items
+    assert len(forks) == min(cpus, items)
+
+
+class _Unpicklable(Exception):
+    """Pickles but does not unpickle: its one argument is not `__init__`'s two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _raise_unpicklable(x):
+    if x == 2:
+        raise _Unpicklable("item two", "not wanted")
+    if x == 3:
+        raise ValueError(lambda: x)  # its argument does not pickle
+    return x
+
+
+@pytest.mark.parametrize("items, want", [
+    ([0, 1, 2], "item 2 raised _Unpicklable, which does not pickle: item two: not wanted"),
+    ([0, 3, 1], "item 1 raised ValueError, which does not pickle: <function "),
+])
+def test_exception_that_does_not_pickle_arrives_as_pipeline_error(monkeypatch, items, want):
+    _with_cpus(monkeypatch, 2)
+    with pytest.raises(hz.PipelineError) as info:
+        list(hz.map_ordered(_raise_unpicklable, items))
+    assert str(info.value).startswith(want)
+
+
+_BENCH_IMPORTS = """
+import json, sys
+from rffdiv import harness
+from rffdiv.cli import main
+harness.usable_cpus = lambda: 2
+forks = []
+real_fork = harness.os.fork
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+harness.os.fork = fork
+code = main(["bench", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+print(json.dumps([code, len(forks), sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("multiprocessing", "concurrent")
+                  or m.startswith("numpy.polynomial"))]))
+"""
+
+
+def test_bench_run_loads_no_process_pool_or_polynomial(tmp_path):
+    """A bench on two CPUs, field-distinct transmitters (whose tilt is a
+    Legendre draw) and the reference division loads none of them."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**DOC, "devices": {**DOC["devices"], "count": 2},
+                                  "frames_per_device": 4}))
+    src = str(Path(rffdiv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _BENCH_IMPORTS, str(config),
+                           str(tmp_path / "out")], capture_output=True, timeout=120,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, forks, loaded = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert code == 0 and forks >= 2
+    assert loaded == []
