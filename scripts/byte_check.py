@@ -8,11 +8,14 @@ of the parent commit: `git archive HEAD~1 | tar -x -C /tmp/parent` gives
 
 Each case of `OPS` runs its commands in order, `{out}` standing for a
 fresh, empty directory of its own, once with each tree's package on
-PYTHONPATH. Both run from this tree's root, so they read the same configs.
-Per command it prints the exit code and the last stderr line, and per
-case the sha256 of every file the case wrote. Stdout is compared with the
-case directory written as `{out}`. Exits 1 on any difference from the
-baseline, 0 when every case is the same.
+PYTHONPATH. A command is rffdiv CLI arguments, or a script of the tree
+(`scripts/NAME.py`, no arguments): each tree runs its own copy, found
+beside its `src/`, and a tree without one differs. Both run from this
+tree's root, so they read the same configs. Per command it prints the exit
+code and the last stderr line, and per case the sha256 of every file the
+case wrote. Stdout is compared with the case directory written as `{out}`.
+Exits 1 on any difference from the baseline, 0 when every case is the
+same.
 """
 
 from __future__ import annotations
@@ -43,8 +46,12 @@ def _simulate_extract(config, *flags, extractors=(None, "HL")):
         + (["--extractor", x] if x else []) for x in extractors]
 
 
-# name -> commands (rffdiv CLI arguments). The default config at seed 7 and
-# the 15 dB mobile runs exit 1 (a late frame's WindowBoundsError).
+def _script(name):
+    return [[f"scripts/{name}"]]
+
+
+# name -> commands. The default config at seed 7 and the 15 dB mobile runs
+# exit 1 (a late frame's WindowBoundsError).
 OPS = {
     "bench default": _bench(_DEFAULT),
     "bench default seed 7": _bench(_DEFAULT, "--seed", "7"),
@@ -64,7 +71,18 @@ OPS = {
         # no --out-dir: eval.json holds the case directory's path; stdout holds the
         # same document and is compared with that path normalized
         ["eval", "--model", "{out}/hl.json", "--features", "{out}/HL/features_hl.csv"]],
+    "script snr_stability_sweep": _script("snr_stability_sweep.py"),
+    "script reference_sweep_demo": _script("reference_sweep_demo.py"),
 }
+
+
+def _argv(src: Path, args) -> list[str] | None:
+    """The command line of one command on the tree of `src`; None for a
+    script that tree has no copy of."""
+    if not args[0].startswith("scripts/"):
+        return [sys.executable, "-m", "rffdiv.cli", *args]
+    script = src.parent / args[0]
+    return [sys.executable, str(script)] if script.is_file() else None
 
 
 def run_case(src: Path, commands) -> dict:
@@ -77,9 +95,11 @@ def run_case(src: Path, commands) -> dict:
         Path(out).mkdir()
         runs = []
         for args in commands:
-            proc = subprocess.run([sys.executable, "-m", "rffdiv.cli",
-                                   *(a.replace("{out}", out) for a in args)],
-                                  cwd=ROOT, env=env, capture_output=True, text=True)
+            argv = _argv(src, [a.replace("{out}", out) for a in args])
+            if argv is None:
+                runs.append((None, f"no {args[0]} in this tree", ""))
+                continue
+            proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
             last = "".join(proc.stderr.strip().splitlines()[-1:])
             runs.append((proc.returncode, last.replace(out, "{out}"),
                          proc.stdout.replace(out, "{out}")))
@@ -115,7 +135,8 @@ def main(argv=None) -> int:
         got, want = run_case(ROOT / "src", commands), run_case(baseline, commands)
         print(f"== {name}")
         for args, (code, last, _) in zip(commands, got["runs"]):
-            print(f"  rffdiv {' '.join(args)}\n    exit {code}; stderr: {last!r}")
+            shown = "python" if args[0].startswith("scripts/") else "rffdiv"
+            print(f"  {shown} {' '.join(args)}\n    exit {code}; stderr: {last!r}")
         for path, digest in got["files"].items():
             print(f"  {digest}  {path}")
         diff = differences(got, want)

@@ -8,6 +8,7 @@ need not reproduce the hardware relationship."""
 import json
 
 from rffdiv import harness as hz
+from rffdiv import studies
 
 
 def main():
@@ -27,7 +28,7 @@ def main():
     }
     cfg = hz.load_config(doc)
     candidates = [{"id": f"cand{i}", "seed": 300 + i} for i in range(5)]
-    result = hz.run_reference_sweep(cfg, candidates)
+    result = studies.run_reference_sweep(cfg, candidates)
     print(f"{'candidate':>10} {'eta_LF':>10} {'mean accuracy':>14}")
     for row in result["candidates"]:
         print(f"{row['candidate']:>10} {row['eta_lf']:10.4f} {row['mean_accuracy']:14.4f}")

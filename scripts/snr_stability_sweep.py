@@ -8,6 +8,7 @@ Xeon).
 """
 
 from rffdiv import harness as hz
+from rffdiv import studies
 
 
 def stability_at(snr_db, scenario, extractors, reference):
@@ -27,7 +28,7 @@ def stability_at(snr_db, scenario, extractors, reference):
         # floor is fine above ~15 dB but swamps weaker signals
         "detection": {"threshold_multiplier": 6.0 if snr_db >= 15 else 2.5},
     }
-    return hz.run_feature_stability(hz.load_config(doc))
+    return studies.run_feature_stability(hz.load_config(doc))
 
 
 def main():

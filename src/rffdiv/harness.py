@@ -34,7 +34,6 @@ stay honest.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import os
 import pickle
@@ -50,7 +49,7 @@ import numpy as np
 from . import classify as cl
 from . import data_io
 from .channel import ChannelKind, ChannelRealization, apply_channel, sample_channel
-from .config import _TOP, SCENARIOS, ConfigError, PipelineError, _distinct, _entities, _read
+from .config import _TOP, SCENARIOS, ConfigError, PipelineError, _distinct, _read
 from .features import (
     DIVISIONS,
     FeatureVector,
@@ -231,11 +230,11 @@ def load_config(doc) -> ExperimentConfig:
     if _needs_reference(top["extractors"]) and top["reference_device"] is None:
         raise ConfigError("reference-division extraction needs a reference_device")
     det = top.pop("detection")
-    return _checked(ExperimentConfig(**top, detection_window=det["window_w"],
-                                     detection_multiplier=det["threshold_multiplier"]))
+    return checked(ExperimentConfig(**top, detection_window=det["window_w"],
+                                    detection_multiplier=det["threshold_multiplier"]))
 
 
-def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+def checked(cfg: ExperimentConfig) -> ExperimentConfig:
     """`cfg`, once its ids are distinct (a device's from the reference's
     too) and its profiles build: an impairment that `DeviceProfile` rejects
     is a ConfigError."""
@@ -263,22 +262,6 @@ def profile_from_entry(entry: dict, role: str, default_field_distinct: bool) -> 
     base = sample_profile(entry.get("seed", 0), role, device_id=entry["id"],
                           field_distinct=entry.get("field_distinct", default_field_distinct))
     return replace(base, **explicit)
-
-
-def profile_to_entry(profile: DeviceProfile) -> dict:
-    """Config-schema form of a profile (round-trips through
-    `profile_from_entry`)."""
-    return {
-        "id": profile.device_id,
-        "seed": profile.seed,
-        "dc_offset": [profile.dc_offset.real, profile.dc_offset.imag],
-        "iq_gain_imbalance": profile.iq_gain_imbalance,
-        "iq_phase_imbalance": profile.iq_phase_imbalance,
-        "fir_taps": [[t.real, t.imag] for t in profile.fir_taps],
-        "pa_coeffs": [[c.real, c.imag] for c in profile.pa_coeffs],
-        "cfo_hz": profile.cfo_hz,
-        "band_tilt": None if profile.band_tilt is None else profile.band_tilt.tolist(),
-    }
 
 
 def _profiles(cfg: ExperimentConfig):
@@ -558,18 +541,6 @@ def _link_features(cfg, blocks, model: ModelCapture | None, rx_id: str,
                           for first, frames in blocks), 1)[0]
 
 
-def _transmit_all(devices, reference) -> tuple[list, np.ndarray | None]:
-    """Transmitted frames of the devices and of the reference (if any)."""
-    return [_transmit(d) for d in devices], None if reference is None else _transmit(reference)
-
-
-def _capture_models(cfg, receivers, sent_ref, repeat, snr_db) -> dict[str, ModelCapture]:
-    if not _needs_reference(cfg.extractors):
-        return {}
-    return {rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr_db)
-            for rj, rx in enumerate(receivers)}
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask); 1 where the
     platform cannot tell or cannot fork."""
@@ -634,9 +605,10 @@ def map_ordered(fn, items):
     at most a pipe buffer ahead. A failing item raises its own exception
     (the earliest failing item's, as the built-in `map` would); a worker
     that ends without an item's result raises a PipelineError naming the
-    item and its exit status. At that first failure, or when the generator
-    is closed early, the workers still running are killed; every worker is
-    reaped before the generator returns or raises. Forked, not spawned: a
+    item and its exit status, and a fork that fails raises its OSError. At
+    that first failure, or when the generator is closed early, the workers
+    still running are killed; every worker is reaped, and every pipe
+    closed, before the generator returns or raises. Forked, not spawned: a
     spawned worker would import numpy and rffdiv again (about 0.2 s, a
     quarter of a bench's link work)."""
     items = list(items)
@@ -650,7 +622,11 @@ def map_ordered(fn, items):
         for w in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(os.fdopen(read_end, "rb"))
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_end)  # no worker to hand it to
+                raise
             if pid == 0:  # the worker; it leaves only through os._exit
                 code = 1
                 try:
@@ -704,25 +680,36 @@ def _link_task(cfg, snr_db, repeat, csv, link) -> LinkFeatures:
     return out
 
 
-def _run_links(cfg, devices, receivers, sent_devices, models, snr_db, repeat,
-               write_rows=None) -> dict:
-    """{(dev_id, rx_id): LinkFeatures} of every link, device-major; the
-    links are independent, so they run on every usable CPU. With
-    `write_rows` (`data_io.feature_tables`) each link's feature CSV rows are
-    formatted in its worker and written as the link arrives."""
+def run_links(cfg: ExperimentConfig, points, write_rows=None):
+    """Per (snr, repeat) of `points`, in order: (snr, repeat, models, links),
+    with each receiver's reference model ({} when no extractor divides by
+    one) and each (device id, receiver id)'s LinkFeatures, device-major.
+    Profiles and transmitted frames are built once; a point's links run on
+    every usable CPU. With `write_rows` (`data_io.feature_tables`) each
+    link's CSV rows are formatted in its worker and written as it arrives.
+    A consumer drops its references to a point's links before asking for
+    the next, as this generator does, so one point's features stay in
+    memory."""
+    devices, receivers, reference = _profiles(cfg)
+    sent = [_transmit(d) for d in devices]
+    sent_ref = None if reference is None else _transmit(reference)
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
-    task = partial(_link_task, cfg, snr_db, repeat, write_rows is not None)
-    results = map_ordered(task, [
-        (sent_devices[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
-        for di, dev, rj, rx in grid])
-    links = {}
-    for (_, dev, _, rx), link in zip(grid, results):
-        if write_rows is not None:
-            write_rows(link.csv)
-            link.csv = {}
-        links[(dev.device_id, rx.device_id)] = link
-    return links
+    for snr, repeat in points:
+        models = ({rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr)
+                   for rj, rx in enumerate(receivers)}
+                  if _needs_reference(cfg.extractors) else {})
+        results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None), [
+            (sent[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
+            for di, dev, rj, rx in grid])
+        links = {}
+        for (_, dev, _, rx), link in zip(grid, results):
+            if write_rows is not None:
+                write_rows(link.csv)
+                link.csv = {}
+            links[(dev.device_id, rx.device_id)] = link
+        yield snr, repeat, models, links
+        del links, link  # the loop's name holds the last link too
 
 
 def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
@@ -784,30 +771,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     arrive, in (snr, repeat, device, receiver) order, so only the current
     (snr, repeat)'s features stay in memory; a run that raises leaves no
     table (`data_io.feature_tables`)."""
-    devices, receivers, reference = _profiles(cfg)
-    sent_devices, sent_ref = _transmit_all(devices, reference)
     cells_acc = {}
     drop_acc = {}
     model_info = {}
+    points = [(snr, rep) for snr in cfg.snr_db for rep in range(cfg.repeats)]
     with nullcontext() if out_dir is None else data_io.feature_tables(out_dir) as write_rows:
-        for snr in cfg.snr_db:
-            for rep in range(cfg.repeats):
-                models = _capture_models(cfg, receivers, sent_ref, rep, snr)
-                links = _run_links(cfg, devices, receivers, sent_devices, models, snr, rep,
-                                   write_rows)
-                for key, link in links.items():
-                    drop_acc.setdefault((snr,) + key, []).append(
-                        link.dropped / cfg.frames_per_device)
-                for rx_id, mc in models.items():
-                    csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
-                    model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
-                        {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
-                    )
-                for extractor, train_label, accs in _train_and_score(cfg, links):
-                    for test_id, acc in zip(cfg.test_receivers, accs):
-                        cells_acc.setdefault((snr, extractor, train_label, test_id),
-                                             []).append(acc)
-                del links  # freed before the next (snr, repeat)'s links arrive
+        for snr, _, models, links in run_links(cfg, points, write_rows):
+            for key, link in links.items():
+                drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
+            for rx_id, mc in models.items():
+                csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
+                model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
+                    {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
+                )
+            for extractor, train_label, accs in _train_and_score(cfg, links):
+                for test_id, acc in zip(cfg.test_receivers, accs):
+                    cells_acc.setdefault((snr, extractor, train_label, test_id), []).append(acc)
+            del links, link  # freed before the next (snr, repeat)'s links run
     cells = [
         {
             "snr_db": snr,
@@ -830,128 +810,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
         drop_rates=drop_rates,
         model_info={k: v for k, v in sorted(model_info.items())},
     )
-
-
-def _pair_means(values: np.ndarray, receivers: np.ndarray) -> dict:
-    """Mean plain and mean-centered cosine over the pairs of rows of
-    `values` (unit-energy feature vectors), split by whether the rows'
-    `receivers` differ; a population with no pair is None. Each comes from
-    a Gram matrix's strict upper triangle. A row whose centered norm is 0
-    has centered cosine 0 with every row."""
-    centered = values - values.mean(axis=1, keepdims=True)
-    norm = np.linalg.norm(centered, axis=1, keepdims=True)
-    centered = np.divide(centered, norm, out=np.zeros_like(centered), where=norm > 0)
-    grams = {"plain": values @ values.T, "centered": centered @ centered.T}
-    i, j = np.triu_indices(len(values), 1)
-    same = receivers[i] == receivers[j]
-    return {pop: {kind: float(np.mean(g[i[pairs], j[pairs]])) if pairs.any() else None
-                  for kind, g in grams.items()}
-            for pop, pairs in (("cross_receiver", ~same), ("trial_to_trial", same))}
-
-
-def run_feature_stability(cfg: ExperimentConfig) -> dict:
-    """Per-device, per-extractor similarity statistics.
-
-    A stability trial always redraws the channel (a trial means an
-    independent capture), so the statistics measure robustness to both
-    noise and channel variation. Two pair populations are reported:
-    `cross_receiver` (pairs from different receivers) and `trial_to_trial`
-    (same receiver, different frames); each carries the plain cosine and
-    the mean-centered cosine. Plain cosine of nonnegative unit vectors is
-    dominated by the shared flat component, so the centered variant is the
-    discriminative stability measure. A mean over devices that no device
-    has a value for is None. The config gives one SNR: a list of more is a
-    ConfigError.
-    """
-    if len(cfg.snr_db) > 1:
-        raise ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; the feature-stability "
-                          "statistics take one")
-    cfg = replace(cfg, channel=cfg.channel | {"per_frame": True})
-    devices, receivers, reference = _profiles(cfg)
-    sent_devices, sent_ref = _transmit_all(devices, reference)
-    snr = cfg.snr_db[0]
-    models = _capture_models(cfg, receivers, sent_ref, 0, snr)
-    links = _run_links(cfg, devices, receivers, sent_devices, models, snr, 0)
-    out = {"snr_db": snr, "scenario": cfg.channel["scenario"], "devices": {}}
-    for dev in devices:
-        per_rx = [links[(dev.device_id, rx.device_id)] for rx in receivers]
-        tags = {t for link in per_rx for t, fv in link.features.items() if len(fv.values)}
-        dev_stats = {}
-        for tag in sorted(tags):
-            blocks = [link.features[tag].values for link in per_rx]
-            rx_labels = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-            dev_stats[tag] = _pair_means(np.concatenate(blocks), rx_labels)
-        out["devices"][dev.device_id] = {"stats": dev_stats,
-                                         "drops": sum(link.dropped for link in per_rx)}
-
-    def mean(tag, pop, kind):
-        vals = [d["stats"][tag][pop][kind] for d in out["devices"].values()
-                if tag in d["stats"] and d["stats"][tag][pop][kind] is not None]
-        return float(np.mean(vals)) if vals else None
-
-    tags = sorted({t for d in out["devices"].values() for t in d["stats"]})
-    out["mean"] = {tag: {pop: {kind: mean(tag, pop, kind) for kind in ("plain", "centered")}
-                         for pop in ("cross_receiver", "trial_to_trial")}
-                   for tag in tags}
-    return out
-
-
-def pearson_r_p(x, y) -> tuple[float, float]:
-    """Two-sided Pearson correlation; degenerate (constant) inputs report
-    r=0, p=1 instead of NaN.
-
-    p is the Student-t tail of t = r*sqrt(nu/(1-r^2)) with nu = n-2, in the
-    closed form for integer nu (Abramowitz & Stegun 26.7.3/26.7.4): with
-    theta = atan(|t|/sqrt(nu)) and c = cos(theta), P(|T| < |t|) is
-    sin(theta)*(1 + c^2/2 + (1*3)/(2*4)*c^4 + ...) for even nu and
-    (2/pi)*(theta + sin(theta)*(c + (2/3)*c^3 + ...)) for odd nu, each
-    series running to the c^(nu-2) term."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ConfigError("Pearson p-value needs at least 3 points")
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
-        return 0.0, 1.0
-    xc = x - x.mean()
-    yc = y - y.mean()
-    # one square root of the product keeps exactly linear data at |r| = 1
-    r = max(-1.0, min(1.0, float(xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))))
-    if abs(r) == 1.0:
-        return r, 0.0
-    nu = x.size - 2
-    t = r * math.sqrt(nu / (1.0 - r * r))
-    theta = math.atan(abs(t) / math.sqrt(nu))
-    c = math.cos(theta)
-    odd = nu % 2
-    term = c if odd else 1.0
-    series = 0.0
-    for k in range(1, nu // 2 + 1):
-        series += term
-        term *= c * c * (2 * k - 1 + odd) / (2 * k + odd)
-    inside = series * math.sin(theta)
-    if odd:
-        inside = 2.0 / math.pi * (theta + inside)
-    return r, min(1.0, max(0.0, 1.0 - inside))
-
-
-def run_reference_sweep(cfg: ExperimentConfig, candidates) -> dict:
-    """Repeat the reference-division experiment once per candidate reference
-    device and correlate each candidate's low-frequency energy ratio with
-    its mean accuracy."""
-    cands = _entities("cand", candidates, "candidates")
-    if len(cands) < 3:
-        raise ConfigError("reference sweep needs at least 3 candidates")
-    _distinct([c["id"] for c in cands], "candidates")
-    # every candidate's profiles are checked before the first run
-    configs = [_checked(replace(cfg, reference_device=c, extractors=["RD"])) for c in cands]
-    rows = []
-    for cand_cfg in configs:
-        report = run_experiment(cand_cfg)
-        etas = [rec["eta_lf"] for recs in report.model_info.values() for rec in recs]
-        rows.append({"candidate": cand_cfg.reference_device["id"], "eta_lf": float(np.mean(etas)),
-                     "mean_accuracy": float(np.mean([c["mean_accuracy"] for c in report.cells]))})
-    r, p = pearson_r_p([r_["eta_lf"] for r_ in rows], [r_["mean_accuracy"] for r_ in rows])
-    return {"candidates": rows, "pearson_r": r, "p_value": p}
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:

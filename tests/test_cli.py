@@ -164,6 +164,13 @@ def test_command_loads_no_simulator(tmp_path, command):
     assert simulator.isdisjoint(loaded), loaded
 
 
+def test_bench_loads_no_study(config_path, tmp_path):
+    argv = ["bench", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
+    code, loaded = _loaded_modules(f"from rffdiv.cli import main; result = main({argv!r})")
+    assert code == 0
+    assert "rffdiv.harness" in loaded and "rffdiv.studies" not in loaded
+
+
 def test_bench_deterministic_across_processes(config_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, hashseed in ((a, "0"), (b, "7")):

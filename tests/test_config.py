@@ -15,6 +15,7 @@ import pytest
 from rffdiv import classify as cl
 from rffdiv import config as cf
 from rffdiv import harness as hz
+from rffdiv import studies
 from rffdiv.cli import _apply_overrides, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +52,8 @@ def _script(name):
 
 def test_snr_stability_sweep_docs_load(monkeypatch):
     loaded = []
-    monkeypatch.setattr(hz, "run_feature_stability", lambda cfg: loaded.append(cfg) or {"mean": {}})
+    monkeypatch.setattr(studies, "run_feature_stability",
+                        lambda cfg: loaded.append(cfg) or {"mean": {}})
     _script("snr_stability_sweep").main()
     assert len(loaded) == 8
     assert {cfg.reference_device is None for cfg in loaded} == {True, False}
@@ -64,7 +66,7 @@ def test_reference_sweep_demo_docs_load(monkeypatch):
     def sweep(cfg, candidates):
         raise Loaded(cfg, cf._entities("cand", candidates, "candidates"))
 
-    monkeypatch.setattr(hz, "run_reference_sweep", sweep)
+    monkeypatch.setattr(studies, "run_reference_sweep", sweep)
     with pytest.raises(Loaded) as info:
         _script("reference_sweep_demo").main()
     cfg, candidates = info.value.args

@@ -53,12 +53,10 @@ def _one_row(cfg, spectra_fn, model, rx_id, dev_id):
 def test_engine_matches_one_row_calls(scenario):
     assert hz.BLOCK_ROWS < 20
     cfg = hz.load_config(_doc(scenario))
-    devices, receivers, reference = hz._profiles(cfg)
+    devices, receivers, _ = hz._profiles(cfg)
     per_frame = hz._channel_params(cfg)["per_frame"]
     assert per_frame == (scenario == "mobile")
-    sent_devices, sent_ref = hz._transmit_all(devices, reference)
-    models = hz._capture_models(cfg, receivers, sent_ref, 0, 30.0)
-    links = hz._run_links(cfg, devices, receivers, sent_devices, models, 30.0, 0)
+    (_, _, models, links), = hz.run_links(cfg, [(30.0, 0)])
     fields = hz._needed_fields(cfg.extractors)
     for di, dev in enumerate(devices):
         for rj, rx in enumerate(receivers):

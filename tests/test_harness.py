@@ -1,11 +1,13 @@
 import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from rffdiv import harness as hz
+from rffdiv import studies
 
 
 def _base_doc(**overrides):
@@ -86,10 +88,34 @@ def test_drop_rates_cover_every_link():
     assert all(0.0 <= v <= 1.0 for v in report.drop_rates.values())
 
 
+@pytest.mark.parametrize("tables", [False, True])
+def test_no_earlier_links_alive_while_the_next_run(monkeypatch, tmp_path, tables):
+    """Only the current (snr, repeat)'s links stay in memory: when a link of
+    the second repeat starts, no link of the first is alive."""
+    real = hz._link_task
+    first, alive = [], []
+
+    def link_task(cfg, snr_db, repeat, csv, link):
+        if repeat == 1:
+            alive.append(sum(ref() is not None for ref in first))
+        out = real(cfg, snr_db, repeat, csv, link)
+        if repeat == 0:
+            first.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(hz, "_link_task", link_task)
+    monkeypatch.setattr(hz, "usable_cpus", lambda: 1)
+    cfg = hz.load_config(_base_doc(devices={"count": 2, "base_seed": 100, "field_distinct": True},
+                                   frames_per_device=6, repeats=2))
+    assert hz.run_experiment(cfg, tmp_path if tables else None).cells
+    assert len(first) == 4
+    assert alive == [0, 0, 0, 0]
+
+
 def test_model_capture_structural_isolation():
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
-    _, receivers, reference = hz._profiles(cfg)
-    models = hz._capture_models(cfg, receivers, hz._transmit(reference), 0, 30.0)
+    _, receivers, _ = hz._profiles(cfg)
+    (_, _, models, _), = hz.run_links(cfg, [(30.0, 0)])
     for rx in receivers:
         assert models[rx.device_id].receiver_id == rx.device_id
     # cross-wiring the model captures trips the structural check
@@ -122,7 +148,7 @@ def test_feature_stability_reports_both_metrics():
         frames_per_device=8,
         repeats=1,
     ))
-    stats = hz.run_feature_stability(cfg)
+    stats = studies.run_feature_stability(cfg)
     hl = stats["mean"]["HL"]
     assert set(hl) == {"cross_receiver", "trial_to_trial"}
     assert 0.9 < hl["cross_receiver"]["plain"] <= 1.0
@@ -131,7 +157,7 @@ def test_feature_stability_reports_both_metrics():
 
 def _pair_loop_means(per_rx):
     """The stability statistics from a loop over every pair of vectors: the
-    reference for the Gram matrices of `hz._pair_means`. `per_rx` holds
+    reference for the Gram matrices of `studies._pair_means`. `per_rx` holds
     (receiver id, 2-D feature values) pairs."""
     flat = [(rx_id, v) for rx_id, values in per_rx for v in values]
     pops = {"cross_receiver": ([], []), "trial_to_trial": ([], [])}
@@ -169,14 +195,15 @@ def test_feature_stability_matches_pair_loops(monkeypatch, channel, extractors, 
         snr_db=20.0, frames_per_device=6, repeats=1,
     ))
     seen = []
-    run_links = hz._run_links
+    run_links = hz.run_links
 
     def recording(cfg, *args):
-        seen.append((cfg, run_links(cfg, *args)))
-        return seen[-1][1]
+        for point in run_links(cfg, *args):
+            seen.append((cfg, point[3]))
+            yield point
 
-    monkeypatch.setattr(hz, "_run_links", recording)
-    stats = hz.run_feature_stability(cfg)
+    monkeypatch.setattr(hz, "run_links", recording)
+    stats = studies.run_feature_stability(cfg)
     (run_cfg, links), = seen
     assert hz._channel_params(run_cfg)["per_frame"]  # a trial redraws the channel
     assert not hz._channel_params(cfg)["per_frame"]
@@ -204,12 +231,12 @@ def test_pair_means_zero_norm_row_and_missing_population():
     # one receiver (no cross pair), three, and five (no same-receiver pair)
     for receivers in ([0, 0, 0, 0, 0], [0, 1, 1, 0, 2], [0, 1, 2, 3, 4]):
         receivers = np.array(receivers)
-        got = hz._pair_means(values, receivers)
+        got = studies._pair_means(values, receivers)
         want = _pair_loop_means([(rx, v[None]) for rx, v in zip(receivers, values)])
         _assert_stats_close(got, want)
     # the flat row's centered cosine with each row is 0
-    assert hz._pair_means(values[1:3], np.array([0, 1]))["cross_receiver"]["centered"] == 0.0
-    assert hz._pair_means(values[:1], np.zeros(1, int)) == {
+    assert studies._pair_means(values[1:3], np.array([0, 1]))["cross_receiver"]["centered"] == 0.0
+    assert studies._pair_means(values[:1], np.zeros(1, int)) == {
         pop: {"plain": None, "centered": None} for pop in ("cross_receiver", "trial_to_trial")}
 
 
@@ -222,7 +249,7 @@ def test_feature_stability_one_receiver_means_are_none():
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stats = hz.run_feature_stability(cfg)
+        stats = studies.run_feature_stability(cfg)
     for dev in stats["devices"].values():
         assert dev["stats"]["HL"]["cross_receiver"] == {"plain": None, "centered": None}
     assert stats["mean"]["HL"]["cross_receiver"] == {"plain": None, "centered": None}
@@ -233,11 +260,11 @@ def test_feature_stability_of_an_snr_list_is_config_error(monkeypatch):
     def no_link(*args, **kwargs):
         raise AssertionError("a link ran")
 
-    monkeypatch.setattr(hz, "_run_links", no_link)
+    monkeypatch.setattr(hz, "run_links", no_link)
     cfg = hz.load_config(_base_doc(extractors=["HL"], reference_device=None, snr_db=[20, 30],
                                    frames_per_device=4, repeats=1))
     with pytest.raises(hz.ConfigError, match="snr_db lists 2 SNRs"):
-        hz.run_feature_stability(cfg)
+        studies.run_feature_stability(cfg)
 
 
 def _pair_with_r(rng, n, rho):
@@ -255,7 +282,7 @@ def _pair_with_r(rng, n, rho):
 def _assert_matches_scipy(x, y):
     from scipy import stats
 
-    r, p = hz.pearson_r_p(x, y)
+    r, p = studies.pearson_r_p(x, y)
     ref = stats.pearsonr(x, y)
     r_ref, p_ref = float(ref.statistic), float(ref.pvalue)
     assert abs(r - r_ref) <= 1e-12, (len(x), r, r_ref)
@@ -264,10 +291,10 @@ def _assert_matches_scipy(x, y):
 
 def test_pearson_helper_degenerate_and_requirements():
     with pytest.raises(hz.ConfigError):
-        hz.pearson_r_p([1, 2], [3, 4])
-    r, p = hz.pearson_r_p([1.0, 1.0, 1.0], [0.2, 0.5, 0.9])
+        studies.pearson_r_p([1, 2], [3, 4])
+    r, p = studies.pearson_r_p([1.0, 1.0, 1.0], [0.2, 0.5, 0.9])
     assert (r, p) == (0.0, 1.0)
-    r, p = hz.pearson_r_p([1, 2, 3, 4], [2, 4, 6, 8])
+    r, p = studies.pearson_r_p([1, 2, 3, 4], [2, 4, 6, 8])
     assert abs(r - 1.0) < 1e-12 and p < 0.01
     # scipy.stats.pearsonr as the oracle, over odd and even degrees of freedom
     for n in (3, 4, 5, 8, 15, 40):
@@ -277,14 +304,14 @@ def test_pearson_helper_degenerate_and_requirements():
         # exactly linear data: r is exactly +-1 and p exactly 0
         x = np.array([0.0, 1.0, 3.0] + [float(k * k) for k in range(2, n - 1)])
         for y, sign in ((2.0 * x, 1.0), (-0.5 * x + 4.0, -1.0)):
-            assert hz.pearson_r_p(x, y) == (sign, 0.0)
+            assert studies.pearson_r_p(x, y) == (sign, 0.0)
             _assert_matches_scipy(x, y)
 
 
 def test_reference_sweep_requires_three_candidates():
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1, extractors=["RD"]))
     with pytest.raises(hz.ConfigError):
-        hz.run_reference_sweep(cfg, [{"id": "a", "seed": 1}, {"id": "b", "seed": 2}])
+        studies.run_reference_sweep(cfg, [{"id": "a", "seed": 1}, {"id": "b", "seed": 2}])
 
 
 def test_reference_sweep_checks_every_candidate_before_running(monkeypatch):
@@ -294,7 +321,7 @@ def test_reference_sweep_checks_every_candidate_before_running(monkeypatch):
                                    repeats=1, extractors=["RD"]))
     candidates = [{"seed": 1}, {"seed": 2}, {"seed": 3, "fir_taps": [[0.1, 0], [1, 0]]}]
     with pytest.raises(hz.ConfigError, match="first FIR tap must dominate"):
-        hz.run_reference_sweep(cfg, candidates)
+        studies.run_reference_sweep(cfg, candidates)
     assert runs == []
 
 
@@ -308,7 +335,7 @@ def test_reference_sweep_rejects_repeated_ids(monkeypatch, candidates, repeated)
     cfg = hz.load_config(_base_doc(devices={"count": 2, "base_seed": 100}, frames_per_device=4,
                                    repeats=1, extractors=["RD"]))
     with pytest.raises(hz.ConfigError, match=f"{repeated} appears more than once"):
-        hz.run_reference_sweep(cfg, candidates)
+        studies.run_reference_sweep(cfg, candidates)
     assert runs == []
 
 
@@ -319,7 +346,7 @@ def test_reference_sweep_smoke():
         repeats=1,
         extractors=["RD"],
     ))
-    result = hz.run_reference_sweep(cfg, [{"id": f"c{i}", "seed": 200 + i} for i in range(3)])
+    result = studies.run_reference_sweep(cfg, [{"id": f"c{i}", "seed": 200 + i} for i in range(3)])
     assert len(result["candidates"]) == 3
     assert set(result["candidates"][0]) == {"candidate", "eta_lf", "mean_accuracy"}
     assert "p_value" in result and "pearson_r" in result
@@ -383,7 +410,17 @@ def test_explicit_profile_entries_roundtrip_and_run():
     from rffdiv import impairments as imp
 
     drawn = imp.sample_profile(123, imp.Role.TRANSMITTER, field_distinct=True, device_id="dev00")
-    entry = hz.profile_to_entry(drawn)
+    entry = {
+        "id": drawn.device_id,
+        "seed": drawn.seed,
+        "dc_offset": [drawn.dc_offset.real, drawn.dc_offset.imag],
+        "iq_gain_imbalance": drawn.iq_gain_imbalance,
+        "iq_phase_imbalance": drawn.iq_phase_imbalance,
+        "fir_taps": [[t.real, t.imag] for t in drawn.fir_taps],
+        "pa_coeffs": [[c.real, c.imag] for c in drawn.pa_coeffs],
+        "cfo_hz": drawn.cfo_hz,
+        "band_tilt": drawn.band_tilt.tolist(),
+    }
     rebuilt = hz.profile_from_entry(entry, imp.Role.TRANSMITTER, default_field_distinct=True)
     assert rebuilt.cfo_hz == drawn.cfo_hz
     assert rebuilt.dc_offset == drawn.dc_offset
@@ -395,7 +432,7 @@ def test_explicit_profile_entries_roundtrip_and_run():
     # a config can mix explicit parameters with seed-drawn entries
     doc = _base_doc(
         devices=[
-            hz.profile_to_entry(drawn),
+            entry,
             {"id": "dev01", "seed": 321, "field_distinct": True},
             {"id": "dev02", "cfo_hz": 10e3, "fir_taps": [[1, 0], [0.05, 0.01]]},
         ],

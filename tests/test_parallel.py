@@ -15,6 +15,7 @@ import pytest
 
 import rffdiv
 from rffdiv import harness as hz
+from rffdiv import studies
 from rffdiv.cli import main
 from rffdiv.waveform import WindowBoundsError
 
@@ -60,7 +61,7 @@ def test_experiment_same_with_one_or_two_workers(monkeypatch, forks, tmp_path):
     for n in (1, 2):
         _with_cpus(monkeypatch, n)
         reports[n] = hz.run_experiment(cfg, tmp_path / str(n))
-        stability[n] = hz.run_feature_stability(cfg)
+        stability[n] = studies.run_feature_stability(cfg)
         hz.write_report(reports[n], tmp_path / str(n))
         written[n] = {p.name: p.read_text() for p in sorted((tmp_path / str(n)).iterdir())}
     assert forks, "two CPUs should start worker processes"
@@ -290,6 +291,31 @@ def test_worker_that_dies_mid_item_raises_and_leaves_no_process():
     proc.wait()
     assert out.strip() == "worker 1 ended without the result of item 3 (exit status 3)"
     assert not left, "a process of the call was left running"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_leaves_no_open_pipe(monkeypatch):
+    """The second worker's fork fails: its OSError propagates, the first
+    worker is reaped, and neither worker's pipe stays open."""
+    real_fork = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    _with_cpus(monkeypatch, 2)
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="temporarily unavailable"):
+        list(hz.map_ordered(_slow_negative, [0, 1, 2]))
+    monkeypatch.setattr(os, "fork", real_fork)
+    assert len(calls) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_early_close_leaves_no_child(monkeypatch):
