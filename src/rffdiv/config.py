@@ -107,6 +107,9 @@ def _or_null(check):
 
 _object = _is(lambda v: isinstance(v, dict), "a JSON object")
 _text = _is(lambda v: isinstance(v, str), "a string")
+# An id or scenario: it names capture files and fills one feature-table cell.
+_label = _is(lambda v: isinstance(v, str) and not set(v) & set(",/\r\n"),
+             "a string without ',', '/', CR or LF")
 _flag = _is(lambda v: isinstance(v, bool), "true or false")
 _real, _seed = _number(), _number(integer=True, lo=0)
 _snr = _number(lo=-SNR_LIMIT_DB, hi=SNR_LIMIT_DB, inf=True)
@@ -138,7 +141,7 @@ def _distinct(values, what: str) -> None:
 # impairments after `field_distinct` override the seed's draw within ranges
 # that `DeviceProfile` checks.
 _ENTITY = {
-    "id": (_text, _OPEN),  # <prefix><list position:02d>; "ref" for the reference
+    "id": (_label, _OPEN),  # <prefix><list position:02d>; "ref" for the reference
     "seed": (_seed, _OPEN),  # 0, for an entry that gives impairments instead
     "field_distinct": (_flag, _OPEN),  # true for a device, false for a receiver or reference
     "dc_offset": (_complex, _OPEN),
@@ -168,13 +171,13 @@ _DETECTION = {
     "metric": (_is("magnitude".__eq__, "'magnitude'"), "magnitude"),
 }
 # A capture that a manifest lists: its IQ file, transmitter, receiver and role.
-_CAPTURE = {**dict.fromkeys(("path", "device", "receiver"), (_text, _NEEDED)),
+_CAPTURE = {"path": (_text, _NEEDED), **dict.fromkeys(("device", "receiver"), (_label, _NEEDED)),
             "role": (_is(("device", "reference").__contains__, "'device' or 'reference'"), _NEEDED),
             "frames": (_number(integer=True, lo=1), _OPEN)}
 # A capture manifest, as `_write_manifest` writes it.
 _MANIFEST = {
     "format_version": (_is(lambda v: v == 1 and not isinstance(v, bool), "1"), 1),
-    "scenario": (_text, "unknown"),
+    "scenario": (_label, "unknown"),
     "snr_db": (_snr, 0.0),
     "sample_rate": (_is(lambda v: v == SAMPLE_RATE, f"{SAMPLE_RATE:g}"), SAMPLE_RATE),
     "detection": (partial(_read, _DETECTION), {}),

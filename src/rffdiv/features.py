@@ -8,8 +8,11 @@ and the error of a near-zero denominator bin:
 
 * RD_STF and RD_LTF (reference-device division, written by RD): the unknown
   device's field over a same-receiver capture of the reference device (same
-  field and sequence, so no sequence ratio). Receiver response and any flat
-  channel gain cancel, leaving the unknown/reference transmit-response ratio.
+  field and sequence, so no sequence ratio). Receiver CFO and any flat
+  channel gain cancel, leaving the unknown/reference transmit-response
+  ratio. The receiver FIR cancels only when the device and the reference
+  share a CFO: otherwise the two frames reach it at different frequency
+  shifts.
 * HL (HT-over-long division): a frame's HT long training field over its own
   long training field on the 52 shared tones. The channel and receiver
   responses, common to both fields, cancel, leaving the device's HT/long
@@ -17,8 +20,12 @@ and the error of a near-zero denominator bin:
 * DV (short-over-long division, the baseline): a frame's short training
   field over its long training field on the 12 shared tones.
 
-Ratios are exact cancellations only for convolutional impairments; additive
-DC, IQ image leakage, and PA curvature leave small residues.
+The ledger in `tests/test_invariance.py` states which cancellations are
+exact in a noise-free chain with exact sync: RD's under receiver CFO, a flat
+gain, and receiver FIR at a shared CFO; HL's and DV's under receiver FIR and
+CFO; and HL's under a selective channel. The receiver's DC offset, IQ
+imbalance and PA curvature are not convolutional; they leave residues, which
+the same ledger bounds.
 
 The unit-energy normalization removes the constant factors the divisions
 leave behind (flat gain ratios, sequence scale), and magnitudes discard the

@@ -46,7 +46,6 @@ class DeviceProfile:
     pa_coeffs: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0j]))
     cfo_hz: float = 0.0
     band_tilt: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         taps = np.asarray(self.fir_taps, dtype=np.complex128)
@@ -289,7 +288,6 @@ def sample_profile(
         pa_coeffs=np.array([1.0, pa3]),
         cfo_hz=cfo,
         band_tilt=tilt,
-        seed=rng_seed,
     )
 
 

@@ -16,10 +16,10 @@ def _byte_check():
 
 def test_script_case_runs_each_trees_copy(monkeypatch, tmp_path, capsys):
     check = _byte_check()
-    monkeypatch.setattr(check, "OPS", {"demo": check._script("receiver_invariance_demo.py")})
+    monkeypatch.setattr(check, "OPS", {"sweep": check._script("snr_stability_sweep.py")})
     assert check.main([str(ROOT / "src")]) == 0
     out = capsys.readouterr().out
-    assert "python scripts/receiver_invariance_demo.py\n    exit 0;" in out, out
+    assert "python scripts/snr_stability_sweep.py\n    exit 0;" in out, out
     assert out.endswith("1 of 1 cases the same as the baseline\n")
 
     bare = tmp_path / "tree" / "src"  # a package, but no scripts beside it

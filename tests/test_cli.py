@@ -319,6 +319,26 @@ def test_bench_bad_setting_is_config_error(config_path, tmp_path, capsys, key, v
     assert not (tmp_path / "out").exists()
 
 
+# an id that names capture files and fills one feature-table cell: a comma or
+# a line break split the cell (the tables then fail to read back), and a
+# slash leaves `simulate` a file in a directory that does not exist
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+@pytest.mark.parametrize("change, named", [
+    ({"devices": [{"id": "dev,a", "seed": 1}, {"id": "dev01", "seed": 2}]}, "devices[0].id"),
+    ({"receivers": [{"id": "rx\n00", "seed": 900}, {"id": "rx01", "seed": 901}],
+      "train_receivers": ["rx\n00"]}, "receivers[0].id"),
+    ({"reference_device": {"id": "ref/a", "seed": 55}}, "reference_device.id"),
+    ({"devices": [{"id": "dev\r00", "seed": 1}, {"id": "dev01", "seed": 2}]}, "devices[0].id"),
+])
+def test_id_the_outputs_cannot_carry_is_config_error(config_path, tmp_path, capsys, command,
+                                                     change, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
+    assert main([command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config.{named} must be a string without" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, seed, in_config", [
     ("bench", -1, False), ("simulate", -3, False), ("bench", -5, True)])
 def test_negative_master_seed_is_config_error(config_path, tmp_path, capsys, command, seed,
@@ -396,7 +416,7 @@ def test_train_table_of_the_wrong_width_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("snr_db", "thirty"), ("scenari", "flat"),
                                         ("sample_rate", 40e6), ("format_version", 2),
-                                        ("snr_db", 4000.0)])
+                                        ("snr_db", 4000.0), ("scenario", "flat,30")])
 def test_extract_bad_manifest_key_is_config_error(sim_dir, tmp_path, capsys, key, value):
     doc = json.loads((sim_dir / "manifest.json").read_text())
     doc[key] = value
@@ -405,6 +425,20 @@ def test_extract_bad_manifest_key_is_config_error(sim_dir, tmp_path, capsys, key
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     _assert_config_error(["extract", "--manifest", str(tmp_path),
                           "--out-dir", str(tmp_path / "f")], capsys)
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("key, value", [("device", "dev,00"), ("receiver", "rx\n00"),
+                                        ("device", "dev/00")])
+def test_extract_id_the_tables_cannot_carry_is_config_error(sim_dir, tmp_path, capsys, key,
+                                                            value):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    for cap in doc["captures"]:
+        cap["path"] = str(sim_dir / cap["path"])
+    doc["captures"][0][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["extract", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "f")]) == 2
+    assert f"manifest.captures[0].{key} must be a string without" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
 
 

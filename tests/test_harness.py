@@ -412,7 +412,7 @@ def test_explicit_profile_entries_roundtrip_and_run():
     drawn = imp.sample_profile(123, imp.Role.TRANSMITTER, field_distinct=True, device_id="dev00")
     entry = {
         "id": drawn.device_id,
-        "seed": drawn.seed,
+        "seed": 123,
         "dc_offset": [drawn.dc_offset.real, drawn.dc_offset.imag],
         "iq_gain_imbalance": drawn.iq_gain_imbalance,
         "iq_phase_imbalance": drawn.iq_phase_imbalance,

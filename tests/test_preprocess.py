@@ -261,3 +261,25 @@ def test_selective_channel_sync_meets_ground_truth(scenario):
             wrong.append((seed, error, round(float(distance), 3)))
     assert not wrong, f"{len(wrong)} of 40 frames: (seed, sync error, HL distance) {wrong}"
 
+
+_ALIAS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2b (coarse CFO before sync): sync cross-correlates before "
+                        "any CFO is removed, and past about 95 kHz every frame locks onto an alias")
+
+
+@pytest.mark.parametrize("cfo_hz", [0.0, 50e3, -50e3, *(pytest.param(f, marks=_ALIAS) for f in
+                                                        (100e3, -100e3, 150e3, 230e3, -230e3))])
+def test_flat_channel_acquisition_meets_ground_truth(cfo_hz):
+    # every frame syncs at its true start, or is dropped with a named cause
+    tx = imp.DeviceProfile("t", cfo_hz=cfo_hz)
+    wrong = []
+    for k in range(40):
+        chan = ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=1.0 + 0j, snr_db=30.0, seed=k)
+        capture, start = hz.simulate_capture(tx, imp.identity_profile(), chan, 1000 + k, 2000 + k)
+        try:
+            _, sync, _ = acquire(capture)
+        except (pp.NotDetectedError, pp.SyncFailedError, pp.EstimationFailedError):
+            continue
+        if sync.frame_start_n1 != start:
+            wrong.append((k, sync.frame_start_n1 - start))
+    assert not wrong, f"{len(wrong)} of 40 frames silently wrong: (k, sync error) {wrong}"
