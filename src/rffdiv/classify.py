@@ -310,7 +310,7 @@ MODEL_FORMAT_VERSION = 1
 
 def save_model(model: SoftmaxModel, path, train_config: TrainConfig | None = None) -> None:
     # `optimizer` is echoed as a constant (training always takes Adam steps)
-    # until the output formats' next version (ROADMAP item 6).
+    # until the output formats' next version (ROADMAP item 7, report format 2).
     echo = None if train_config is None else {**asdict(train_config), "optimizer": "adam"}
     doc = {
         "format_version": MODEL_FORMAT_VERSION,

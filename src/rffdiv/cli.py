@@ -84,7 +84,6 @@ def cmd_simulate(args) -> int:
         raise config.ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; simulate writes "
                                  "one (pick it with --snr-db)")
     snr = cfg.snr_db[0]
-    out.mkdir(parents=True, exist_ok=True)
     devices, receivers, reference = harness._profiles(cfg)
     entries, captures = [], []
     roster = [(d, "device", di) for di, d in enumerate(devices)]
@@ -101,6 +100,9 @@ def cmd_simulate(args) -> int:
                 "path": name, "device": tx.device_id, "receiver": rx.device_id,
                 "frames": n_frames, "role": role,
             })
+    # ids may hold "_", so two links can map to one file name
+    config._distinct([e["path"] for e in entries], "capture files")
+    out.mkdir(parents=True, exist_ok=True)
     # each file is its own task; the files do not depend on one another
     task = partial(_write_capture, cfg, out, snr)
     for _ in harness.map_ordered(task, captures):

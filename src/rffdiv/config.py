@@ -243,7 +243,7 @@ def _write_manifest(out: Path, cfg, snr_db: float, captures: list) -> None:
         "scenario": cfg.channel["scenario"],
         "snr_db": snr_db,
         "sample_rate": SAMPLE_RATE,
-        # `metric` is kept until manifest format 2 (ROADMAP item 6)
+        # `metric` is kept until manifest format 2 (ROADMAP item 7, report format 2)
         "detection": {"window_w": cfg.detection_window,
                       "threshold_multiplier": cfg.detection_multiplier, "metric": "magnitude"},
         "captures": captures,

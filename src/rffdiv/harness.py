@@ -386,8 +386,8 @@ def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fiel
     compensated, sync, _ = _acquire(capture, cfg.detection_window, cfg.detection_multiplier)
     spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
     # A frame whose field window leaves its capture still stops the run, with
-    # the first such row's error; ROADMAP item 2 deletes these lines and keeps
-    # the drop.
+    # the first such row's error; ROADMAP item 3 (detection and sync that
+    # hold at low SNR and large CFO) deletes these lines and keeps the drop.
     for exc in compensated.drops.errors:
         if isinstance(exc, WindowBoundsError):
             raise exc
@@ -470,7 +470,7 @@ class ExperimentReport:
 def _config_doc(cfg: ExperimentConfig) -> dict:
     doc = asdict(cfg)
     # Echoed as constants: detection always sums magnitudes and training
-    # always takes Adam steps. Report format 2 drops both keys (ROADMAP item 6).
+    # always takes Adam steps. Report format 2 drops both keys (ROADMAP item 7).
     doc["detection_metric"] = "magnitude"
     doc["classifier"]["optimizer"] = "adam"
     return doc
@@ -562,34 +562,19 @@ def _failure_record(exc: BaseException, index: int) -> bytes:
             f"item {index} raised {type(exc).__name__}, which does not pickle: {exc}")))
 
 
-def _serve(calls, out, first: int, step: int) -> None:
-    """A worker's loop: runs `calls`, pickled (fn, item) pairs of items
-    first, first + step, ..., in order, and writes each outcome to the
-    binary file `out` as a record: its length (8 bytes, little-endian), then
-    the pickled (True, result) or (False, exception). Stops after its first
-    failure."""
-    for k, call in enumerate(calls):
+def _serve(fn, items, out, first: int, step: int) -> None:
+    """A worker's loop: runs `fn` on items first, first + step, ..., in
+    order, and writes each outcome to the binary file `out` as one pickle,
+    (True, result) or (False, exception). Stops after its first failure."""
+    for i in range(first, len(items), step):
         try:
-            fn, item = pickle.loads(call)
-            record, ok = pickle.dumps((True, fn(item))), True
+            record, ok = pickle.dumps((True, fn(items[i]))), True
         except BaseException as exc:  # sent to the parent, which raises it
-            record, ok = _failure_record(exc, first + k * step), False
-        out.write(len(record).to_bytes(8, "little"))
+            record, ok = _failure_record(exc, i), False
         out.write(record)
         out.flush()
         if not ok:
             return
-
-
-def _read_record(pipe) -> bytes | None:
-    """The next record of a worker's pipe (`_serve`), or None when the pipe
-    ends before a whole record."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "little")
-    record = pipe.read(size)
-    return record if len(record) == size else None
 
 
 def map_ordered(fn, items):
@@ -597,14 +582,15 @@ def map_ordered(fn, items):
     at most one per item; yields the results in input order. With one
     worker this is the built-in `map`, in this process.
 
-    `fn` and the items must pickle: every call is pickled before the first
-    fork, so one that does not raises its pickling error and starts no
-    process. Worker w of W runs items w, w + W, ... in that order and writes
-    each result to a pipe of its own (`_serve`); the parent reads item i
-    from worker i mod W, so results arrive in input order and a worker runs
-    at most a pipe buffer ahead. A failing item raises its own exception
-    (the earliest failing item's, as the built-in `map` would); a worker
-    that ends without an item's result raises a PipelineError naming the
+    The fork hands `fn` and the items to each worker as they are, so only
+    the results must pickle (an exception that does not goes as a
+    PipelineError, `_failure_record`). Worker w of W runs items
+    w, w + W, ... in that order and writes each outcome to a pipe of its
+    own as one pickle (`_serve`); the parent reads item i from worker
+    i mod W, so results arrive in input order and a worker runs at most a
+    pipe buffer ahead. A failing item raises its own exception (the
+    earliest failing item's, as the built-in `map` would); a worker that
+    ends without an item's whole result raises a PipelineError naming the
     item and its exit status, and a fork that fails raises its OSError. At
     that first failure, or when the generator is closed early, the workers
     still running are killed; every worker is reaped, and every pipe
@@ -616,7 +602,6 @@ def map_ordered(fn, items):
     if workers <= 1:
         yield from map(fn, items)
         return
-    calls = [pickle.dumps((fn, item)) for item in items]
     pids, pipes, finished = [], [], False
     try:
         for w in range(workers):
@@ -633,23 +618,21 @@ def map_ordered(fn, items):
                     for pipe in pipes:  # its own read end and its siblings'
                         pipe.close()
                     with os.fdopen(write_end, "wb") as out:
-                        _serve(calls[w::workers], out, w, workers)
+                        _serve(fn, items, out, w, workers)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_end)
             pids.append(pid)
-        del calls  # the workers hold their own
         for i in range(len(items)):
             w = i % workers
-            record = _read_record(pipes[w])
-            if record is None:
+            try:
+                ok, value = pickle.load(pipes[w])
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended before a whole record
                 status = os.waitpid(pids[w], 0)[1]
                 pids[w] = None
                 raise PipelineError(f"worker {w} ended without the result of item {i} "
-                                    f"(exit status {os.waitstatus_to_exitcode(status)})")
-            ok, value = pickle.loads(record)
-            del record
+                                    f"(exit status {os.waitstatus_to_exitcode(status)})") from None
             if not ok:
                 raise value
             yield value

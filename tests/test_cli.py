@@ -75,18 +75,6 @@ def test_extract_single_extractor(config_path, tmp_path):
     assert not (feat / "features_hl.csv").exists()
 
 
-def test_bench_writes_report_and_is_deterministic(config_path, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["bench", "--config", str(config_path), "--out-dir", str(a)]) == 0
-    assert main(["bench", "--config", str(config_path), "--out-dir", str(b)]) == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
-    # the report still echoes the two retired settings, as constants
-    config = json.loads((a / "report.json").read_text())["config"]
-    assert config["detection_metric"] == "magnitude"
-    assert config["classifier"]["optimizer"] == "adam"
-
-
 def _write_table(path, extractor, values):
     """A feature table of `values`, row i from device dev{i % 2} through rx00."""
     n = len(values)
@@ -102,73 +90,75 @@ def _child_env(**extra):
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, **extra}
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, rffdiv, rffdiv.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
+_SIMULATOR = ["rffdiv.harness", "rffdiv.channel", "rffdiv.impairments"]
+_CLI = "from rffdiv.cli import main; result = main"
 
-
-def test_import_loads_no_numpy_random():
+# What each command loads. A row runs its statement, which sets `result`, in
+# a fresh interpreter; then the modules listed first must be loaded, no
+# module under a prefix listed second may be (bar those that must), and at
+# least the row's number of worker processes must have been forked. HL,
+# MODEL, CSI, CONFIG and OUT name a feature table, a model trained on it, a
+# CSI table, a bench config and an output path.
+LOADS = {
+    "import": ("import rffdiv; result = 0", ["rffdiv", "rffdiv.signals"], ["rffdiv"], 0),
     # the frame engine builds its generators per link, never at import
-    code = "import sys, rffdiv, rffdiv.cli; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "False"
-
-
-def test_train_loads_no_numpy_ma(tmp_path):
+    "import-cli": ("import rffdiv, rffdiv.cli; result = 0", ["rffdiv.cli"],
+                   ["scipy", "numpy.random", "multiprocessing", "concurrent.futures"], 0),
     # np.unique would import numpy.ma (through np.ma.is_masked)
-    features, model = tmp_path / "hl.csv", tmp_path / "m.json"
-    values = np.random.default_rng(0).random((8, 52))
-    _write_table(features, "HL", values / np.linalg.norm(values, axis=1, keepdims=True))
-    code = ("import sys; from rffdiv.cli import main; "
-            f"code = main(['train', '--features', {str(features)!r}, '--out', {str(model)!r}]); "
-            "print(code, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().splitlines()[-1] == "0 False"
+    "train": (_CLI + "(['train', '--features', HL, '--out', OUT])", ["rffdiv.classify"],
+              ["numpy.ma", *_SIMULATOR, "rffdiv.refselect"], 0),
+    "eval": (_CLI + "(['eval', '--model', MODEL, '--features', HL])", ["rffdiv.classify"],
+             [*_SIMULATOR, "rffdiv.refselect"], 0),
+    "select-ref": (_CLI + "(['select-ref', '--csi', CSI])", ["rffdiv.refselect"], _SIMULATOR, 0),
+    # on two CPUs, with field-distinct transmitters (whose tilt is a
+    # Legendre draw) and the reference division
+    "bench": ("from rffdiv import harness; harness.usable_cpus = lambda: 2; "
+              + _CLI + "(['bench', '--config', CONFIG, '--out-dir', OUT])", ["rffdiv.harness"],
+              ["rffdiv.studies", "multiprocessing", "concurrent", "numpy.polynomial"], 2),
+}
+
+_LOADS_RUN = """
+import json, os, sys
+HL, MODEL, CSI, CONFIG, OUT = sys.argv[1:]
+forks, fork = [], os.fork
+
+def counting_fork():
+    pid = fork()
+    forks.append(pid)
+    return pid
+
+os.fork = counting_fork
+{statement}
+print(json.dumps([result, len(forks), sorted(sys.modules)]))
+"""
 
 
-def _loaded_modules(code: str) -> list:
-    """[result, the rffdiv modules loaded] after a fresh interpreter runs
-    `code`, which sets `result`."""
-    code = ("import json, sys\n" + code + "\nprint(json.dumps([result, sorted(m for m in "
-            "sys.modules if m == 'rffdiv' or m.startswith('rffdiv.'))]))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode()
-    return json.loads(proc.stdout.decode().splitlines()[-1])
-
-
-def test_import_loads_only_signals():
-    assert _loaded_modules("import rffdiv; result = 0") == [0, ["rffdiv", "rffdiv.signals"]]
-
-
-@pytest.mark.parametrize("command", ["train", "eval", "select-ref"])
-def test_command_loads_no_simulator(tmp_path, command):
-    features, model, csi = tmp_path / "hl.csv", tmp_path / "m.json", tmp_path / "csi.csv"
+@pytest.fixture(scope="module")
+def command_inputs(config_path, tmp_path_factory):
+    """HL, MODEL, CSI and CONFIG of the `LOADS` rows."""
+    tmp = tmp_path_factory.mktemp("loads")
+    features, model, csi = tmp / "hl.csv", tmp / "m.json", tmp / "csi.csv"
     values = np.random.default_rng(0).random((8, 52))
     _write_table(features, "HL", values / np.linalg.norm(values, axis=1, keepdims=True))
     assert main(["train", "--features", str(features), "--out", str(model)]) == 0
     csi.write_text("device," + ",".join(f"v{i}" for i in range(16)) + "\n"
                    + "".join(name + ",1" * 16 + "\n" for name in ("A", "B")))
-    argv = {"train": ["train", "--features", str(features), "--out", str(tmp_path / "m2.json")],
-            "eval": ["eval", "--model", str(model), "--features", str(features)],
-            "select-ref": ["select-ref", "--csi", str(csi)]}[command]
-    code, loaded = _loaded_modules(f"from rffdiv.cli import main; result = main({argv!r})")
-    assert code == 0
-    simulator = {"rffdiv.harness", "rffdiv.channel", "rffdiv.impairments"}
-    if command != "select-ref":
-        simulator.add("rffdiv.refselect")
-    assert simulator.isdisjoint(loaded), loaded
+    return [str(features), str(model), str(csi), str(config_path)]
 
 
-def test_bench_loads_no_study(config_path, tmp_path):
-    argv = ["bench", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
-    code, loaded = _loaded_modules(f"from rffdiv.cli import main; result = main({argv!r})")
-    assert code == 0
-    assert "rffdiv.harness" in loaded and "rffdiv.studies" not in loaded
+@pytest.mark.parametrize("row", LOADS)
+def test_what_each_command_loads(command_inputs, tmp_path, row):
+    statement, must, must_not, least_forks = LOADS[row]
+    proc = subprocess.run([sys.executable, "-c", _LOADS_RUN.format(statement=statement),
+                           *command_inputs, str(tmp_path / "out")],
+                          capture_output=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    result, forks, loaded = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert result == 0 and forks >= least_forks
+    assert set(must) <= set(loaded), sorted(set(must) - set(loaded))
+    barred = [m for m in loaded if m not in must
+              and any(m == p or m.startswith(p + ".") for p in must_not)]
+    assert barred == []
 
 
 def test_bench_deterministic_across_processes(config_path, tmp_path):
@@ -183,6 +173,10 @@ def test_bench_deterministic_across_processes(config_path, tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "features_hl.csv").read_bytes() == (b / "features_hl.csv").read_bytes()
+    # the report still echoes the two retired settings, as constants
+    config = json.loads((a / "report.json").read_text())["config"]
+    assert config["detection_metric"] == "magnitude"
+    assert config["classifier"]["optimizer"] == "adam"
 
 
 def test_bench_seed_override_changes_report(config_path, tmp_path):
@@ -680,6 +674,24 @@ def test_simulate_of_an_snr_list_is_config_error(monkeypatch, config_path, tmp_p
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "b"),
                  "--snr-db", "20"]) == 0
     assert json.loads((tmp_path / "b" / "manifest.json").read_text())["snr_db"] == 20.0
+
+
+def test_simulate_of_links_that_share_a_file_name_is_config_error(monkeypatch, config_path,
+                                                                  tmp_path, capsys):
+    """Ids may hold "_": devices d_x and d through receivers r and x_r both
+    name d_x_r.iq, which is refused before any capture is simulated or the
+    output directory made."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(json.loads(config_path.read_text()) | {
+        "devices": [{"id": "d_x", "seed": 1}, {"id": "d", "seed": 2}],
+        "receivers": [{"id": "r", "seed": 900}, {"id": "x_r", "seed": 901}],
+        "train_receivers": ["r"], "test_receivers": ["x_r"]}))
+    with monkeypatch.context() as m:
+        m.setattr(hz, "_receive", _untouched)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: capture files: 'd_x_r.iq' appears more than once\n"
+    assert not (tmp_path / "a").exists()
 
 
 def test_extract_capture_of_an_unknown_role_is_config_error(monkeypatch, sim_dir, tmp_path,

@@ -213,33 +213,20 @@ def test_ordered_map_yields_in_input_order(monkeypatch, cpus):
     assert list(hz.map_ordered(_slow_negative, [4, 3, 2, 1, 0])) == [-4, -3, -2, -1, 0]
 
 
-def test_import_loads_no_process_pool():
-    code = ("import sys, rffdiv, rffdiv.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ordered_map_runs_calls_that_do_not_pickle(monkeypatch, cpus):
+    """The fork hands the workers `fn` and the items as they are."""
+    _with_cpus(monkeypatch, cpus)
+    assert list(hz.map_ordered(lambda x: x + 1, [1, 2, 3])) == [2, 3, 4]
+    assert list(hz.map_ordered(len, [[lambda: 0]] * 3)) == [1, 1, 1]
+
+
+def _run_alone(code: str) -> str:
+    """The output of `code` in a fresh interpreter, in a process group of its
+    own so that every process it starts can be found; none may be left."""
     src = str(Path(rffdiv.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
-
-
-_UNPICKLABLE = """
-import multiprocessing, pickle
-from rffdiv import harness
-harness.usable_cpus = lambda: 2
-try:
-    list(harness.map_ordered({call}))
-except pickle.PicklingError:
-    print("raised", multiprocessing.active_children())
-"""
-
-
-@pytest.mark.parametrize("call", ["lambda x: x, [1, 2, 3]", "len, [[lambda: 0]] * 3"])
-def test_ordered_map_of_calls_that_do_not_pickle_raises_and_leaves_no_process(call):
-    src = str(Path(rffdiv.__file__).resolve().parents[1])
-    # its own process group, so that every process it starts can be found
-    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE.format(call=call)],
-                            stdout=subprocess.PIPE, text=True, start_new_session=True,
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                            start_new_session=True,
                             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
     try:
         out, _ = proc.communicate(timeout=30)
@@ -251,8 +238,8 @@ def test_ordered_map_of_calls_that_do_not_pickle_raises_and_leaves_no_process(ca
     except ProcessLookupError:
         left = False
     proc.wait()
-    assert out.strip() == "raised []"
-    assert not left, "a process of the call was left running"
+    assert not left, f"a process of the call was left running; it printed {out!r}"
+    return out.strip()
 
 
 _DIES = """
@@ -275,22 +262,36 @@ except harness.PipelineError as exc:
 def test_worker_that_dies_mid_item_raises_and_leaves_no_process():
     """Item 3's call ends its worker with status 3: the parent raises at
     item 3 instead of waiting for a record that never comes."""
-    src = str(Path(rffdiv.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-c", _DIES], stdout=subprocess.PIPE, text=True,
-                            start_new_session=True,
-                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
-    try:
-        out, _ = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        out = "timed out"
-    left = True
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        left = False
-    proc.wait()
-    assert out.strip() == "worker 1 ended without the result of item 3 (exit status 3)"
-    assert not left, "a process of the call was left running"
+    assert _run_alone(_DIES) == "worker 1 ended without the result of item 3 (exit status 3)"
+
+
+_DIES_MID_RECORD = """
+import os, pickle
+from rffdiv import harness
+harness.usable_cpus = lambda: 2
+serve = harness._serve
+
+def serve_half(fn, items, out, first, step):
+    if first == 1:
+        record = pickle.dumps((True, fn(items[1])))
+        out.write(record[: len(record) // 2])
+        out.flush()
+        os._exit(3)
+    serve(fn, items, out, first, step)
+
+harness._serve = serve_half
+try:
+    list(harness.map_ordered(lambda x: [x] * 1000, range(6)))
+except harness.PipelineError as exc:
+    print(exc)
+"""
+
+
+def test_worker_that_dies_mid_record_raises_and_leaves_no_process():
+    """Worker 1 writes half of item 1's record and exits with status 3: the
+    parent reads a record that the pipe's end cuts short."""
+    assert _run_alone(_DIES_MID_RECORD) == (
+        "worker 1 ended without the result of item 1 (exit status 3)")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -360,38 +361,3 @@ def test_exception_that_does_not_pickle_arrives_as_pipeline_error(monkeypatch, i
     with pytest.raises(hz.PipelineError) as info:
         list(hz.map_ordered(_raise_unpicklable, items))
     assert str(info.value).startswith(want)
-
-
-_BENCH_IMPORTS = """
-import json, sys
-from rffdiv import harness
-from rffdiv.cli import main
-harness.usable_cpus = lambda: 2
-forks = []
-real_fork = harness.os.fork
-def fork():
-    pid = real_fork()
-    forks.append(pid)
-    return pid
-harness.os.fork = fork
-code = main(["bench", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
-print(json.dumps([code, len(forks), sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("multiprocessing", "concurrent")
-                  or m.startswith("numpy.polynomial"))]))
-"""
-
-
-def test_bench_run_loads_no_process_pool_or_polynomial(tmp_path):
-    """A bench on two CPUs, field-distinct transmitters (whose tilt is a
-    Legendre draw) and the reference division loads none of them."""
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({**DOC, "devices": {**DOC["devices"], "count": 2},
-                                  "frames_per_device": 4}))
-    src = str(Path(rffdiv.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _BENCH_IMPORTS, str(config),
-                           str(tmp_path / "out")], capture_output=True, timeout=120,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr.decode()
-    code, forks, loaded = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert code == 0 and forks >= 2
-    assert loaded == []

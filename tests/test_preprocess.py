@@ -243,7 +243,7 @@ def _synced_hl(chan, seed):
 
 
 _LATE_TAP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3 (first-path sync): in nlos, sync locks onto a later "
+    strict=True, reason="ROADMAP item 1b (first-path sync): in nlos, sync locks onto a later "
                         "channel tap, and 24 of these 40 frames sync 1-6 samples late")
 
 
@@ -263,7 +263,7 @@ def test_selective_channel_sync_meets_ground_truth(scenario):
 
 
 _ALIAS = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2b (coarse CFO before sync): sync cross-correlates before "
+    strict=True, reason="ROADMAP item 3 (coarse CFO before sync): sync cross-correlates before "
                         "any CFO is removed, and past about 95 kHz every frame locks onto an alias")
 
 
