@@ -75,6 +75,18 @@ def test_extract_single_extractor(config_path, tmp_path):
     assert not (feat / "features_hl.csv").exists()
 
 
+def test_bench_writes_report_and_is_deterministic(config_path, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["bench", "--config", str(config_path), "--out-dir", str(a)]) == 0
+    assert main(["bench", "--config", str(config_path), "--out-dir", str(b)]) == 0
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
+    # the report still echoes the two retired settings, as constants
+    config = json.loads((a / "report.json").read_text())["config"]
+    assert config["detection_metric"] == "magnitude"
+    assert config["classifier"]["optimizer"] == "adam"
+
+
 def _write_table(path, extractor, values):
     """A feature table of `values`, row i from device dev{i % 2} through rx00."""
     n = len(values)
@@ -90,75 +102,38 @@ def _child_env(**extra):
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, **extra}
 
 
-_SIMULATOR = ["rffdiv.harness", "rffdiv.channel", "rffdiv.impairments"]
-_CLI = "from rffdiv.cli import main; result = main"
+# Each `loaded_by` command runs once a session, in a fresh interpreter.
 
-# What each command loads. A row runs its statement, which sets `result`, in
-# a fresh interpreter; then the modules listed first must be loaded, no
-# module under a prefix listed second may be (bar those that must), and at
-# least the row's number of worker processes must have been forked. HL,
-# MODEL, CSI, CONFIG and OUT name a feature table, a model trained on it, a
-# CSI table, a bench config and an output path.
-LOADS = {
-    "import": ("import rffdiv; result = 0", ["rffdiv", "rffdiv.signals"], ["rffdiv"], 0),
+def test_import_loads_no_scipy(loaded_by):
+    assert loaded_by("import-cli", "scipy") == (0, [])
+
+
+def test_import_loads_no_numpy_random(loaded_by):
     # the frame engine builds its generators per link, never at import
-    "import-cli": ("import rffdiv, rffdiv.cli; result = 0", ["rffdiv.cli"],
-                   ["scipy", "numpy.random", "multiprocessing", "concurrent.futures"], 0),
+    assert loaded_by("import-cli", "numpy.random") == (0, [])
+
+
+def test_train_loads_no_numpy_ma(loaded_by):
     # np.unique would import numpy.ma (through np.ma.is_masked)
-    "train": (_CLI + "(['train', '--features', HL, '--out', OUT])", ["rffdiv.classify"],
-              ["numpy.ma", *_SIMULATOR, "rffdiv.refselect"], 0),
-    "eval": (_CLI + "(['eval', '--model', MODEL, '--features', HL])", ["rffdiv.classify"],
-             [*_SIMULATOR, "rffdiv.refselect"], 0),
-    "select-ref": (_CLI + "(['select-ref', '--csi', CSI])", ["rffdiv.refselect"], _SIMULATOR, 0),
-    # on two CPUs, with field-distinct transmitters (whose tilt is a
-    # Legendre draw) and the reference division
-    "bench": ("from rffdiv import harness; harness.usable_cpus = lambda: 2; "
-              + _CLI + "(['bench', '--config', CONFIG, '--out-dir', OUT])", ["rffdiv.harness"],
-              ["rffdiv.studies", "multiprocessing", "concurrent", "numpy.polynomial"], 2),
-}
-
-_LOADS_RUN = """
-import json, os, sys
-HL, MODEL, CSI, CONFIG, OUT = sys.argv[1:]
-forks, fork = [], os.fork
-
-def counting_fork():
-    pid = fork()
-    forks.append(pid)
-    return pid
-
-os.fork = counting_fork
-{statement}
-print(json.dumps([result, len(forks), sorted(sys.modules)]))
-"""
+    assert loaded_by("train", "numpy.ma") == (0, [])
 
 
-@pytest.fixture(scope="module")
-def command_inputs(config_path, tmp_path_factory):
-    """HL, MODEL, CSI and CONFIG of the `LOADS` rows."""
-    tmp = tmp_path_factory.mktemp("loads")
-    features, model, csi = tmp / "hl.csv", tmp / "m.json", tmp / "csi.csv"
-    values = np.random.default_rng(0).random((8, 52))
-    _write_table(features, "HL", values / np.linalg.norm(values, axis=1, keepdims=True))
-    assert main(["train", "--features", str(features), "--out", str(model)]) == 0
-    csi.write_text("device," + ",".join(f"v{i}" for i in range(16)) + "\n"
-                   + "".join(name + ",1" * 16 + "\n" for name in ("A", "B")))
-    return [str(features), str(model), str(csi), str(config_path)]
+def test_import_loads_only_signals(loaded_by):
+    assert loaded_by("import", "rffdiv") == (0, ["rffdiv", "rffdiv.signals"])
 
 
-@pytest.mark.parametrize("row", LOADS)
-def test_what_each_command_loads(command_inputs, tmp_path, row):
-    statement, must, must_not, least_forks = LOADS[row]
-    proc = subprocess.run([sys.executable, "-c", _LOADS_RUN.format(statement=statement),
-                           *command_inputs, str(tmp_path / "out")],
-                          capture_output=True, timeout=120, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode()
-    result, forks, loaded = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert result == 0 and forks >= least_forks
-    assert set(must) <= set(loaded), sorted(set(must) - set(loaded))
-    barred = [m for m in loaded if m not in must
-              and any(m == p or m.startswith(p + ".") for p in must_not)]
-    assert barred == []
+@pytest.mark.parametrize("command", ["train", "eval", "select-ref"])
+def test_command_loads_no_simulator(loaded_by, command):
+    simulator = ["rffdiv.harness", "rffdiv.channel", "rffdiv.impairments"]
+    if command != "select-ref":
+        simulator.append("rffdiv.refselect")
+    assert loaded_by(command, *simulator) == (0, [])
+    assert loaded_by(command, "rffdiv.classify", "rffdiv.refselect")[1]
+
+
+def test_bench_loads_no_study(loaded_by):
+    _, loaded = loaded_by("bench", "rffdiv")
+    assert "rffdiv.harness" in loaded and "rffdiv.studies" not in loaded
 
 
 def test_bench_deterministic_across_processes(config_path, tmp_path):
@@ -173,10 +148,6 @@ def test_bench_deterministic_across_processes(config_path, tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "features_hl.csv").read_bytes() == (b / "features_hl.csv").read_bytes()
-    # the report still echoes the two retired settings, as constants
-    config = json.loads((a / "report.json").read_text())["config"]
-    assert config["detection_metric"] == "magnitude"
-    assert config["classifier"]["optimizer"] == "adam"
 
 
 def test_bench_seed_override_changes_report(config_path, tmp_path):

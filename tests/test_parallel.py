@@ -213,6 +213,10 @@ def test_ordered_map_yields_in_input_order(monkeypatch, cpus):
     assert list(hz.map_ordered(_slow_negative, [4, 3, 2, 1, 0])) == [-4, -3, -2, -1, 0]
 
 
+def test_import_loads_no_process_pool(loaded_by):
+    assert loaded_by("import-cli", "multiprocessing", "concurrent.futures") == (0, [])
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_ordered_map_runs_calls_that_do_not_pickle(monkeypatch, cpus):
     """The fork hands the workers `fn` and the items as they are."""
@@ -361,3 +365,10 @@ def test_exception_that_does_not_pickle_arrives_as_pipeline_error(monkeypatch, i
     with pytest.raises(hz.PipelineError) as info:
         list(hz.map_ordered(_raise_unpicklable, items))
     assert str(info.value).startswith(want)
+
+
+def test_bench_run_loads_no_process_pool_or_polynomial(loaded_by):
+    """A bench on two CPUs, field-distinct transmitters (whose tilt is a
+    Legendre draw) and the reference division loads none of them."""
+    forks, loaded = loaded_by("bench", "multiprocessing", "concurrent", "numpy.polynomial")
+    assert forks >= 2 and loaded == []
