@@ -28,7 +28,8 @@ Fields, per tree:
   simulated: simulate (the frame engine's `harness.frame_blocks`), detect
   (`noise_floor_threshold`, `detect_signal`), sync (`synchronize`), cfo
   (`estimate_cfo_coarse`, `estimate_cfo_fine`, `compensate_cfo`),
-  field_spectrum and extract (`extract_rd/hl/dv`);
+  field_spectrum and extract (`divide`, which every feature table goes
+  through);
 - `s`: seconds in train (`classify.train`), eval (`classify.evaluate`,
   `evaluate_fused`) and write (`write_report`, and
   `data_io.append_feature_rows`, which appends to the feature tables as
@@ -69,9 +70,7 @@ STAGES = [
     ("preprocess", "estimate_cfo_fine", "cfo"),
     ("preprocess", "compensate_cfo", "cfo"),
     ("features", "field_spectrum", "field_spectrum"),
-    ("features", "extract_rd", "extract"),
-    ("features", "extract_hl", "extract"),
-    ("features", "extract_dv", "extract"),
+    ("features", "divide", "extract"),
     ("classify", "train", "train"),
     ("classify", "evaluate", "eval"),
     ("classify", "evaluate_fused", "eval"),

@@ -221,17 +221,17 @@ def _lockstep_groups(captures, readers: dict, role: str) -> list:
 def _extract_group(manifest, detection, extractors, fields, models, job) -> list:
     """The `harness.LinkFeatures` of each capture of a lock-step group of
     device captures (`job`: manifest indices, readers), each row divided by
-    its own receiver's model (`models`). The worker formats the CSV rows
-    (trial: frame index) and drops the feature blocks, which extract only writes."""
+    its own receiver's model (`models`: field spectra by receiver id). The
+    worker formats the CSV rows (trial: frame index) and drops the feature
+    blocks, which extract only writes."""
     from . import harness
     group, readers = job
     captures = [manifest["captures"][i] for i in group]
 
     def blocks():
         for step in _walk_captures(readers, detection, fields):
-            rx_ids = [captures[c]["receiver"] for c in step.captures]
-            feats = harness._extract_all(step.spectra, extractors,
-                                         [models.get(rx) for rx in rx_ids], rx_ids, None)
+            feats = harness._extract_all(step.spectra, extractors, models,
+                                         [captures[c]["receiver"] for c in step.captures], None)
             yield np.array(step.captures), step.frame_index, feats, step.spectra[fields[0]].drops
     links = harness._link_records(blocks(), len(group))
     for cap, link in zip(captures, links):
@@ -261,9 +261,9 @@ def cmd_extract(args) -> int:
             for row in np.flatnonzero(step.spectra[fields[0]].drops.live):
                 model_spectra[group[step.captures[row]]] = {f: FieldSpectrum(f, s.bins[row])
                                                             for f, s in step.spectra.items()}
-    # in manifest order, so a later capture of a receiver wins
-    models = {captures[i]["receiver"]: harness.ModelCapture(captures[i]["receiver"], spectra, 1)
-              for i, spectra in sorted(model_spectra.items())}
+    # keyed by the receiver each capture went through, in manifest order, so a
+    # later capture of a receiver wins
+    models = {captures[i]["receiver"]: spectra for i, spectra in sorted(model_spectra.items())}
     # the device groups are independent, so they run on every usable CPU; each
     # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)

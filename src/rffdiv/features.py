@@ -211,10 +211,10 @@ def extract_rd(unknown: FieldSpectrum, model: FieldSpectrum,
         raise ValueError(
             f"field mismatch: unknown={unknown.field.value} model={model.field.value}"
         )
-    if unknown.field is Field.HTLTF:
+    tables = [t for t, div in DIVISIONS.items() if div.by_model and div.numerator is unknown.field]
+    if not tables:
         raise ValueError("reference division uses the legacy fields only")
-    table = Extractor.RD_STF if unknown.field is Field.LSTF else Extractor.RD_LTF
-    return divide(table, unknown, model, device_hint)
+    return divide(tables[0], unknown, model, device_hint)
 
 
 def extract_hl(lltf: FieldSpectrum, htltf: FieldSpectrum,

@@ -9,7 +9,7 @@ byte-identical report.
 
 Seed scheme: every consumer draws from `numpy.random.default_rng(seed)`
 with the seed `numpy.random.SeedSequence((master_seed, stream, repeat,
-device_idx, receiver_idx, frame_idx)).generate_state(1)[0]`, where `stream`
+device, receiver, frame)).generate_state(1)[0]`, where `stream`
 distinguishes channel draws, noise, start jitter, and model-capture
 variants. Devices and receivers are indexed by their position in the
 config. The values are unchanged from the scheme's first version; only
@@ -20,9 +20,10 @@ from, which the frame engine sets on one generator per link instead of
 building a generator per draw.
 
 Reference-division protocol: each receiver's model spectra come from a
-fresh capture of the reference device made through that same receiver
-(the run loop checks the pairing structurally); model captures refresh per
-repeat and are never shared across receivers.
+fresh capture of the reference device made through that same receiver,
+and the model table is keyed by that receiver, so a frame can only be
+divided by its own receiver's model; model captures refresh per repeat and
+are never shared across receivers.
 
 Frames that fail detection, sync, or hit a degenerate denominator are
 dropped and counted; drop rates are first-class outputs. Within each
@@ -55,9 +56,7 @@ from .features import (
     FeatureVector,
     Field,
     FieldSpectrum,
-    extract_dv,
-    extract_hl,
-    extract_rd,
+    divide,
     field_spectrum,
     tables_of,
 )
@@ -223,6 +222,7 @@ def load_config(doc) -> ExperimentConfig:
     _distinct(["+".join(sorted(set(t))) for t in train_sets], "train_receivers")
     _distinct(test, "test_receivers")
     _distinct(top["snr_db"], "snr_db")
+    _distinct([f"{s:g}" for s in top["snr_db"]], "snr_db")  # the report's keys and labels
     _distinct(top["extractors"], "extractors")
     ids = {r for t in train_sets for r in t} | set(test)
     if ids - set(rx_ids):
@@ -347,7 +347,7 @@ def _seated(rng: np.random.Generator, states):
 
 
 def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
-                 repeat: int, device_idx: int, receiver_idx: int, n_frames: int):
+                 repeat: int, device_idx: int, rx_idx: int, n_frames: int):
     """The frame engine's captures of one (device, receiver) link: yields
     (first frame index, block) for blocks of at most BLOCK_ROWS frames.
     Every frame draws its own jitter, noise and (when the config's channel
@@ -358,7 +358,7 @@ def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr
     draw."""
     per_frame = _channel_params(cfg)["per_frame"]
     seeds = derive_seeds(cfg.master_seed, np.array([[_S_CHANNEL], [_S_NOISE], [_S_JITTER]]),
-                         repeat, device_idx, receiver_idx, np.arange(n_frames))
+                         repeat, device_idx, rx_idx, np.arange(n_frames))
     # a static link's channel needs frame 0's seed, not a state per frame
     states = generator_states(seeds if per_frame else seeds[1:])
     by_stream = [states[i : i + n_frames] for i in range(0, len(states), n_frames)]
@@ -396,9 +396,9 @@ def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fiel
 
 @dataclass
 class ModelCapture:
-    """Reference-device spectra captured through one specific receiver."""
+    """Reference-device spectra captured through one receiver, and the
+    attempts the capture took."""
 
-    receiver_id: str
     spectra: dict
     attempts: int
 
@@ -419,8 +419,7 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
                              [np.random.default_rng(jitter_seed)])
         spectra = acquire_spectra(frames, cfg, fields)
         if frames.drops.live[0]:
-            return ModelCapture(rx_profile.device_id,
-                                {f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()},
+            return ModelCapture({f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()},
                                 attempt + 1)
         causes[type(frames.drops.errors[0]).__name__] += 1
     raise PipelineError(
@@ -429,30 +428,26 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
     )
 
 
-def _extract_all(spectra: dict, extractors, models: list, rx_ids: list,
+def _extract_all(spectra: dict, extractors, models: dict, rx_ids: list,
                  device_id: str | None) -> dict[str, FeatureVector]:
-    """The feature blocks of `spectra` by `extractors`. Reference division
-    divides row i by `models[i]`, the reference model captured through the
-    row's receiver `rx_ids[i]` (one entry of each serves every row); a row
-    whose receiver has no model (None) is dropped with `MissingModelError`."""
-    out = {}
-    if _needs_reference(extractors):
-        # structural isolation: a model must have been captured through the
-        # receiver whose frames it divides
-        for model, rx_id in zip(models, rx_ids):
-            if model is not None and model.receiver_id != rx_id:
-                raise PipelineError(f"model captured through {model.receiver_id} "
-                                    f"cannot divide frames from {rx_id}")
-        drops = spectra[Field.LSTF].drops or Drops(1, single=True)
-        drops.drop(np.array([m is None for m in models]), MissingModelError,
+    """The feature blocks of `spectra`, one per table the `extractors` write
+    (`DIVISIONS`). A table divides its numerator spectrum by the frame's own
+    denominator spectrum or, by model, row i by `models.get(rx_ids[i])`: the
+    field spectra of the reference device captured through the row's
+    receiver (one entry of `rx_ids` serves every row). A row whose receiver
+    has no model is dropped with `MissingModelError`."""
+    tables = tables_of(extractors)
+    if any(div.by_model for div in tables.values()):
+        rows = [models.get(rx) for rx in rx_ids]
+        drops = next(iter(spectra.values())).drops or Drops(1, single=True)
+        drops.drop(np.array([m is None for m in rows]), MissingModelError,
                    lambda i: f"no reference model captured through {rx_ids[i % len(rx_ids)]}")
-        for tag, f in (("RD_STF", Field.LSTF), ("RD_LTF", Field.LLTF)):
-            model_rows = [np.zeros(FFT_SIZE) if m is None else m.spectra[f].bins for m in models]
-            out[tag] = extract_rd(spectra[f], FieldSpectrum(f, np.array(model_rows)), device_id)
-    if "HL" in extractors:
-        out["HL"] = extract_hl(spectra[Field.LLTF], spectra[Field.HTLTF], device_id)
-    if "DV" in extractors:
-        out["DV"] = extract_dv(spectra[Field.LSTF], spectra[Field.LLTF], device_id)
+    out = {}
+    for table, div in tables.items():
+        den = (FieldSpectrum(div.denominator, np.array(
+                   [np.zeros(FFT_SIZE) if m is None else m[div.denominator].bins for m in rows]))
+               if div.by_model else spectra[div.denominator])
+        out[table.value] = divide(table, spectra[div.numerator], den, device_id)
     return out
 
 
@@ -528,17 +523,6 @@ def _link_records(blocks, n_links: int) -> list[LinkFeatures]:
                          {tag: replace(last[tag], values=np.concatenate(v), rows=None)
                           for tag, v in by_tag.items()}, dict(causes))
             for frames, by_tag, causes in zip(kept, values, drops)]
-
-
-def _link_features(cfg, blocks, model: ModelCapture | None, rx_id: str,
-                   device_id: str) -> LinkFeatures:
-    """Run acquisition and extraction over a link's blocks (`frame_blocks`)."""
-    fields = _needed_fields(cfg.extractors)
-    return _link_records(((np.zeros(len(frames.lengths), dtype=np.int64),
-                           first + np.arange(len(frames.lengths)),
-                           _extract_all(acquire_spectra(frames, cfg, fields), cfg.extractors,
-                                        [model], [rx_id], device_id), frames.drops)
-                          for first, frames in blocks), 1)[0]
 
 
 def usable_cpus() -> int:
@@ -648,15 +632,21 @@ def map_ordered(fn, items):
             pipe.close()
 
 
-def _link_task(cfg, snr_db, repeat, csv, link) -> LinkFeatures:
-    """One (device, receiver) link through the frame engine; `link` is
-    (sent, rx profile, device index, receiver index, device id, model).
-    With `csv` the link's rows are also formatted for the feature CSVs
-    (trial `repeat * frames_per_device + frame`), here in the worker;
-    without it no row is formatted."""
-    sent, rx, di, rj, device_id, model = link
+def _link_task(cfg, snr_db, repeat, csv, models, link) -> LinkFeatures:
+    """One (device, receiver) link through the frame engine, acquired and
+    extracted block by block; `link` is (sent, rx profile, device index,
+    receiver index, device id) and `models` the model spectra by receiver
+    (`_extract_all`). With `csv` the link's rows are also formatted for the
+    feature CSVs (trial `repeat * frames_per_device + frame`), here in the
+    worker; without it no row is formatted."""
+    sent, rx, di, rj, device_id = link
+    fields = _needed_fields(cfg.extractors)
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device)
-    out = _link_features(cfg, blocks, model, rx.device_id, device_id)
+    out = _link_records(((np.zeros(len(frames.lengths), dtype=np.int64),
+                          first + np.arange(len(frames.lengths)),
+                          _extract_all(acquire_spectra(frames, cfg, fields), cfg.extractors,
+                                       models, [rx.device_id], device_id), frames.drops)
+                         for first, frames in blocks), 1)[0]
     if csv:
         out.format_csv(device_id, rx.device_id, cfg.channel["scenario"], snr_db,
                        repeat * cfg.frames_per_device)
@@ -682,9 +672,9 @@ def run_links(cfg: ExperimentConfig, points, write_rows=None):
         models = ({rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr)
                    for rj, rx in enumerate(receivers)}
                   if _needs_reference(cfg.extractors) else {})
-        results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None), [
-            (sent[di], rx, di, rj, dev.device_id, models.get(rx.device_id))
-            for di, dev, rj, rx in grid])
+        results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None,
+                                      {rx: mc.spectra for rx, mc in models.items()}),
+                              [(sent[di], rx, di, rj, dev.device_id) for di, dev, rj, rx in grid])
         links = {}
         for (_, dev, _, rx), link in zip(grid, results):
             if write_rows is not None:

@@ -178,6 +178,7 @@ def test_repeated_id_is_config_error(monkeypatch, tmp_path, capsys, keys, repeat
     ({"snr_db": [30, 30]}, "snr_db: 30.0"),
     ({"snr_db": [30, 20.0, 30.0]}, "snr_db: 30.0"),  # 30 and 30.0 are one SNR
     ({"extractors": ["HL", "DV", "HL"]}, "extractors: 'HL'"),
+    ({"snr_db": [30.0, 30.0000001]}, "snr_db: '30'"),  # the report prints both as 30
 ])
 @pytest.mark.parametrize("command", ["bench", "simulate"])
 def test_repeated_snr_or_extractor_is_config_error(monkeypatch, tmp_path, capsys, keys,

@@ -2,6 +2,7 @@
 the same stages give."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rffdiv.cli import main
 from rffdiv.features import Field
 from rffdiv.signals import ComplexSignal, Frames
 from rffdiv.waveform import WindowBoundsError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The errors a one-capture stage call raises for a frame the engine drops.
 _DROP_ERRORS = (pp.NotDetectedError, pp.SyncFailedError, pp.EstimationFailedError,
@@ -41,9 +44,10 @@ def _doc(scenario, **overrides):
 
 
 def _one_row(cfg, spectra_fn, model, rx_id, dev_id):
-    """Drop cause (or None) and features of one frame, one call at a time."""
+    """Drop cause (or None) and features of one frame through receiver
+    `rx_id`, whose model spectra are `model`, one call at a time."""
     try:
-        feats = hz._extract_all(spectra_fn(), cfg.extractors, [model], [rx_id], dev_id)
+        feats = hz._extract_all(spectra_fn(), cfg.extractors, {rx_id: model}, [rx_id], dev_id)
     except _DROP_ERRORS as exc:
         return type(exc).__name__, None
     return None, feats
@@ -72,7 +76,8 @@ def test_engine_matches_one_row_calls(scenario):
                     hz.derive_seed(cfg.master_seed, hz._S_JITTER, 0, di, rj, fi),
                 )
                 cause, feats = _one_row(cfg, lambda: hz.acquire_spectra(capture, cfg, fields),
-                                        models[rx.device_id], rx.device_id, dev.device_id)
+                                        models[rx.device_id].spectra, rx.device_id,
+                                        dev.device_id)
                 if cause:
                     drops[cause] = drops.get(cause, 0) + 1
                     continue
@@ -97,8 +102,7 @@ def test_block_records_each_rows_first_failure():
     flat = ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=0.8 + 0.3j)
     noisy = ch.ChannelRealization(ch.ChannelKind.FLAT, alpha=0.8 + 0.3j, snr_db=25.0)
     ref, _ = hz.simulate_capture(imp.sample_profile(55, imp.Role.TRANSMITTER), rx, flat, 1, 2)
-    spectra = hz.acquire_spectra(ref, cfg, (Field.LSTF, Field.LLTF))
-    model = hz.ModelCapture("rx00", spectra, 1)
+    model = hz.acquire_spectra(ref, cfg, (Field.LSTF, Field.LLTF))
 
     rng = np.random.default_rng(3)
     sent = hz._transmit(dev)
@@ -118,8 +122,8 @@ def test_block_records_each_rows_first_failure():
     for i, r in enumerate(rows):
         block[i, : r.size] = r
     frames = Frames(block, lengths)
-    feats = hz._extract_all(hz.acquire_spectra(frames, cfg, fields), cfg.extractors, [model],
-                            ["rx00"], "dev00")
+    feats = hz._extract_all(hz.acquire_spectra(frames, cfg, fields), cfg.extractors,
+                            {"rx00": model}, ["rx00"], "dev00")
     causes = [None if e is None else type(e).__name__ for e in frames.drops.errors]
     expected = []
     for r in rows:
@@ -162,14 +166,18 @@ def test_transmitter_runs_once_per_device(monkeypatch):
     assert sorted(calls) == ["dev00", "dev01", "ref"]
 
 
-@pytest.mark.parametrize("divider", ["extract_rd", "extract_hl", "extract_dv"])
-def test_plain_value_error_in_extraction_propagates(monkeypatch, divider):
-    # the harness calls each divider through its module binding, which the
-    # benchmark's tracer and scripts/bench_layers.py wrap
-    def broken(*args, **kwargs):
-        raise ValueError("shape bug")
+@pytest.mark.parametrize("extractor", ["RD", "HL", "DV"])
+def test_plain_value_error_in_extraction_propagates(monkeypatch, extractor):
+    # the harness divides through its module binding of `divide`, which
+    # scripts/bench_layers.py wraps; an error that is no drop cause stops the run
+    real = hz.divide
 
-    monkeypatch.setattr(hz, divider, broken)
+    def broken(table, *args):
+        if ft.DIVISIONS[table].extractor == extractor:
+            raise ValueError("shape bug")
+        return real(table, *args)
+
+    monkeypatch.setattr(hz, "divide", broken)
     cfg = hz.load_config(_doc("flat", frames_per_device=4))
     with pytest.raises(ValueError, match="shape bug"):
         hz.run_experiment(cfg)
@@ -211,7 +219,6 @@ def test_model_capture_matches_one_capture_attempts():
                     hz._capture_model(cfg, sent_ref, rx, rj, 0, snr)
                 continue
             model = hz._capture_model(cfg, sent_ref, rx, rj, 0, snr)
-            assert model.receiver_id == rx.device_id
             assert model.attempts == n
             assert set(model.spectra) == set(spectra)
             for f, s in spectra.items():
@@ -248,6 +255,30 @@ def test_run_paths_hand_the_stages_only_blocks(monkeypatch, tmp_path):
     assert main(["extract", "--manifest", str(tmp_path / "iq"),
                  "--out-dir", str(tmp_path / "features")]) == 0
     assert kinds == {"Frames"}
+
+
+@pytest.mark.xfail(
+    strict=True, raises=WindowBoundsError,
+    reason="ROADMAP item 1a (the guard) drops the mis-synced rows, or item 3 (a frame whose "
+           "field window leaves the capture is a drop) deletes the re-raise in "
+           "harness.acquire_spectra; whichever lands first flips this")
+@pytest.mark.parametrize("config, seed, snr_db, rx_idx, repeat", [
+    # a deep flat fade: sync places HTLTF1 at [757, 821) in the 797-sample
+    # captures of frames 24 and 25, and at [747, 811) in frame 37's 787
+    pytest.param("configs/bench_default.json", 7, 30.0, 2, 3, id="bench_default-seed7"),
+    # detection fires late in noise on rows 4, 8 and 12 of the first block
+    pytest.param("perfbench/mobile_snr_sweep.json", 1, 15.0, 0, 0, id="mobile-15dB-seed1"),
+])
+def test_every_block_of_the_link_is_acquired(config, seed, snr_db, rx_idx, repeat):
+    """Link dev00 -> rx<rx_idx> of the config at `seed`, one repeat: the
+    run-ending failures of `bench`, at the frame-engine level."""
+    doc = json.loads((ROOT / config).read_text()) | {"master_seed": seed, "snr_db": snr_db}
+    cfg = hz.load_config(doc)
+    devices, receivers, _ = hz._profiles(cfg)
+    fields = hz._needed_fields(cfg.extractors)
+    for _, frames in hz.frame_blocks(cfg, hz._transmit(devices[0]), receivers[rx_idx], snr_db,
+                                     repeat, 0, rx_idx, cfg.frames_per_device):
+        hz.acquire_spectra(frames, cfg, fields)
 
 
 def test_block_drops_only_the_row_whose_window_leaves_its_capture():

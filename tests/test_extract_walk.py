@@ -216,11 +216,11 @@ def test_frame_late_in_its_segment_is_walked_again(frames, tmp_path):
 EXTRACTORS = list(cf.EXTRACTORS)
 
 
-def _model(path, rx_id):
-    """The reference model of receiver `rx_id`: the first frame acquired in
+def _model(path):
+    """A reference model: the field spectra of the first frame acquired in
     `path`."""
     spectra = next(s for _, s in _reference(path) if s is not None)
-    return hz.ModelCapture(rx_id, {f: FieldSpectrum(f, bins) for f, bins in spectra.items()}, 1)
+    return {f: FieldSpectrum(f, bins) for f, bins in spectra.items()}
 
 
 def _extract(paths, receivers, models):
@@ -234,17 +234,18 @@ def _extract(paths, receivers, models):
                           (list(range(len(paths))), readers))
 
 
-def _extract_one(path, model, rx_id):
+def _extract_one(path, models, rx_id):
     """Reference: `path` walked alone (`_walk_one`), each frame divided by
-    `model` one frame at a time. Returns the frame indices that yield
-    features, their values per tag, and the frames walked but dropped."""
+    receiver `rx_id`'s model in `models` one frame at a time. Returns the
+    frame indices that yield features, their values per tag, and the frames
+    walked but dropped."""
     kept, values, walked = [], {}, 0
     for idx, spectra in _walk_one(data_io.read_iq(path), DETECTION, FIELDS):
         walked += 1
         if spectra is None:
             continue
         try:
-            feats = hz._extract_all(spectra, EXTRACTORS, [model], [rx_id], None)
+            feats = hz._extract_all(spectra, EXTRACTORS, models, [rx_id], None)
         except (DegenerateModelError, DegenerateDenominatorError, hz.MissingModelError):
             continue
         kept.append(idx)
@@ -261,7 +262,7 @@ def mixed(frames, tmp_path):
     paths = [_write(tmp_path, f"cap{k}", f[3 * k : 3 * k + 2 + k % 2]) for k in range(5)]
     paths.append(_write(tmp_path, "fail", [f[15], _quiet(f, 300), _tone(f, 700),
                                            _quiet(f, 440), f[16]]))
-    models = {rx: _model(_write(tmp_path, f"ref_{rx}", [f[20 + k]]), rx)
+    models = {rx: _model(_write(tmp_path, f"ref_{rx}", [f[20 + k]]))
               for k, rx in enumerate(("rxA", "rxB"))}
     return paths, ["rxA", "rxB"] * 3, models
 
@@ -271,7 +272,7 @@ def test_mixed_receiver_group_divides_each_row_by_its_own_model(mixed):
     links = _extract(paths, receivers, models)
     assert len(links) == len(paths)
     for k, (path, rx, link) in enumerate(zip(paths, receivers, links)):
-        kept, values, dropped = _extract_one(path, models[rx], rx)
+        kept, values, dropped = _extract_one(path, models, rx)
         assert link.frames.tolist() == kept
         assert link.dropped == dropped
         assert link.features == {}  # formatted in the worker; only the text goes back
@@ -281,7 +282,7 @@ def test_mixed_receiver_group_divides_each_row_by_its_own_model(mixed):
                                                                 kept, 30.0, rows), tag
     assert links[-1].drops == {"SyncFailedError": 1}
     # rxA's model would give the rxB capture other values
-    kept, values, _ = _extract_one(paths[1], models["rxA"], "rxA")
+    kept, values, _ = _extract_one(paths[1], models, "rxA")
     assert kept == links[1].frames.tolist()
     assert links[1].csv["RD_LTF"] != data_io.format_feature_rows(
         "RD_LTF", "dev1", "rxB", "flat", kept, 30.0, values["RD_LTF"])
@@ -292,7 +293,7 @@ def test_receiver_without_a_model_loses_its_rows_in_every_table(mixed):
     only_a = {"rxA": models["rxA"]}
     links = _extract(paths, receivers, only_a)
     for path, rx, link in zip(paths, receivers, links):
-        kept, _, dropped = _extract_one(path, only_a.get(rx), rx)
+        kept, _, dropped = _extract_one(path, only_a, rx)
         # the frames walked less the rows written: the drop total of a whole-group drop
         assert link.dropped == dropped == len(_reference(path)) - len(kept)
         if rx == "rxB":
@@ -303,13 +304,6 @@ def test_receiver_without_a_model_loses_its_rows_in_every_table(mixed):
         else:
             assert link.frames.tolist() == kept != []
             assert "MissingModelError" not in link.drops
-
-
-def test_row_whose_model_came_through_another_receiver_raises(mixed):
-    paths, receivers, models = mixed
-    wired = {"rxA": models["rxA"], "rxB": models["rxA"]}
-    with pytest.raises(hz.PipelineError, match="captured through rxA cannot divide frames from rxB"):
-        _extract(paths, receivers, wired)
 
 
 def test_small_window_walks_a_short_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from rffdiv import harness as hz
 from rffdiv import studies
+from rffdiv.features import Field
 
 
 def _base_doc(**overrides):
@@ -88,10 +89,10 @@ def test_no_earlier_links_alive_while_the_next_run(monkeypatch, tmp_path, tables
     real = hz._link_task
     first, alive = [], []
 
-    def link_task(cfg, snr_db, repeat, csv, link):
+    def link_task(cfg, snr_db, repeat, csv, models, link):
         if repeat == 1:
             alive.append(sum(ref() is not None for ref in first))
-        out = real(cfg, snr_db, repeat, csv, link)
+        out = real(cfg, snr_db, repeat, csv, models, link)
         if repeat == 0:
             first.append(weakref.ref(out))
         return out
@@ -106,21 +107,22 @@ def test_no_earlier_links_alive_while_the_next_run(monkeypatch, tmp_path, tables
 
 
 def test_model_capture_structural_isolation():
+    """Each receiver's model holds the reference device's spectra captured
+    through that receiver: bit for bit a fresh capture through it, which
+    differs from every other receiver's."""
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
-    _, receivers, _ = hz._profiles(cfg)
+    _, receivers, reference = hz._profiles(cfg)
     (_, _, models, _), = hz.run_links(cfg, [(30.0, 0)])
-    for rx in receivers:
-        assert models[rx.device_id].receiver_id == rx.device_id
-    # cross-wiring the model captures trips the structural check
-    swapped = {
-        receivers[0].device_id: models[receivers[1].device_id],
-        receivers[1].device_id: models[receivers[0].device_id],
-    }
-    with pytest.raises(hz.PipelineError):
-        hz._extract_all(
-            {f: s for f, s in models[receivers[0].device_id].spectra.items()},
-            ["RD"], [swapped[receivers[0].device_id]], [receivers[0].device_id], "dev00",
-        )
+    assert list(models) == [rx.device_id for rx in receivers]
+    sent_ref = hz._transmit(reference)
+    fresh = [hz._capture_model(cfg, sent_ref, rx, rj, 0, 30.0) for rj, rx in enumerate(receivers)]
+    for rx, own in zip(receivers, fresh):
+        model = models[rx.device_id]
+        assert model.spectra.keys() == own.spectra.keys()
+        for f, s in own.spectra.items():
+            assert np.array_equal(model.spectra[f].bins, s.bins), (rx.device_id, f)
+    assert not np.array_equal(fresh[0].spectra[Field.LLTF].bins,
+                              fresh[1].spectra[Field.LLTF].bins)
 
 
 def test_feature_stability_reports_both_metrics():

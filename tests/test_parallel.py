@@ -100,18 +100,18 @@ def test_simulate_extract_same_with_one_or_two_workers(monkeypatch, tmp_path, ca
 def _failing_links(monkeypatch, failures):
     """Links `(dev_id, rx_id)` in `failures` raise the given exception; the
     first one listed waits first, so a later link fails earlier in time."""
-    real = hz._link_features
+    real = hz._link_task
     first = next(iter(failures))
 
-    def link_features(cfg, blocks, model, rx_id, device_id):
-        exc = failures.get((device_id, rx_id))
-        if exc is None:
-            return real(cfg, blocks, model, rx_id, device_id)
-        if (device_id, rx_id) == first:
+    def link_task(cfg, snr_db, repeat, csv, models, link):
+        key = (link[4], link[1].device_id)  # (device id, receiver id)
+        if key not in failures:
+            return real(cfg, snr_db, repeat, csv, models, link)
+        if key == first:
             time.sleep(0.3)
-        raise exc
+        raise failures[key]
 
-    monkeypatch.setattr(hz, "_link_features", link_features)
+    monkeypatch.setattr(hz, "_link_task", link_task)
 
 
 @pytest.mark.parametrize("failures", [
@@ -161,21 +161,21 @@ def test_empty_train_pool_same_with_one_or_two_workers(monkeypatch):
     """rx01's links keep only their second-half frames, so its train set has
     no rows: the run fails before any training starts, also rx00's."""
     cfg = hz.load_config({**DOC, "train_receivers": ["rx00", "rx01"]})
-    real = hz._link_features
+    real = hz._link_task
 
-    def link_features(cfg, blocks, model, rx_id, device_id):
-        link = real(cfg, blocks, model, rx_id, device_id)
-        if rx_id != "rx01":
-            return link
-        keep = link.frames >= cfg.frames_per_device // 2
-        return hz.LinkFeatures(link.frames[keep], {
-            tag: replace(fv, values=fv.values[keep]) for tag, fv in link.features.items()},
-            link.drops)
+    def link_task(cfg, snr_db, repeat, csv, models, link):
+        out = real(cfg, snr_db, repeat, csv, models, link)
+        if link[1].device_id != "rx01":
+            return out
+        keep = out.frames >= cfg.frames_per_device // 2
+        return hz.LinkFeatures(out.frames[keep], {
+            tag: replace(fv, values=fv.values[keep]) for tag, fv in out.features.items()},
+            out.drops)
 
     def no_training(*args, **kwargs):
         raise AssertionError("a training started")
 
-    monkeypatch.setattr(hz, "_link_features", link_features)
+    monkeypatch.setattr(hz, "_link_task", link_task)
     monkeypatch.setattr(hz.cl, "train", no_training)
     for n in (1, 2):
         _with_cpus(monkeypatch, n)
