@@ -272,7 +272,7 @@ def cmd_extract(args) -> int:
     surplus = []  # captures with more frames than their manifest entry lists
     with data_io.feature_tables(out) as write_rows:
         for group, links in zip(groups, harness.map_ordered(
-                task, [(group, [readers[i] for i in group]) for group in groups])):
+                task, [(group, [readers[i] for i in group]) for group in groups]), strict=True):
             for i, link in zip(group, links):
                 write_rows(link.csv)
                 n_rows += len(link.frames) * len(link.csv)  # every table has the same rows

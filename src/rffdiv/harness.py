@@ -396,18 +396,21 @@ def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fiel
 
 @dataclass
 class ModelCapture:
-    """Reference-device spectra captured through one receiver, and the
-    attempts the capture took."""
+    """Reference-device spectra captured through one receiver, the attempts
+    the capture took, and the low-frequency energy ratio of its L-LTF
+    amplitude (`refselect.eta_lf`), which the report's `model_info` lists.
+    It is what a model-capture worker sends back (`run_links`)."""
 
     spectra: dict
     attempts: int
+    eta_lf: float
 
 
 def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
     """Capture the transmitted reference frame `sent_ref` through one
     receiver, one frame-engine row per attempt, until a capture survives
-    acquisition. The error after the last attempt counts the attempts'
-    drop causes."""
+    acquisition, and score its L-LTF amplitude's η_LF. The error after the
+    last attempt counts the attempts' drop causes."""
     fields = tuple(div.denominator for div in DIVISIONS.values() if div.by_model)
     causes = Counter()
     for attempt in range(MODEL_CAPTURE_ATTEMPTS):
@@ -419,8 +422,9 @@ def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCa
                              [np.random.default_rng(jitter_seed)])
         spectra = acquire_spectra(frames, cfg, fields)
         if frames.drops.live[0]:
-            return ModelCapture({f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()},
-                                attempt + 1)
+            model = {f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()}
+            csi = np.abs(model[Field.LLTF].occupied_bins())
+            return ModelCapture(model, attempt + 1, eta_lf(csi).eta_lf)
         causes[type(frames.drops.errors[0]).__name__] += 1
     raise PipelineError(
         f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}: "
@@ -480,10 +484,12 @@ def _needed_fields(extractors) -> tuple:
 @dataclass
 class LinkFeatures:
     """One (device, receiver) link's fingerprints: the indices of the frames
-    that yielded them, one block FeatureVector per tag whose rows follow
-    `frames`, and the dropped frames counted by cause. `csv` holds, per
-    tag, the link's feature CSV rows (`format_csv`) when the run writes
-    feature tables, until the tables' writer takes them."""
+    that yielded them, in ascending order, one block FeatureVector per tag
+    whose rows follow `frames`, and the dropped frames counted by cause.
+    `csv` holds, per tag, the link's feature CSV rows (`format_csv`) when
+    the run writes feature tables, until the tables' writer takes them. A
+    pooled link (`run_links`) keeps in `frames` and `features` only the
+    rows that a pool reads; `csv` and `drops` still cover every frame."""
 
     frames: np.ndarray
     features: dict
@@ -632,13 +638,27 @@ def map_ordered(fn, items):
             pipe.close()
 
 
-def _link_task(cfg, snr_db, repeat, csv, models, link) -> LinkFeatures:
+def _train_ids(entry) -> set:
+    """The receivers of one `train_receivers` entry: an id or a list of ids."""
+    return {entry} if isinstance(entry, str) else set(entry)
+
+
+def _test_start(cfg, frames: np.ndarray) -> int:
+    """The row of a link's first test-half frame. `frames` ascend, so the
+    training half is the rows before it and the test half the rest."""
+    return int(np.searchsorted(frames, cfg.frames_per_device // 2))
+
+
+def _link_task(cfg, snr_db, repeat, csv, pooled, models, link) -> LinkFeatures:
     """One (device, receiver) link through the frame engine, acquired and
     extracted block by block; `link` is (sent, rx profile, device index,
     receiver index, device id) and `models` the model spectra by receiver
     (`_extract_all`). With `csv` the link's rows are also formatted for the
     feature CSVs (trial `repeat * frames_per_device + frame`), here in the
-    worker; without it no row is formatted."""
+    worker; without it no row is formatted. With `pooled`, after that, the
+    link keeps only the rows a pool reads (`_pool`): its training half if
+    the receiver is in a train set, its test half if it is a test
+    receiver."""
     sent, rx, di, rj, device_id = link
     fields = _needed_fields(cfg.extractors)
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device)
@@ -650,33 +670,50 @@ def _link_task(cfg, snr_db, repeat, csv, models, link) -> LinkFeatures:
     if csv:
         out.format_csv(device_id, rx.device_id, cfg.channel["scenario"], snr_db,
                        repeat * cfg.frames_per_device)
+    if pooled:
+        cut = _test_start(cfg, out.frames)
+        trains = any(rx.device_id in _train_ids(t) for t in cfg.train_receivers)
+        rows = slice(0 if trains else cut, None if rx.device_id in cfg.test_receivers else cut)
+        out = replace(out, frames=out.frames[rows], features={
+            tag: replace(fv, values=fv.values[rows]) for tag, fv in out.features.items()})
     return out
 
 
-def run_links(cfg: ExperimentConfig, points, write_rows=None):
+def run_links(cfg: ExperimentConfig, points, write_rows=None, pooled=False):
     """Per (snr, repeat) of `points`, in order: (snr, repeat, models, links),
-    with each receiver's reference model ({} when no extractor divides by
-    one) and each (device id, receiver id)'s LinkFeatures, device-major.
-    Profiles and transmitted frames are built once; a point's links run on
-    every usable CPU. With `write_rows` (`data_io.feature_tables`) each
-    link's CSV rows are formatted in its worker and written as it arrives.
-    A consumer drops its references to a point's links before asking for
-    the next, as this generator does, so one point's features stay in
-    memory."""
+    with each receiver's ModelCapture ({} when no extractor divides by one)
+    and each (device id, receiver id)'s LinkFeatures, device-major.
+    Profiles and transmitted frames are built once, here. Per point, the
+    receivers' model captures run on every usable CPU, then the links do
+    (`map_ordered`; on one CPU both run in this process), so that on two or
+    more this process captures, acquires and divides no frame. Each map is read to
+    its end, which reaps its workers before the point is yielded. With
+    `write_rows` (`data_io.feature_tables`) each link's CSV rows are
+    formatted in its worker and written as it arrives. With `pooled`, a
+    link keeps only the rows that a pool reads (`_link_task`), while its
+    CSV rows and drop counts cover every frame. A consumer drops its
+    references to a point's links before asking for the next, as this
+    generator does, so one point's features stay in memory."""
     devices, receivers, reference = _profiles(cfg)
     sent = [_transmit(d) for d in devices]
     sent_ref = None if reference is None else _transmit(reference)
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
+
+    def capture(item):  # (rx profile, rx index, repeat, snr)
+        return _capture_model(cfg, sent_ref, *item)
+
     for snr, repeat in points:
-        models = ({rx.device_id: _capture_model(cfg, sent_ref, rx, rj, repeat, snr)
-                   for rj, rx in enumerate(receivers)}
-                  if _needs_reference(cfg.extractors) else {})
+        models = {}
+        if _needs_reference(cfg.extractors):
+            captures = map_ordered(capture, [(rx, rj, repeat, snr)
+                                             for rj, rx in enumerate(receivers)])
+            models = {rx.device_id: mc for rx, mc in zip(receivers, captures, strict=True)}
         results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None,
-                                      {rx: mc.spectra for rx, mc in models.items()}),
+                                      pooled, {rx: mc.spectra for rx, mc in models.items()}),
                               [(sent[di], rx, di, rj, dev.device_id) for di, dev, rj, rx in grid])
         links = {}
-        for (_, dev, _, rx), link in zip(grid, results):
+        for (_, dev, _, rx), link in zip(grid, results, strict=True):
             if write_rows is not None:
                 write_rows(link.csv)
                 link.csv = {}
@@ -688,15 +725,16 @@ def run_links(cfg: ExperimentConfig, points, write_rows=None):
 def _pool(cfg, links, tags, rx_ids, first_half: bool) -> dict:
     """Per tag, the block FeatureVectors of receivers `rx_ids`, limited to
     each link's first half of frame indices (training) or second half
-    (testing)."""
-    half = cfg.frames_per_device // 2
+    (testing). A link's frames ascend, so each half is a slice of its rows
+    and the pool's values are views of the link's arrays, not copies."""
     pool = {t: [] for t in tags}
     for (_, rx_id), link in links.items():
         if rx_id in rx_ids:
-            keep = (link.frames < half) == first_half
+            cut = _test_start(cfg, link.frames)
+            rows = slice(None, cut) if first_half else slice(cut, None)
             for t in tags:
                 fv = link.features[t]
-                pool[t].append(replace(fv, values=fv.values[keep]))
+                pool[t].append(replace(fv, values=fv.values[rows]))
     return pool
 
 
@@ -715,7 +753,7 @@ def _train_and_score(cfg, links) -> list:
     for extractor in cfg.extractors:
         tags = [table.value for table in tables_of([extractor])]
         for train_entry in cfg.train_receivers:
-            train_ids = {train_entry} if isinstance(train_entry, str) else set(train_entry)
+            train_ids = _train_ids(train_entry)
             train_pool = _pool(cfg, links, tags, train_ids, True)
             test_pools = [_pool(cfg, links, tags, {test_id}, False)
                           for test_id in cfg.test_receivers]
@@ -727,7 +765,8 @@ def _train_and_score(cfg, links) -> list:
                     )
             cells.append((extractor, "+".join(sorted(train_ids)), tags, test_pools))
             trainings.extend(train_pool[t] for t in tags)
-    models = map_ordered(partial(cl.train, cfg=cfg.classifier), trainings)
+    # read to its end, which reaps the workers before any scoring
+    models = iter(list(map_ordered(partial(cl.train, cfg=cfg.classifier), trainings)))
     out = []
     for extractor, train_label, tags, test_pools in cells:
         branch = [next(models) for _ in tags]
@@ -749,14 +788,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     model_info = {}
     points = [(snr, rep) for snr in cfg.snr_db for rep in range(cfg.repeats)]
     with nullcontext() if out_dir is None else data_io.feature_tables(out_dir) as write_rows:
-        for snr, _, models, links in run_links(cfg, points, write_rows):
+        for snr, _, models, links in run_links(cfg, points, write_rows, pooled=True):
             for key, link in links.items():
                 drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
             for rx_id, mc in models.items():
-                csi = np.abs(mc.spectra[Field.LLTF].occupied_bins())
                 model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
-                    {"attempts": mc.attempts, "eta_lf": eta_lf(csi).eta_lf}
-                )
+                    {"attempts": mc.attempts, "eta_lf": mc.eta_lf})
             for extractor, train_label, accs in _train_and_score(cfg, links):
                 for test_id, acc in zip(cfg.test_receivers, accs):
                     cells_acc.setdefault((snr, extractor, train_label, test_id), []).append(acc)

@@ -89,10 +89,10 @@ def test_no_earlier_links_alive_while_the_next_run(monkeypatch, tmp_path, tables
     real = hz._link_task
     first, alive = [], []
 
-    def link_task(cfg, snr_db, repeat, csv, models, link):
+    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
         if repeat == 1:
             alive.append(sum(ref() is not None for ref in first))
-        out = real(cfg, snr_db, repeat, csv, models, link)
+        out = real(cfg, snr_db, repeat, csv, pooled, models, link)
         if repeat == 0:
             first.append(weakref.ref(out))
         return out
@@ -123,6 +123,76 @@ def test_model_capture_structural_isolation():
             assert np.array_equal(model.spectra[f].bins, s.bins), (rx.device_id, f)
     assert not np.array_equal(fresh[0].spectra[Field.LLTF].bins,
                               fresh[1].spectra[Field.LLTF].bins)
+
+
+def _pooled_doc():
+    # rx00 is in a train set only, rx01 in a train set and the test set,
+    # rx02 in the test set only and rx03 in neither; at 16 dB the links
+    # dev00 -> rx02 and dev01 -> rx03 lose frames
+    return _base_doc(master_seed=5, devices={"count": 2, "base_seed": 100, "field_distinct": True},
+                     receivers={"count": 4, "base_seed": 900}, snr_db=16.0, repeats=1,
+                     train_receivers=["rx00", "rx01"], test_receivers=["rx01", "rx02"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pooled_link_holds_only_the_rows_a_pool_reads(monkeypatch, cpus):
+    """A pooled link keeps its first half of frames if its receiver trains
+    and its second half if it tests, while its CSV rows and drop counts
+    still cover every frame."""
+    monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)
+    cfg = hz.load_config(_pooled_doc())
+    half = cfg.frames_per_device // 2
+    keep = {"rx00": lambda f: f < half, "rx01": lambda f: f >= 0,
+            "rx02": lambda f: f >= half, "rx03": lambda f: f < 0}
+    rows, links = {}, {}
+    for pooled in (False, True):
+        rows[pooled] = []
+        (_, _, _, links[pooled]), = hz.run_links(cfg, [(16.0, 0)], rows[pooled].append,
+                                                  pooled=pooled)
+    assert rows[True] == rows[False]
+    assert sum(link.dropped for link in links[False].values()) > 0
+    for (dev_id, rx_id), full in links[False].items():
+        pooled, rows_kept = links[True][(dev_id, rx_id)], keep[rx_id](full.frames)
+        assert np.array_equal(pooled.frames, full.frames[rows_kept]), (dev_id, rx_id)
+        assert pooled.drops == full.drops and pooled.dropped == full.dropped
+        assert pooled.features.keys() == full.features.keys()
+        for tag, fv in full.features.items():
+            assert np.array_equal(pooled.features[tag].values, fv.values[rows_kept])
+
+
+def test_pool_values_are_views_of_the_links():
+    cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
+    (_, _, _, links), = hz.run_links(cfg, [(30.0, 0)])
+    half = cfg.frames_per_device // 2
+    for first_half in (True, False):
+        pool = hz._pool(cfg, links, ["HL"], {"rx00", "rx01"}, first_half)
+        for fv, link in zip(pool["HL"], links.values(), strict=True):
+            values = link.features["HL"].values
+            assert np.shares_memory(fv.values, values)
+            assert np.array_equal(fv.values, values[(link.frames < half) == first_half])
+
+
+def test_feature_stability_links_keep_every_row(monkeypatch):
+    """The statistics read every frame of a link, also of a receiver that no
+    bench pool would read (rx02) or read only half of (rx00, rx01)."""
+    cfg = hz.load_config(_base_doc(
+        devices={"count": 2, "base_seed": 100, "field_distinct": True},
+        receivers={"count": 3, "base_seed": 900}, extractors=["HL"], reference_device=None,
+        frames_per_device=6, repeats=1))
+    seen = []
+    run_links = hz.run_links
+
+    def recording(*args, **kwargs):
+        for point in run_links(*args, **kwargs):
+            seen.extend(point[3].values())
+            yield point
+
+    monkeypatch.setattr(hz, "run_links", recording)
+    studies.run_feature_stability(cfg)
+    assert len(seen) == 2 * 3
+    for link in seen:
+        assert len(link.frames) + link.dropped == cfg.frames_per_device
+        assert len(link.features["HL"].values) == len(link.frames)
 
 
 def test_feature_stability_reports_both_metrics():

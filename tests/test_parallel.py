@@ -103,10 +103,10 @@ def _failing_links(monkeypatch, failures):
     real = hz._link_task
     first = next(iter(failures))
 
-    def link_task(cfg, snr_db, repeat, csv, models, link):
+    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
         key = (link[4], link[1].device_id)  # (device id, receiver id)
         if key not in failures:
-            return real(cfg, snr_db, repeat, csv, models, link)
+            return real(cfg, snr_db, repeat, csv, pooled, models, link)
         if key == first:
             time.sleep(0.3)
         raise failures[key]
@@ -163,8 +163,8 @@ def test_empty_train_pool_same_with_one_or_two_workers(monkeypatch):
     cfg = hz.load_config({**DOC, "train_receivers": ["rx00", "rx01"]})
     real = hz._link_task
 
-    def link_task(cfg, snr_db, repeat, csv, models, link):
-        out = real(cfg, snr_db, repeat, csv, models, link)
+    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
+        out = real(cfg, snr_db, repeat, csv, pooled, models, link)
         if link[1].device_id != "rx01":
             return out
         keep = out.frames >= cfg.frames_per_device // 2
@@ -198,6 +198,58 @@ def test_one_cpu_starts_no_process(monkeypatch, tmp_path):
     assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 0
     assert main(["extract", "--manifest", str(tmp_path / "sim"),
                  "--out-dir", str(tmp_path / "feat")]) == 0
+
+
+def test_no_worker_is_left_once_a_point_is_yielded(monkeypatch):
+    """Both maps of a point, the model captures' and the links', are read to
+    their end, which reaps their workers before the point is yielded."""
+    _with_cpus(monkeypatch, 2)
+    points = hz.run_links(hz.load_config({**DOC, "frames_per_device": 4}),
+                          [(30.0, 0), (30.0, 1)])
+    try:
+        next(points)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        points.close()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_process_simulates_no_frame_on_two_cpus(monkeypatch, tmp_path, cpus):
+    """On two CPUs every capture, the reference models' too, is made in a
+    worker; on one, all of them are made in this process."""
+    parent, calls = os.getpid(), []
+    real = hz._receive
+
+    def receive(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "_receive", receive)
+    _with_cpus(monkeypatch, cpus)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**DOC, "frames_per_device": 4}))
+    assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+    assert bool(calls) == (cpus == 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_model_capture_ends_bench_alike_on_one_or_two_cpus(monkeypatch, tmp_path,
+                                                                   capsys, cpus):
+    """Every reference capture at 12 dB goes undetected by the 6x threshold:
+    the error that a model-capture worker raises is the one-CPU error."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        **DOC, "master_seed": 1, "devices": {"count": 2, "base_seed": 100, "field_distinct": True},
+        "channel": {"scenario": "flat"}, "snr_db": 12.0, "train_receivers": ["rx00"],
+        "test_receivers": ["rx01"]}))
+    _with_cpus(monkeypatch, cpus)
+    assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "pipeline error: model capture failed 8 times on rx00: NotDetectedError x8\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _slow_negative(x):
