@@ -33,6 +33,8 @@ _DEFAULT = "configs/bench_default.json"
 _MOBILE = "perfbench/mobile_snr_sweep.json"
 # Two SNRs, a two-receiver train set, and one- and two-branch cells.
 _SWEEP = "configs/bench_sweep.json"
+# One receiver: a point's only reference model is captured in a link worker.
+_ONE_RX = "configs/bench_one_receiver.json"
 
 
 def _bench(config, *flags):
@@ -56,6 +58,7 @@ OPS = {
     "bench default": _bench(_DEFAULT),
     "bench default seed 7": _bench(_DEFAULT, "--seed", "7"),
     "bench sweep": _bench(_SWEEP),
+    "bench one receiver": _bench(_ONE_RX),
     **{f"bench mobile seed 1 {snr} dB": _bench(_MOBILE, "--seed", "1", "--snr-db", str(snr))
        for snr in (15, 20, 25, 30)},
     "bench mobile seed 2 15 dB": _bench(_MOBILE, "--seed", "2", "--snr-db", "15"),

@@ -6,7 +6,8 @@ reference devices from their CSI amplitudes, `train` fits a model from a
 feature table, `eval` scores a model against a table, and `bench` runs a
 whole experiment config end to end.
 
-Exit codes: 0 success, 2 configuration error, 3 pipeline error.
+Exit codes: 0 success, 2 configuration error, 3 pipeline error (a write
+that the file system refuses included).
 
 Each command loads only the modules it runs: `harness` and the simulator
 behind it load inside `simulate`, `extract` and `bench`, so `train`,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -102,6 +103,10 @@ def cmd_simulate(args) -> int:
             })
     # ids may hold "_", so two links can map to one file name
     config._distinct([e["path"] for e in entries], "capture files")
+    for e in entries:  # a capture's sidecar name (<stem>.json) is the longer of its two
+        if "\0" in e["path"] or len(data_io._sidecar_path(Path(e["path"])).name.encode()) > 255:
+            raise config.ConfigError(f"capture file {e['path']!r}: the file system cannot hold "
+                                     "a name with NUL or of more than 255 bytes")
     out.mkdir(parents=True, exist_ok=True)
     # each file is its own task; the files do not depend on one another
     task = partial(_write_capture, cfg, out, snr)
@@ -156,15 +161,15 @@ class _Step:
     spectra: dict
 
 
-def _walk_captures(readers, detection, fields, until_acquired: bool = False):
+def _walk_captures(readers, detection, fields):
     """Walk capture files in lock-step, one block row per file still being
     walked (`readers`: at most `harness.BLOCK_ROWS` `data_io.IqReader`s),
     detecting with `detection`, a (window_w, threshold_multiplier) pair.
     Each step acquires the current segment of every row as one block,
     then advances each row by its own outcome, so a row sees exactly the
-    segments it would see walked alone. Yields a `_Step` per block; with
-    `until_acquired` a file is walked only up to its first acquired frame.
-    The readers are closed when the walk ends."""
+    segments it would see walked alone. Yields a `_Step` per block; a
+    consumer that needs less stops early by closing the walk. The readers
+    are closed when the walk ends or is closed."""
     from . import harness
     window_w, multiplier = detection
     quiet_skip = SEGMENT_LEN - window_w
@@ -190,7 +195,6 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
             n1 = sync.frame_start_n1
             more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
             spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
-            acquired = frames.drops.live
             frame_index = np.full(len(active), -1)
             for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
                 if isinstance(exc, NotDetectedError):
@@ -203,17 +207,15 @@ def _walk_captures(readers, detection, fields, until_acquired: bool = False):
                 count[i] += 1
                 pos[i] += frame_span if exc else int(n1[row]) + FRAME_ADVANCE
             yield _Step(active, frame_index, spectra)
-            active = [i for row, i in enumerate(active)
-                      if pos[i] + frame_span <= len(readers[i])
-                      and not (until_acquired and acquired[row])]
+            active = [i for i in active if pos[i] + frame_span <= len(readers[i])]
 
 
-def _lockstep_groups(captures, readers: dict, role: str) -> list:
-    """Manifest indices of the `role` captures in manifest order, cut into
+def _lockstep_groups(captures, readers: dict) -> list:
+    """Manifest indices of the device captures in manifest order, cut into
     lock-step groups of at most `harness.BLOCK_ROWS` captures: one group
     per usable CPU where that leaves fewer."""
     from . import harness
-    idx = [i for i in readers if captures[i]["role"] == role]
+    idx = [i for i in readers if captures[i]["role"] == "device"]
     size = max(1, min(harness.BLOCK_ROWS, -(-len(idx) // harness.usable_cpus())))
     return [idx[k : k + size] for k in range(0, len(idx), size)]
 
@@ -254,20 +256,23 @@ def cmd_extract(args) -> int:
     roles = ("device", "reference") if use_rd else ("device",)
     readers = {i: data_io.IqReader(base / cap["path"])
                for i, cap in enumerate(captures) if cap["role"] in roles}
-    model_spectra = {}  # none without RD: no reference capture has a reader
-    for group in _lockstep_groups(captures, readers, "reference"):
-        for step in _walk_captures([readers[i] for i in group], detection, fields,
-                                   until_acquired=True):
-            for row in np.flatnonzero(step.spectra[fields[0]].drops.live):
-                model_spectra[group[step.captures[row]]] = {f: FieldSpectrum(f, s.bins[row])
-                                                            for f, s in step.spectra.items()}
-    # keyed by the receiver each capture went through, in manifest order, so a
-    # later capture of a receiver wins
-    models = {captures[i]["receiver"]: spectra for i, spectra in sorted(model_spectra.items())}
+    # each reference capture walked alone up to its first acquired frame, in
+    # manifest order and keyed by its receiver, so a later capture of a
+    # receiver wins; none without RD: no reference capture has a reader
+    models = {}
+    for i, reader in readers.items():
+        if captures[i]["role"] != "reference":
+            continue
+        with closing(_walk_captures([reader], detection, fields)) as walk:
+            for step in walk:
+                if step.spectra[fields[0]].drops.live[0]:
+                    models[captures[i]["receiver"]] = {f: FieldSpectrum(f, s.bins[0])
+                                                       for f, s in step.spectra.items()}
+                    break
     # the device groups are independent, so they run on every usable CPU; each
     # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
-    groups = _lockstep_groups(captures, readers, "device")
+    groups = _lockstep_groups(captures, readers)
     n_rows = dropped = listed = missed = 0
     surplus = []  # captures with more frames than their manifest entry lists
     with data_io.feature_tables(out) as write_rows:
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
     except (config.ConfigError, cl.TrainError, cl.ModelFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (config.PipelineError, data_io.IoError) as exc:
+    except (config.PipelineError, data_io.IoError, OSError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

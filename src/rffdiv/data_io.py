@@ -203,19 +203,21 @@ def append_feature_rows(out: Path, tables: dict, rows: dict) -> None:
 def feature_tables(out_dir):
     """The writer of the feature tables features_<tag>.csv in `out_dir`: a
     function that takes {tag: CSV rows} and appends them
-    (`append_feature_rows`). Each table is renamed when the block ends and
-    removed if it raises, so a failed run leaves no table."""
-    tables = {}
+    (`append_feature_rows`). Each table is renamed when the block ends; if
+    the block or a rename raises, every table of the run is removed, so a
+    failed run leaves no table."""
+    tables, renamed = {}, set()
     try:
         yield partial(append_feature_rows, Path(out_dir), tables)
-    except BaseException:
-        for fh in tables.values():
+        for tag, fh in tables.items():
             fh.close()
-            os.remove(fh.name)
+            os.replace(fh.name, fh.name.removesuffix(".part"))
+            renamed.add(tag)
+    except BaseException:
+        for tag, fh in tables.items():
+            fh.close()
+            os.remove(fh.name.removesuffix(".part") if tag in renamed else fh.name)
         raise
-    for fh in tables.values():
-        fh.close()
-        os.replace(fh.name, fh.name.removesuffix(".part"))
 
 
 @dataclass(frozen=True)

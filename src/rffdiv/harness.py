@@ -42,7 +42,7 @@ import signal
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -236,14 +236,23 @@ def load_config(doc) -> ExperimentConfig:
 
 def checked(cfg: ExperimentConfig) -> ExperimentConfig:
     """`cfg`, once its ids are distinct (a device's from the reference's
-    too) and its profiles build: an impairment that `DeviceProfile` rejects
-    is a ConfigError."""
+    too) and its profiles build: an impairment that `DeviceProfile` rejects,
+    or one whose transmitter or receiver chain takes the ideal frame to a
+    sample or an energy that is not finite, is a ConfigError."""
     try:
         devices, receivers, reference = _profiles(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad impairment: {exc}") from exc
     _distinct([p.device_id for p in devices + [reference] if p], "devices and reference_device")
     _distinct([p.device_id for p in receivers], "receivers")
+    chains = [(p, "transmitter", apply_transmitter) for p in devices + [reference] if p]
+    for profile, chain, apply in chains + [(p, "receiver", apply_receiver) for p in receivers]:
+        with np.errstate(all="ignore"):
+            y = apply(profile, _FRAME).samples
+            finite = np.isfinite(np.vdot(y, y))
+        if not finite:
+            raise ConfigError(f"bad impairment: {profile.device_id}'s {chain} chain takes the "
+                              "ideal frame to a sample or an energy that is not finite")
     return cfg
 
 
@@ -399,7 +408,7 @@ class ModelCapture:
     """Reference-device spectra captured through one receiver, the attempts
     the capture took, and the low-frequency energy ratio of its L-LTF
     amplitude (`refselect.eta_lf`), which the report's `model_info` lists.
-    It is what a model-capture worker sends back (`run_links`)."""
+    A link returns the one it divided by (`LinkFeatures.model`)."""
 
     spectra: dict
     attempts: int
@@ -488,13 +497,15 @@ class LinkFeatures:
     whose rows follow `frames`, and the dropped frames counted by cause.
     `csv` holds, per tag, the link's feature CSV rows (`format_csv`) when
     the run writes feature tables, until the tables' writer takes them. A
-    pooled link (`run_links`) keeps in `frames` and `features` only the
-    rows that a pool reads; `csv` and `drops` still cover every frame."""
+    link of `run_links` keeps in `frames` and `features` only the rows that
+    a pool reads; `csv` and `drops` still cover every frame. `model` is the
+    ModelCapture the link divided by, None when no table divides by one."""
 
     frames: np.ndarray
     features: dict
     drops: dict
     csv: dict = field(default_factory=dict)
+    model: ModelCapture | None = None
 
     @property
     def dropped(self) -> int:
@@ -649,17 +660,20 @@ def _test_start(cfg, frames: np.ndarray) -> int:
     return int(np.searchsorted(frames, cfg.frames_per_device // 2))
 
 
-def _link_task(cfg, snr_db, repeat, csv, pooled, models, link) -> LinkFeatures:
+def _link_task(cfg, snr_db, repeat, csv, model, link) -> LinkFeatures:
     """One (device, receiver) link through the frame engine, acquired and
     extracted block by block; `link` is (sent, rx profile, device index,
-    receiver index, device id) and `models` the model spectra by receiver
-    (`_extract_all`). With `csv` the link's rows are also formatted for the
-    feature CSVs (trial `repeat * frames_per_device + frame`), here in the
-    worker; without it no row is formatted. With `pooled`, after that, the
-    link keeps only the rows a pool reads (`_pool`): its training half if
-    the receiver is in a train set, its test half if it is a test
-    receiver."""
+    receiver index, device id). When a table divides by a model, the link
+    first takes its receiver's ModelCapture from `model` (receiver index ->
+    ModelCapture), divides by its spectra (`_extract_all`) and returns it
+    in `LinkFeatures.model`. With `csv` the link's rows are also formatted
+    for the feature CSVs (trial `repeat * frames_per_device + frame`), here
+    in the worker; without it no row is formatted. After that the link
+    keeps only the rows a pool reads (`_pool`): its training half if the
+    receiver is in a train set, its test half if it is a test receiver."""
     sent, rx, di, rj, device_id = link
+    mc = model(rj) if _needs_reference(cfg.extractors) else None
+    models = {} if mc is None else {rx.device_id: mc.spectra}
     fields = _needed_fields(cfg.extractors)
     blocks = frame_blocks(cfg, sent, rx, snr_db, repeat, di, rj, cfg.frames_per_device)
     out = _link_records(((np.zeros(len(frames.lengths), dtype=np.int64),
@@ -670,28 +684,27 @@ def _link_task(cfg, snr_db, repeat, csv, pooled, models, link) -> LinkFeatures:
     if csv:
         out.format_csv(device_id, rx.device_id, cfg.channel["scenario"], snr_db,
                        repeat * cfg.frames_per_device)
-    if pooled:
-        cut = _test_start(cfg, out.frames)
-        trains = any(rx.device_id in _train_ids(t) for t in cfg.train_receivers)
-        rows = slice(0 if trains else cut, None if rx.device_id in cfg.test_receivers else cut)
-        out = replace(out, frames=out.frames[rows], features={
-            tag: replace(fv, values=fv.values[rows]) for tag, fv in out.features.items()})
-    return out
+    cut = _test_start(cfg, out.frames)
+    trains = any(rx.device_id in _train_ids(t) for t in cfg.train_receivers)
+    rows = slice(0 if trains else cut, None if rx.device_id in cfg.test_receivers else cut)
+    return replace(out, frames=out.frames[rows], model=mc, features={
+        tag: replace(fv, values=fv.values[rows]) for tag, fv in out.features.items()})
 
 
-def run_links(cfg: ExperimentConfig, points, write_rows=None, pooled=False):
-    """Per (snr, repeat) of `points`, in order: (snr, repeat, models, links),
-    with each receiver's ModelCapture ({} when no extractor divides by one)
-    and each (device id, receiver id)'s LinkFeatures, device-major.
-    Profiles and transmitted frames are built once, here. Per point, the
-    receivers' model captures run on every usable CPU, then the links do
-    (`map_ordered`; on one CPU both run in this process), so that on two or
-    more this process captures, acquires and divides no frame. Each map is read to
-    its end, which reaps its workers before the point is yielded. With
-    `write_rows` (`data_io.feature_tables`) each link's CSV rows are
-    formatted in its worker and written as it arrives. With `pooled`, a
-    link keeps only the rows that a pool reads (`_link_task`), while its
-    CSV rows and drop counts cover every frame. A consumer drops its
+def run_links(cfg: ExperimentConfig, points, write_rows=None):
+    """Per (snr, repeat) of `points`, in order: (snr, repeat, links), with
+    each (device id, receiver id)'s LinkFeatures, device-major. Profiles
+    and transmitted frames are built once, here. Per point the links run on
+    every usable CPU (`map_ordered`; on one CPU in this process), so that
+    on two or more this process captures, acquires and divides no frame.
+    A link captures its receiver's reference model where it runs, through
+    a function made per point and cached by receiver index, so a worker
+    forked for the point captures each receiver's model at most once. The
+    map is read to its end, which reaps its workers before the point is
+    yielded. With `write_rows` (`data_io.feature_tables`) each link's CSV
+    rows are formatted in its worker and written as it arrives. A link
+    keeps only the rows that the config's pools read, while its CSV rows
+    and drop counts cover every frame (`_link_task`). A consumer drops its
     references to a point's links before asking for the next, as this
     generator does, so one point's features stay in memory."""
     devices, receivers, reference = _profiles(cfg)
@@ -699,26 +712,19 @@ def run_links(cfg: ExperimentConfig, points, write_rows=None, pooled=False):
     sent_ref = None if reference is None else _transmit(reference)
     grid = [(di, dev, rj, rx) for di, dev in enumerate(devices)
             for rj, rx in enumerate(receivers)]
-
-    def capture(item):  # (rx profile, rx index, repeat, snr)
-        return _capture_model(cfg, sent_ref, *item)
-
     for snr, repeat in points:
-        models = {}
-        if _needs_reference(cfg.extractors):
-            captures = map_ordered(capture, [(rx, rj, repeat, snr)
-                                             for rj, rx in enumerate(receivers)])
-            models = {rx.device_id: mc for rx, mc in zip(receivers, captures, strict=True)}
-        results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None,
-                                      pooled, {rx: mc.spectra for rx, mc in models.items()}),
+        model = cache(lambda rj: _capture_model(cfg, sent_ref, receivers[rj], rj, repeat, snr))
+        results = map_ordered(partial(_link_task, cfg, snr, repeat, write_rows is not None, model),
                               [(sent[di], rx, di, rj, dev.device_id) for di, dev, rj, rx in grid])
-        links = {}
+        links, models = {}, {}
         for (_, dev, _, rx), link in zip(grid, results, strict=True):
             if write_rows is not None:
                 write_rows(link.csv)
                 link.csv = {}
+            # a receiver's links return equal models; one copy stays in memory
+            link.model = models.setdefault(rx.device_id, link.model)
             links[(dev.device_id, rx.device_id)] = link
-        yield snr, repeat, models, links
+        yield snr, repeat, links
         del links, link  # the loop's name holds the last link too
 
 
@@ -788,9 +794,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
     model_info = {}
     points = [(snr, rep) for snr in cfg.snr_db for rep in range(cfg.repeats)]
     with nullcontext() if out_dir is None else data_io.feature_tables(out_dir) as write_rows:
-        for snr, _, models, links in run_links(cfg, points, write_rows, pooled=True):
+        for snr, _, links in run_links(cfg, points, write_rows):
             for key, link in links.items():
                 drop_acc.setdefault((snr,) + key, []).append(link.dropped / cfg.frames_per_device)
+            models = {rx_id: link.model for (_, rx_id), link in links.items() if link.model}
             for rx_id, mc in models.items():
                 model_info.setdefault(f"snr{snr:g}/{rx_id}", []).append(
                     {"attempts": mc.attempts, "eta_lf": mc.eta_lf})

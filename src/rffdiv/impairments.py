@@ -56,6 +56,8 @@ class DeviceProfile:
             object.__setattr__(self, "band_tilt", np.asarray(self.band_tilt, dtype=np.float64))
         if taps.size == 0:
             raise ValueError("fir_taps must be nonempty")
+        if taps[0] == 0:
+            raise ValueError("first FIR tap must be nonzero")
         if np.any(np.abs(taps[1:]) > np.abs(taps[0])):
             raise ValueError("first FIR tap must dominate")
         if self.iq_gain_imbalance <= 0:

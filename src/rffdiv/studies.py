@@ -47,11 +47,13 @@ def run_feature_stability(cfg: hz.ExperimentConfig) -> dict:
     if len(cfg.snr_db) > 1:
         raise ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; the feature-stability "
                           "statistics take one")
-    cfg = replace(cfg, channel=cfg.channel | {"per_frame": True})
+    # every receiver trains and tests, so every link keeps all its rows
+    rx_ids = [r["id"] for r in cfg.receivers]
+    cfg = replace(cfg, channel=cfg.channel | {"per_frame": True}, train_receivers=rx_ids,
+                  test_receivers=rx_ids)
     snr = cfg.snr_db[0]
-    (_, _, _, links), = hz.run_links(cfg, [(snr, 0)])
+    (_, _, links), = hz.run_links(cfg, [(snr, 0)])
     # the links come device-major, in the config's device and receiver order
-    rx_ids = list(dict.fromkeys(rx_id for _, rx_id in links))
     out = {"snr_db": snr, "scenario": cfg.channel["scenario"], "devices": {}}
     for dev_id in dict.fromkeys(dev_id for dev_id, _ in links):
         per_rx = [links[(dev_id, rx_id)] for rx_id in rx_ids]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,73 @@ def test_id_the_outputs_cannot_carry_is_config_error(config_path, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("device_id, why", [("d" * 300, "of more than 255 bytes"),
+                                            ("dev\x0000", "with NUL")], ids=["long", "nul"])
+def test_simulate_file_name_the_file_system_cannot_hold_is_config_error(
+        monkeypatch, config_path, tmp_path, capsys, device_id, why):
+    """Refused before any capture is simulated or the output directory made;
+    the error names the file."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(json.loads(config_path.read_text()) | {
+        "devices": [{"id": "dev01", "seed": 1}, {"id": device_id, "seed": 2}]}))
+    monkeypatch.setattr(hz, "_receive", _untouched)
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: capture file {device_id + '_rx00.iq'!r}: ")
+    assert why in err and not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+@pytest.mark.parametrize("kind, entry, named", [
+    ("devices", {"band_tilt": [10000.0]}, "dev00's transmitter chain"),
+    ("devices", {"pa_coeffs": [1, 1e300]}, "dev00's transmitter chain"),
+    ("devices", {"dc_offset": 1e308}, "dev00's transmitter chain"),
+    ("reference_device", {"dc_offset": 1e308}, "ref's transmitter chain"),
+    ("receivers", {"iq_gain_imbalance": 1e-320}, "rx00's receiver chain"),
+    ("devices", {"fir_taps": [0]}, "first FIR tap must be nonzero"),
+], ids=["tilt", "pa", "dc", "reference-dc", "rx-gain", "zero-tap"])
+def test_impairment_that_makes_a_chain_non_finite_is_config_error(
+        monkeypatch, config_path, tmp_path, capsys, command, kind, entry, named):
+    """Checked on the ideal frame before any capture is simulated, so that
+    neither a run that loses every frame nor a capture file of non-finite
+    samples follows, and without a numpy warning."""
+    doc = json.loads(config_path.read_text())
+    if kind == "reference_device":
+        doc[kind] |= entry
+    else:
+        ids = ("dev00", "dev01") if kind == "devices" else ("rx00", "rx01")
+        doc[kind] = [{"id": ids[0], "seed": 1, **entry}, {"id": ids[1], "seed": 2}]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    monkeypatch.setattr(hz, "_receive", _untouched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad impairment: ") and named in err, err
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [("simulate", "dev00_rx00.iq"),
+                                              ("bench", "report.json"),
+                                              ("bench", "features_hl.csv")])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_the_file_system_refuses_is_pipeline_error(monkeypatch, config_path, tmp_path,
+                                                         capsys, command, blocked, cpus):
+    """A directory where an output file goes: a named error, and no
+    feature table or `.part` file is left."""
+    monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", str(config_path), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err  # a rename names its source too
+    assert err.startswith("pipeline error: [Errno 21] Is a directory: ")
+    assert err.endswith(f"{str(out / blocked)!r}\n")
+    assert not list(out.glob("*.part"))
+    if blocked.startswith("features_"):
+        assert [p.name for p in out.iterdir()] == [blocked]
+
+
 @pytest.mark.parametrize("command, seed, in_config", [
     ("bench", -1, False), ("simulate", -3, False), ("bench", -5, True)])
 def test_negative_master_seed_is_config_error(config_path, tmp_path, capsys, command, seed,
@@ -479,9 +547,10 @@ def test_table_with_a_bad_row_is_io_error(tmp_path, capsys, command, bad):
     assert command == "eval" or not model.exists()
 
 
-def test_failed_extract_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path):
+def test_failed_extract_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path, capsys):
     """The tables open as the first rows arrive; a write that fails after
-    that removes every table, under either name."""
+    that removes every table, under either name, and ends in a pipeline
+    error."""
     real, calls = data_io.append_feature_rows, []
 
     def append(out, tables, rows):
@@ -492,8 +561,8 @@ def test_failed_extract_leaves_no_feature_table(monkeypatch, sim_dir, tmp_path):
 
     monkeypatch.setattr(data_io, "append_feature_rows", append)
     out = tmp_path / "feat"
-    with pytest.raises(OSError, match="no space"):
-        main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)])
+    assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "pipeline error: no space left on device\n"
     assert calls[1] == ["DV", "HL", "RD_LTF", "RD_STF"]  # every table was open
     assert list(out.rglob("features_*")) == []
 
@@ -552,7 +621,7 @@ def test_extract_writes_each_group_before_taking_the_next(monkeypatch, sim_dir, 
     assert main(["extract", "--manifest", str(sim_dir), "--out-dir", str(tmp_path / "f")]) == 0
     manifest = json.loads((sim_dir / "manifest.json").read_text())["captures"]
     readers = dict.fromkeys(range(len(manifest)))
-    groups = cli._lockstep_groups(manifest, readers, "device")
+    groups = cli._lockstep_groups(manifest, readers)
     assert len(groups) > 1
     # one write per capture of group k, before group k + 1 is taken
     assert events == [e for k, g in enumerate(groups) for e in [f"take {k}"] + ["write"] * len(g)]
@@ -564,10 +633,11 @@ def test_extract_group_that_raises_leaves_no_feature_table(monkeypatch, sim_dir,
     real = cli._walk_captures
     first = json.loads((sim_dir / "manifest.json").read_text())["captures"][0]["path"]
 
-    def walk(readers, detection, fields, until_acquired=False):
-        if readers[0].path.name != first and not until_acquired:  # a later device group
+    def walk(readers, detection, fields):
+        # a later device group; a reference capture is walked alone
+        if readers[0].path.name != first and len(readers) > 1:
             raise hz.PipelineError("injected")
-        return real(readers, detection, fields, until_acquired)
+        return real(readers, detection, fields)
 
     monkeypatch.setattr(cli, "_walk_captures", walk)
     monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)

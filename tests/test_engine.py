@@ -56,11 +56,13 @@ def _one_row(cfg, spectra_fn, model, rx_id, dev_id):
 @pytest.mark.parametrize("scenario", ["flat", "mobile"])
 def test_engine_matches_one_row_calls(scenario):
     assert hz.BLOCK_ROWS < 20
-    cfg = hz.load_config(_doc(scenario))
+    # every receiver trains and tests, so each link keeps all its rows
+    cfg = hz.load_config(_doc(scenario, train_receivers=["rx00", "rx01"],
+                              test_receivers=["rx00", "rx01"]))
     devices, receivers, _ = hz._profiles(cfg)
     per_frame = hz._channel_params(cfg)["per_frame"]
     assert per_frame == (scenario == "mobile")
-    (_, _, models, links), = hz.run_links(cfg, [(30.0, 0)])
+    (_, _, links), = hz.run_links(cfg, [(30.0, 0)])
     fields = hz._needed_fields(cfg.extractors)
     for di, dev in enumerate(devices):
         for rj, rx in enumerate(receivers):
@@ -76,7 +78,8 @@ def test_engine_matches_one_row_calls(scenario):
                     hz.derive_seed(cfg.master_seed, hz._S_JITTER, 0, di, rj, fi),
                 )
                 cause, feats = _one_row(cfg, lambda: hz.acquire_spectra(capture, cfg, fields),
-                                        models[rx.device_id].spectra, rx.device_id,
+                                        links[(dev.device_id, rx.device_id)].model.spectra,
+                                        rx.device_id,
                                         dev.device_id)
                 if cause:
                     drops[cause] = drops.get(cause, 0) + 1
@@ -153,6 +156,8 @@ def test_window_bounds_error_escapes_a_block():
 
 
 def test_transmitter_runs_once_per_device(monkeypatch):
+    # loaded first: `checked` runs every chain once over the ideal frame
+    cfg = hz.load_config(_doc("flat", snr_db=[25.0, 30.0], repeats=2, frames_per_device=4))
     calls = []
     original = hz.apply_transmitter
 
@@ -161,7 +166,6 @@ def test_transmitter_runs_once_per_device(monkeypatch):
         return original(profile, frame)
 
     monkeypatch.setattr(hz, "apply_transmitter", counting)
-    cfg = hz.load_config(_doc("flat", snr_db=[25.0, 30.0], repeats=2, frames_per_device=4))
     hz.run_experiment(cfg)
     assert sorted(calls) == ["dev00", "dev01", "ref"]
 

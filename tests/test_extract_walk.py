@@ -3,6 +3,7 @@ file by file, that gives what walking each file alone, one frame at a
 time, gives."""
 
 import json
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -97,22 +98,28 @@ def _write(tmp_path, name, pieces):
 
 def _lockstep(paths, until_acquired=False):
     """Each file's (frame_index, spectra | None) in the order the lock-step
-    walk yields them, and the number of rows that detected nothing."""
+    walk yields them, and the number of rows that detected nothing. With
+    `until_acquired` each file is walked alone up to its first acquired
+    frame, as `extract` walks a reference capture."""
     out = {p: [] for p in paths}
     skipped = 0
-    readers = [data_io.IqReader(p) for p in paths]
-    try:
-        for step in _walk_captures(readers, DETECTION, FIELDS, until_acquired):
-            for row, reader_idx in enumerate(step.captures):
-                if step.frame_index[row] < 0:
-                    skipped += 1
-                    continue
-                spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
-                           if step.spectra[FIELDS[0]].drops.live[row] else None)
-                out[paths[reader_idx]].append((int(step.frame_index[row]), spectra))
-    finally:
-        for r in readers:
-            r.close()
+    for group in [[p] for p in paths] if until_acquired else [paths]:
+        readers = [data_io.IqReader(p) for p in group]
+        try:
+            with closing(_walk_captures(readers, DETECTION, FIELDS)) as walk:
+                for step in walk:
+                    for row, reader_idx in enumerate(step.captures):
+                        if step.frame_index[row] < 0:
+                            skipped += 1
+                            continue
+                        spectra = ({f: s.bins[row] for f, s in step.spectra.items()}
+                                   if step.spectra[FIELDS[0]].drops.live[row] else None)
+                        out[group[reader_idx]].append((int(step.frame_index[row]), spectra))
+                    if until_acquired and step.spectra[FIELDS[0]].drops.live[0]:
+                        break
+        finally:
+            for r in readers:
+                r.close()
     return out, skipped
 
 

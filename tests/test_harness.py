@@ -2,6 +2,7 @@ import json
 import re
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,10 +90,10 @@ def test_no_earlier_links_alive_while_the_next_run(monkeypatch, tmp_path, tables
     real = hz._link_task
     first, alive = [], []
 
-    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
+    def link_task(cfg, snr_db, repeat, csv, model, link):
         if repeat == 1:
             alive.append(sum(ref() is not None for ref in first))
-        out = real(cfg, snr_db, repeat, csv, pooled, models, link)
+        out = real(cfg, snr_db, repeat, csv, model, link)
         if repeat == 0:
             first.append(weakref.ref(out))
         return out
@@ -112,7 +113,8 @@ def test_model_capture_structural_isolation():
     differs from every other receiver's."""
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
     _, receivers, reference = hz._profiles(cfg)
-    (_, _, models, _), = hz.run_links(cfg, [(30.0, 0)])
+    (_, _, links), = hz.run_links(cfg, [(30.0, 0)])
+    models = {rx_id: link.model for (_, rx_id), link in links.items()}
     assert list(models) == [rx.device_id for rx in receivers]
     sent_ref = hz._transmit(reference)
     fresh = [hz._capture_model(cfg, sent_ref, rx, rj, 0, 30.0) for rj, rx in enumerate(receivers)]
@@ -134,21 +136,28 @@ def _pooled_doc():
                      train_receivers=["rx00", "rx01"], test_receivers=["rx01", "rx02"])
 
 
+def _every_row(cfg):
+    """`cfg` with every receiver in a train set and in the test set, so
+    that its links keep every row."""
+    ids = [r["id"] for r in cfg.receivers]
+    return replace(cfg, train_receivers=ids, test_receivers=ids)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_pooled_link_holds_only_the_rows_a_pool_reads(monkeypatch, cpus):
-    """A pooled link keeps its first half of frames if its receiver trains
-    and its second half if it tests, while its CSV rows and drop counts
-    still cover every frame."""
+    """A link keeps its first half of frames if its receiver trains and its
+    second half if it tests, while its CSV rows and drop counts still cover
+    every frame: against the links of the same config in which every
+    receiver trains and tests."""
     monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)
     cfg = hz.load_config(_pooled_doc())
     half = cfg.frames_per_device // 2
     keep = {"rx00": lambda f: f < half, "rx01": lambda f: f >= 0,
             "rx02": lambda f: f >= half, "rx03": lambda f: f < 0}
     rows, links = {}, {}
-    for pooled in (False, True):
+    for pooled, run_cfg in ((False, _every_row(cfg)), (True, cfg)):
         rows[pooled] = []
-        (_, _, _, links[pooled]), = hz.run_links(cfg, [(16.0, 0)], rows[pooled].append,
-                                                  pooled=pooled)
+        (_, _, links[pooled]), = hz.run_links(run_cfg, [(16.0, 0)], rows[pooled].append)
     assert rows[True] == rows[False]
     assert sum(link.dropped for link in links[False].values()) > 0
     for (dev_id, rx_id), full in links[False].items():
@@ -162,7 +171,7 @@ def test_pooled_link_holds_only_the_rows_a_pool_reads(monkeypatch, cpus):
 
 def test_pool_values_are_views_of_the_links():
     cfg = hz.load_config(_base_doc(frames_per_device=6, repeats=1))
-    (_, _, _, links), = hz.run_links(cfg, [(30.0, 0)])
+    (_, _, links), = hz.run_links(_every_row(cfg), [(30.0, 0)])
     half = cfg.frames_per_device // 2
     for first_half in (True, False):
         pool = hz._pool(cfg, links, ["HL"], {"rx00", "rx01"}, first_half)
@@ -184,7 +193,7 @@ def test_feature_stability_links_keep_every_row(monkeypatch):
 
     def recording(*args, **kwargs):
         for point in run_links(*args, **kwargs):
-            seen.extend(point[3].values())
+            seen.extend(point[2].values())
             yield point
 
     monkeypatch.setattr(hz, "run_links", recording)
@@ -256,7 +265,7 @@ def test_feature_stability_matches_pair_loops(monkeypatch, channel, extractors, 
 
     def recording(cfg, *args):
         for point in run_links(cfg, *args):
-            seen.append((cfg, point[3]))
+            seen.append((cfg, point[2]))
             yield point
 
     monkeypatch.setattr(hz, "run_links", recording)

@@ -74,6 +74,9 @@ def test_profile_invariants_enforced():
         imp.DeviceProfile("bad", iq_gain_imbalance=0.0)
     with pytest.raises(ValueError):
         imp.DeviceProfile("bad", pa_coeffs=[0.9])
+    for taps in ([0], [0, 0]):  # a zero first tap dominates vacuously and nulls every frame
+        with pytest.raises(ValueError, match="first FIR tap must be nonzero"):
+            imp.DeviceProfile("bad", fir_taps=taps)
 
 
 def test_sample_profile_deterministic():

@@ -103,10 +103,10 @@ def _failing_links(monkeypatch, failures):
     real = hz._link_task
     first = next(iter(failures))
 
-    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
+    def link_task(cfg, snr_db, repeat, csv, model, link):
         key = (link[4], link[1].device_id)  # (device id, receiver id)
         if key not in failures:
-            return real(cfg, snr_db, repeat, csv, pooled, models, link)
+            return real(cfg, snr_db, repeat, csv, model, link)
         if key == first:
             time.sleep(0.3)
         raise failures[key]
@@ -163,8 +163,8 @@ def test_empty_train_pool_same_with_one_or_two_workers(monkeypatch):
     cfg = hz.load_config({**DOC, "train_receivers": ["rx00", "rx01"]})
     real = hz._link_task
 
-    def link_task(cfg, snr_db, repeat, csv, pooled, models, link):
-        out = real(cfg, snr_db, repeat, csv, pooled, models, link)
+    def link_task(cfg, snr_db, repeat, csv, model, link):
+        out = real(cfg, snr_db, repeat, csv, model, link)
         if link[1].device_id != "rx01":
             return out
         keep = out.frames >= cfg.frames_per_device // 2
@@ -201,8 +201,8 @@ def test_one_cpu_starts_no_process(monkeypatch, tmp_path):
 
 
 def test_no_worker_is_left_once_a_point_is_yielded(monkeypatch):
-    """Both maps of a point, the model captures' and the links', are read to
-    their end, which reaps their workers before the point is yielded."""
+    """A point's link map is read to its end, which reaps its workers before
+    the point is yielded."""
     _with_cpus(monkeypatch, 2)
     points = hz.run_links(hz.load_config({**DOC, "frames_per_device": 4}),
                           [(30.0, 0), (30.0, 1)])
@@ -217,7 +217,8 @@ def test_no_worker_is_left_once_a_point_is_yielded(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_bench_process_simulates_no_frame_on_two_cpus(monkeypatch, tmp_path, cpus):
     """On two CPUs every capture, the reference models' too, is made in a
-    worker; on one, all of them are made in this process."""
+    worker, also with one receiver; on one, all of them are made in this
+    process."""
     parent, calls = os.getpid(), []
     real = hz._receive
 
@@ -229,9 +230,21 @@ def test_bench_process_simulates_no_frame_on_two_cpus(monkeypatch, tmp_path, cpu
     monkeypatch.setattr(hz, "_receive", receive)
     _with_cpus(monkeypatch, cpus)
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({**DOC, "frames_per_device": 4}))
-    assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
-    assert bool(calls) == (cpus == 1)
+    one_rx = {"receivers": {"count": 1, "base_seed": 900}, "test_receivers": ["rx00"]}
+    for doc in ({**DOC, "frames_per_device": 4}, {**DOC, "frames_per_device": 4, **one_rx}):
+        calls.clear()
+        config.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        assert bool(calls) == (cpus == 1)
+
+
+def test_one_point_forks_only_link_and_training_workers(monkeypatch, forks):
+    """On two CPUs a point of a two-receiver RD config forks two link
+    workers, which capture the reference models themselves, then two
+    training workers."""
+    _with_cpus(monkeypatch, 2)
+    assert hz.run_experiment(hz.load_config({**DOC, "frames_per_device": 4})).cells
+    assert len(forks) == 4
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
