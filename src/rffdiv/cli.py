@@ -17,7 +17,9 @@ behind it load inside `simulate`, `extract` and `bench`, so `train`,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import classify as cl
 from . import config, data_io
-from .features import FieldSpectrum, field_spectrum
+from .features import tables_of
 from .preprocess import NotDetectedError
 from .signals import ComplexSignal, Frames
 from .waveform import FRAME_LEN, WindowBoundsError
@@ -38,14 +40,24 @@ EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 
 
-def _out_dir(path) -> Path:
+def _out_dir(path, files) -> Path:
     """`path` as an output directory, checked before any work: its nearest
-    existing part must be a directory (the rest is made when written)."""
+    existing part must be a directory (the rest is made when written). Of
+    the `files` the command writes there, the first that is a directory
+    raises the error that writing it would raise."""
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise config.ConfigError(f"output directory {out}: {existing} is not a directory")
+    blocked = [out / name for name in files if (out / name).is_dir()]
+    if blocked:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked[0]))
     return out
+
+
+def _table_files(extractors) -> list:
+    """The feature table files that `extractors` write."""
+    return [data_io.table_name(table.value) for table in tables_of(extractors)]
 
 
 def _out_file(path) -> Path:
@@ -80,7 +92,6 @@ def _write_capture(cfg, out: Path, snr_db: float, capture) -> None:
 def cmd_simulate(args) -> int:
     from . import harness
     cfg = harness.load_config(_apply_overrides(config._load_json(args.config), args))
-    out = _out_dir(args.out_dir)
     if len(cfg.snr_db) > 1:
         raise config.ConfigError(f"snr_db lists {len(cfg.snr_db)} SNRs; simulate writes "
                                  "one (pick it with --snr-db)")
@@ -103,10 +114,13 @@ def cmd_simulate(args) -> int:
             })
     # ids may hold "_", so two links can map to one file name
     config._distinct([e["path"] for e in entries], "capture files")
+    files = ["manifest.json"]
     for e in entries:  # a capture's sidecar name (<stem>.json) is the longer of its two
-        if "\0" in e["path"] or len(data_io._sidecar_path(Path(e["path"])).name.encode()) > 255:
+        files += [e["path"], data_io._sidecar_path(Path(e["path"])).name]
+        if "\0" in e["path"] or len(files[-1].encode()) > 255:
             raise config.ConfigError(f"capture file {e['path']!r}: the file system cannot hold "
                                      "a name with NUL or of more than 255 bytes")
+    out = _out_dir(args.out_dir, files)
     out.mkdir(parents=True, exist_ok=True)
     # each file is its own task; the files do not depend on one another
     task = partial(_write_capture, cfg, out, snr)
@@ -191,10 +205,8 @@ def _walk_captures(readers, detection, fields):
             for row, i in enumerate(active):
                 block[row, : lengths[row]] = readers[i].read(pos[i], pos[i] + lengths[row])
             frames = Frames(block, lengths)
-            compensated, sync, _ = harness._acquire(frames, window_w, multiplier)
-            n1 = sync.frame_start_n1
+            spectra, n1 = harness.acquire(frames, window_w, multiplier, fields)
             more = np.array([pos[i] for i in active]) + lengths < [len(readers[i]) for i in active]
-            spectra = {f: field_spectrum(compensated, n1, f) for f in fields}
             frame_index = np.full(len(active), -1)
             for row, (i, exc) in enumerate(zip(active, frames.drops.errors)):
                 if isinstance(exc, NotDetectedError):
@@ -244,10 +256,10 @@ def _extract_group(manifest, detection, extractors, fields, models, job) -> list
 
 def cmd_extract(args) -> int:
     from . import harness
-    out = _out_dir(args.out_dir)
+    extractors = [args.extractor] if args.extractor else list(config.EXTRACTORS)
+    out = _out_dir(args.out_dir, _table_files(extractors))
     manifest, base = config._load_manifest(args.manifest)
     captures = manifest["captures"]
-    extractors = [args.extractor] if args.extractor else list(config.EXTRACTORS)
     use_rd = harness._needs_reference(extractors)
     if use_rd and not any(c["role"] == "reference" for c in captures):
         raise config.ConfigError("reference-division extraction needs reference captures")
@@ -261,14 +273,11 @@ def cmd_extract(args) -> int:
     # receiver wins; none without RD: no reference capture has a reader
     models = {}
     for i, reader in readers.items():
-        if captures[i]["role"] != "reference":
-            continue
-        with closing(_walk_captures([reader], detection, fields)) as walk:
-            for step in walk:
-                if step.spectra[fields[0]].drops.live[0]:
-                    models[captures[i]["receiver"]] = {f: FieldSpectrum(f, s.bins[0])
-                                                       for f, s in step.spectra.items()}
-                    break
+        if captures[i]["role"] == "reference":
+            with closing(_walk_captures([reader], detection, fields)) as walk:
+                model = harness.first_model(step.spectra for step in walk)[0]
+            if model is not None:
+                models[captures[i]["receiver"]] = model
     # the device groups are independent, so they run on every usable CPU; each
     # group's rows go to the writer as the group arrives, in manifest order
     task = partial(_extract_group, manifest, detection, extractors, fields, models)
@@ -358,7 +367,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = args.out_dir and _out_dir(args.out_dir)
+    out = args.out_dir and _out_dir(args.out_dir, ["eval.json"])
     model = cl.load_model(args.model)
     table = data_io.read_features(args.features)
     if not len(table):
@@ -381,7 +390,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import harness
     cfg = harness.load_config(_apply_overrides(config._load_json(args.config), args))
-    out = _out_dir(args.out_dir)
+    out = _out_dir(args.out_dir, ["report.json", "accuracy.csv", *_table_files(cfg.extractors)])
     report = harness.run_experiment(cfg, out)
     harness.write_report(report, out)
     for cell in report.cells:

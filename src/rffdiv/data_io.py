@@ -185,6 +185,11 @@ def format_feature_rows(extractor: str, device: str, receiver: str, channel_scen
     return "".join([row_fmt % (trial, *row) for trial, row in zip(trials, values.tolist())])
 
 
+def table_name(tag: str) -> str:
+    """The file name of feature table `tag`."""
+    return f"features_{tag.lower()}.csv"
+
+
 def append_feature_rows(out: Path, tables: dict, rows: dict) -> None:
     """Append each tag's CSV rows (`rows`: tag -> `format_feature_rows`
     text) to its table in `out` (`tables`: tag -> open file, under its
@@ -194,7 +199,7 @@ def append_feature_rows(out: Path, tables: dict, rows: dict) -> None:
         if text:
             if tag not in tables:
                 out.mkdir(parents=True, exist_ok=True)
-                tables[tag] = open(out / f"features_{tag.lower()}.csv.part", "w")
+                tables[tag] = open(out / f"{table_name(tag)}.part", "w")
                 tables[tag].write(feature_header(DIVISIONS[Extractor(tag)].dim))
             tables[tag].write(text)
 

@@ -12,18 +12,23 @@ with the seed `numpy.random.SeedSequence((master_seed, stream, repeat,
 device, receiver, frame)).generate_state(1)[0]`, where `stream`
 distinguishes channel draws, noise, start jitter, and model-capture
 variants. Devices and receivers are indexed by their position in the
-config. The values are unchanged from the scheme's first version; only
-their computation is per link: `derive_seeds` hashes all of a link's
-frames and streams at once with the same arithmetic as `SeedSequence`, and
-`generator_states` gives the PCG64 state each seed's `default_rng` starts
-from, which the frame engine sets on one generator per link instead of
-building a generator per draw.
+config; a model capture's attempt takes the device slot. The values are
+unchanged from the scheme's first version; only their computation is
+batched: `derive_seeds` hashes all of a link's frames and streams, or all
+of a model capture's attempts, at once with the same arithmetic as
+`SeedSequence`, and `generator_states` gives the PCG64 state each seed's
+`default_rng` starts from. The frame engine's one capture loop,
+`_capture_blocks`, sets those states on one generator instead of building
+a generator per draw; link frames and model attempts both run through it,
+and through one acquisition step, `acquire`.
 
 Reference-division protocol: each receiver's model spectra come from a
 fresh capture of the reference device made through that same receiver,
 and the model table is keyed by that receiver, so a frame can only be
 divided by its own receiver's model; model captures refresh per repeat and
-are never shared across receivers.
+are never shared across receivers. One rule, `first_model`, picks the
+model: the first captured frame that survives acquisition, in `bench`'s
+model captures and in `extract`'s walk of a reference capture alike.
 
 Frames that fail detection, sync, or hit a degenerate denominator are
 dropped and counted; drop rates are first-class outputs. Within each
@@ -355,52 +360,80 @@ def _seated(rng: np.random.Generator, states):
         yield rng
 
 
-def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
-                 repeat: int, device_idx: int, rx_idx: int, n_frames: int):
-    """The frame engine's captures of one (device, receiver) link: yields
-    (first frame index, block) for blocks of at most BLOCK_ROWS frames.
-    Every frame draws its own jitter, noise and (when the config's channel
-    is per frame) channel from its own seeds, so blocking changes no
-    sample; a static link draws one channel for all its frames (the seed of
-    frame 0). The link's seeds come from one `derive_seeds` call, and one
+def _capture_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile,
+                    snr_db: float, seeds: np.ndarray, per_frame: bool, rows: int):
+    """The frame engine's one capture loop: captures of the transmitted
+    frame `sent` through receiver `rx`, yielded as (first frame index,
+    block) for blocks of at most `rows` frames. `seeds` holds each frame's
+    channel, noise and jitter seeds, one row per stream (`derive_seeds`).
+    Every frame draws its own jitter, noise and, when `per_frame`, channel
+    from its own seeds, so blocking changes no sample; otherwise one
+    channel, from the first frame's channel seed, serves every frame. One
     generator, set to each seed's starting state in turn, makes every
     draw."""
-    per_frame = _channel_params(cfg)["per_frame"]
-    seeds = derive_seeds(cfg.master_seed, np.array([[_S_CHANNEL], [_S_NOISE], [_S_JITTER]]),
-                         repeat, device_idx, rx_idx, np.arange(n_frames))
-    # a static link's channel needs frame 0's seed, not a state per frame
+    n_frames = seeds.shape[1]
+    # a static channel needs the first frame's seed, not a state per frame
     states = generator_states(seeds if per_frame else seeds[1:])
     by_stream = [states[i : i + n_frames] for i in range(0, len(states), n_frames)]
     channel, noise, jitter = by_stream if per_frame else [None, *by_stream]
     rng = np.random.default_rng(0)  # every draw comes after a state is set
-    link_channel = None if per_frame else _draw_channel(cfg, snr_db, int(seeds[0, 0]))
-    for first in range(0, n_frames, BLOCK_ROWS):
-        rows = slice(first, first + BLOCK_ROWS)
-        chan = (_draw_channel(cfg, snr_db, _seated(rng, channel[rows])) if per_frame
-                else link_channel)
-        yield first, _receive(sent, rx, chan, _seated(rng, noise[rows]),
-                              _seated(rng, jitter[rows]))[0]
+    static = None if per_frame else _draw_channel(cfg, snr_db, int(seeds[0, 0]))
+    for first in range(0, n_frames, rows):
+        block = slice(first, first + rows)
+        chan = _draw_channel(cfg, snr_db, _seated(rng, channel[block])) if per_frame else static
+        yield first, _receive(sent, rx, chan, _seated(rng, noise[block]),
+                              _seated(rng, jitter[block]))[0]
 
 
-def _acquire(capture: ComplexSignal | Frames, window_w: int, multiplier: float):
-    """`synchronize_and_compensate` with each capture's detection threshold
-    set at `multiplier` times its leading window's statistic."""
-    thr = noise_floor_threshold(capture, window_w, multiplier)
-    return synchronize_and_compensate(capture, DetectionConfig(window_w, thr))
+def frame_blocks(cfg: ExperimentConfig, sent: np.ndarray, rx: DeviceProfile, snr_db: float,
+                 repeat: int, device_idx: int, rx_idx: int, n_frames: int):
+    """The captures of one (device, receiver) link (`_capture_blocks`), in
+    blocks of at most BLOCK_ROWS frames: frame i draws streams _S_CHANNEL,
+    _S_NOISE and _S_JITTER at frame index i, all from one `derive_seeds`
+    call, and a static link's channel is frame 0's."""
+    seeds = derive_seeds(cfg.master_seed, np.array([[_S_CHANNEL], [_S_NOISE], [_S_JITTER]]),
+                         repeat, device_idx, rx_idx, np.arange(n_frames))
+    yield from _capture_blocks(cfg, sent, rx, snr_db, seeds, _channel_params(cfg)["per_frame"],
+                               BLOCK_ROWS)
+
+
+def acquire(frames: ComplexSignal | Frames, window_w: int, multiplier: float, fields):
+    """The one acquisition step: `synchronize_and_compensate`, with each
+    capture's detection threshold set at `multiplier` times its leading
+    window's statistic, then the field spectra of `fields`. Returns the
+    spectra and each capture's estimated frame start."""
+    thr = noise_floor_threshold(frames, window_w, multiplier)
+    compensated, sync, _ = synchronize_and_compensate(frames, DetectionConfig(window_w, thr))
+    n1 = sync.frame_start_n1
+    return {f: field_spectrum(compensated, n1, f) for f in fields}, n1
 
 
 def acquire_spectra(capture: ComplexSignal | Frames, cfg: ExperimentConfig, fields) -> dict:
-    """Detection through field spectra, for a block; one capture (the
+    """`acquire` at the config's detection, for a block; one capture (the
     tests' one-frame reference) raises its drop error instead."""
-    compensated, sync, _ = _acquire(capture, cfg.detection_window, cfg.detection_multiplier)
-    spectra = {f: field_spectrum(compensated, sync.frame_start_n1, f) for f in fields}
+    spectra, _ = acquire(capture, cfg.detection_window, cfg.detection_multiplier, fields)
     # A frame whose field window leaves its capture still stops the run, with
     # the first such row's error; ROADMAP item 3 (detection and sync that
     # hold at low SNR and large CFO) deletes these lines and keeps the drop.
-    for exc in compensated.drops.errors:
+    for exc in Frames.of(capture).drops.errors:
         if isinstance(exc, WindowBoundsError):
             raise exc
     return spectra
+
+
+def first_model(blocks):
+    """The one reference-model rule: the first live row of `blocks` (field
+    spectra blocks, as `acquire` gives them) becomes a model, one spectrum
+    per field. Returns that model (None when no row is live), the blocks
+    read to find it, and the drop causes of the rows before it, counted by
+    error type. Blocks after the model's are not read."""
+    causes, read = Counter(), 0
+    for read, spectra in enumerate(blocks, 1):
+        for row, exc in enumerate(next(iter(spectra.values())).drops.errors):
+            if exc is None:
+                return {f: FieldSpectrum(f, s.bins[row]) for f, s in spectra.items()}, read, causes
+            causes[type(exc).__name__] += 1
+    return None, read, causes
 
 
 @dataclass
@@ -417,28 +450,24 @@ class ModelCapture:
 
 def _capture_model(cfg, sent_ref, rx_profile, rx_idx, repeat, snr_db) -> ModelCapture:
     """Capture the transmitted reference frame `sent_ref` through one
-    receiver, one frame-engine row per attempt, until a capture survives
-    acquisition, and score its L-LTF amplitude's η_LF. The error after the
-    last attempt counts the attempts' drop causes."""
+    receiver, a one-row block of the capture loop per attempt, until a
+    capture survives acquisition (`first_model`), and score its L-LTF
+    amplitude's η_LF. Attempt a draws streams _S_MODEL_CHANNEL and
+    _S_MODEL_NOISE at frame 0 and _S_JITTER at frame 999, with a in the
+    device slot. The error after the last attempt counts the attempts' drop
+    causes."""
     fields = tuple(div.denominator for div in DIVISIONS.values() if div.by_model)
-    causes = Counter()
-    for attempt in range(MODEL_CAPTURE_ATTEMPTS):
-        ch_seed = derive_seed(cfg.master_seed, _S_MODEL_CHANNEL, repeat, attempt, rx_idx)
-        chan = _draw_channel(cfg, snr_db, ch_seed)
-        noise_seed = derive_seed(cfg.master_seed, _S_MODEL_NOISE, repeat, attempt, rx_idx)
-        jitter_seed = derive_seed(cfg.master_seed, _S_JITTER, repeat, attempt, rx_idx, 999)
-        frames, _ = _receive(sent_ref, rx_profile, chan, [np.random.default_rng(noise_seed)],
-                             [np.random.default_rng(jitter_seed)])
-        spectra = acquire_spectra(frames, cfg, fields)
-        if frames.drops.live[0]:
-            model = {f: FieldSpectrum(f, s.bins[0]) for f, s in spectra.items()}
-            csi = np.abs(model[Field.LLTF].occupied_bins())
-            return ModelCapture(model, attempt + 1, eta_lf(csi).eta_lf)
-        causes[type(frames.drops.errors[0]).__name__] += 1
-    raise PipelineError(
-        f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}: "
-        + ", ".join(f"{cause} x{n}" for cause, n in causes.most_common())
-    )
+    seeds = derive_seeds(cfg.master_seed,
+                         np.array([[_S_MODEL_CHANNEL], [_S_MODEL_NOISE], [_S_JITTER]]), repeat,
+                         np.arange(MODEL_CAPTURE_ATTEMPTS), rx_idx, np.array([[0], [0], [999]]))
+    blocks = _capture_blocks(cfg, sent_ref, rx_profile, snr_db, seeds, True, 1)
+    model, attempts, causes = first_model(acquire_spectra(frames, cfg, fields)
+                                          for _, frames in blocks)
+    if model is None:
+        raise PipelineError(
+            f"model capture failed {MODEL_CAPTURE_ATTEMPTS} times on {rx_profile.device_id}: "
+            + ", ".join(f"{cause} x{n}" for cause, n in causes.most_common()))
+    return ModelCapture(model, attempts, eta_lf(np.abs(model[Field.LLTF].occupied_bins())).eta_lf)
 
 
 def _extract_all(spectra: dict, extractors, models: dict, rx_ids: list,

@@ -353,23 +353,33 @@ def test_impairment_that_makes_a_chain_non_finite_is_config_error(
 
 
 @pytest.mark.parametrize("command, blocked", [("simulate", "dev00_rx00.iq"),
+                                              ("simulate", "manifest.json"),
                                               ("bench", "report.json"),
-                                              ("bench", "features_hl.csv")])
+                                              ("bench", "accuracy.csv"),
+                                              ("bench", "features_hl.csv"),
+                                              ("extract", "features_rd_ltf.csv"),
+                                              ("eval", "eval.json")])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_write_the_file_system_refuses_is_pipeline_error(monkeypatch, config_path, tmp_path,
-                                                         capsys, command, blocked, cpus):
-    """A directory where an output file goes: a named error, and no
-    feature table or `.part` file is left."""
+def test_write_the_file_system_refuses_is_pipeline_error(monkeypatch, config_path, sim_dir,
+                                                         tmp_path, capsys, command, blocked,
+                                                         cpus):
+    """A directory where an output file goes: the error that writing it
+    raises, named before any capture is simulated or read, and nothing is
+    written."""
     monkeypatch.setattr(hz, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hz, "_receive", _untouched)
+    monkeypatch.setattr(data_io.IqReader, "__init__", _untouched)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
-    assert main([command, "--config", str(config_path), "--out-dir", str(out)]) == 3
-    err = capsys.readouterr().err  # a rename names its source too
-    assert err.startswith("pipeline error: [Errno 21] Is a directory: ")
-    assert err.endswith(f"{str(out / blocked)!r}\n")
-    assert not list(out.glob("*.part"))
-    if blocked.startswith("features_"):
-        assert [p.name for p in out.iterdir()] == [blocked]
+    argv = {"bench": ["bench", "--config", str(config_path)],
+            "simulate": ["simulate", "--config", str(config_path)],
+            "extract": ["extract", "--manifest", str(sim_dir)],
+            "eval": ["eval", "--model", str(tmp_path / "m.json"),
+                     "--features", str(tmp_path / "t.csv")]}[command]
+    assert main(argv + ["--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"pipeline error: [Errno 21] Is a directory: {str(out / blocked)!r}\n"
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize("command, seed, in_config", [

@@ -5,9 +5,11 @@ runs them; these checks fail at once instead."""
 
 import importlib
 import importlib.util
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
+from rffdiv import harness as hz
 from rffdiv import preprocess as pp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +43,10 @@ def test_every_bench_layers_stage_resolves():
 def test_result_fields_the_tracer_reads_exist():
     assert "frame_start_n1" in {f.name for f in fields(pp.SyncResult)}
     assert "total_hz" in {f.name for f in fields(pp.CfoEstimate)}
+
+
+def test_frame_blocks_is_a_generator_function():
+    """`bench_layers` times a generator function by its iteration; a
+    `frame_blocks` that returned its capture loop's generator would time
+    at about 0 µs per frame, with no error."""
+    assert inspect.isgeneratorfunction(hz.frame_blocks)
